@@ -24,21 +24,31 @@ cargo build --release --offline --workspace --examples
 echo "==> offline test suite"
 cargo test -q --offline --workspace
 
+echo "==> offline release build of the benchmark harness (perfbench)"
+# perfbench is its own workspace, so the builds above never compile it;
+# a library API change that breaks it would otherwise go unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> parallel sweep determinism smoke (1 thread vs default)"
 # Reduced sweep, timings discarded: stdout must be byte-identical no
 # matter how many worker threads run the points.
 seq_out=$(mktemp)
 par_out=$(mktemp)
 trap 'rm -f "$seq_out" "$par_out"' EXIT
+# same_stdout MESSAGE: fails with MESSAGE and the diff unless the two
+# captured stdouts ($seq_out, $par_out) are byte-identical.
+same_stdout() {
+    if ! cmp -s "$seq_out" "$par_out"; then
+        echo "FAIL: $1" >&2
+        diff "$seq_out" "$par_out" >&2 || true
+        exit 1
+    fi
+}
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: parallel sweep output diverges from the sequential run" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "parallel sweep output diverges from the sequential run"
 
 echo "==> fault-injection smoke (reduced grid, 1 thread vs default)"
 # Same determinism contract under injected faults: the reduced fault
@@ -49,33 +59,20 @@ CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_fault_sweep >"$seq_out" 2>/dev/null
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_fault_sweep >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: fault sweep output diverges from the sequential run" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "fault sweep output diverges from the sequential run"
 
 echo "==> corridor grid smoke (reduced grid, 1 thread vs default vs 7)"
-# The E13 corridor sweep (chained intersections, batched pool-parallel
-# admission) must route every vehicle with clean audits and print
-# byte-identical tables at any worker-pool width — the batch merge makes
-# both the sweep pool and the per-corridor batch workers unobservable.
+# The E13 corridor sweep (chained intersections) must route every
+# vehicle with clean audits and print byte-identical tables at any
+# worker-pool width — each point is a pure function of its config.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_grid_sweep >"$seq_out" 2>/dev/null
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: grid sweep output diverges from the sequential run" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "grid sweep output diverges from the sequential run"
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=7 \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: grid sweep output diverges on a 7-thread pool" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "grid sweep output diverges on a 7-thread pool"
 
 echo "==> windowed-parallel corridor smoke (1 vs 4 vs 7 shard workers)"
 # The conservative time-windowed parallel corridor engine must be
@@ -85,11 +82,7 @@ echo "==> windowed-parallel corridor smoke (1 vs 4 vs 7 shard workers)"
 for w in 1 4 7; do
     CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_SHARD_WORKERS=$w \
         ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
-    if ! cmp -s "$seq_out" "$par_out"; then
-        echo "FAIL: grid sweep output diverges on $w shard workers" >&2
-        diff "$seq_out" "$par_out" >&2 || true
-        exit 1
-    fi
+    same_stdout "grid sweep output diverges on $w shard workers"
 done
 
 echo "==> flight-recorder trace smoke (replay identity + divergence diff)"
@@ -109,11 +102,7 @@ if ! grep -q "first divergence at record #" "$seq_out"; then
     exit 1
 fi
 CROSSROADS_SWEEP_FAST=1 ./target/release/exp_trace_diff >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: exp_trace_diff stdout is nondeterministic" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "exp_trace_diff stdout is nondeterministic"
 
 echo "==> NaN regression gate (metrics stats + JSON export)"
 # Percentiles/Summary must never panic on non-finite samples, and the
@@ -136,12 +125,10 @@ echo "==> DES engine vs seed-baseline agreement gate"
 # and verdicts. Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 
-echo "==> batched-admission verdict + corridor transcript agreement gate"
-# Quick mode: benches/grid.rs hard-asserts that batched pool-parallel
-# admission returns the serial baseline's verdict for all 10k requests
-# across 8 shards at 1/2/4/8 workers, and that the windowed-parallel
-# corridor engine reproduces the serial engine's full outcome at 2/4/8
-# shard workers. Timing loops are skipped.
+echo "==> windowed corridor transcript agreement gate"
+# benches/grid.rs hard-asserts that the windowed-parallel corridor
+# engine reproduces the serial engine's full outcome at 2/4/8 shard
+# workers.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     cargo bench --offline --bench grid -p crossroads-bench
 
@@ -173,21 +160,13 @@ CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
 for t in 4 7; do
     CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=$t \
         ./target/release/exp_platoon_sweep >"$par_out" 2>/dev/null
-    if ! cmp -s "$seq_out" "$par_out"; then
-        echo "FAIL: platoon sweep output diverges on a $t-thread pool" >&2
-        diff "$seq_out" "$par_out" >&2 || true
-        exit 1
-    fi
+    same_stdout "platoon sweep output diverges on a $t-thread pool"
 done
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_PLATOON=0 \
     ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: flow sweep output depends on the unset platoon flag" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "flow sweep output depends on the unset platoon flag"
 
 echo "==> mixed-traffic smoke (filtered sweep at 1/4/7 threads + disabled identity)"
 # The mixed sweep (compliance mixes x execution error, all policies,
@@ -201,21 +180,13 @@ CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
 for t in 4 7; do
     CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=$t \
         ./target/release/exp_mixed_sweep >"$par_out" 2>/dev/null
-    if ! cmp -s "$seq_out" "$par_out"; then
-        echo "FAIL: mixed sweep output diverges on a $t-thread pool" >&2
-        diff "$seq_out" "$par_out" >&2 || true
-        exit 1
-    fi
+    same_stdout "mixed sweep output diverges on a $t-thread pool"
 done
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_MIXED=0 \
     ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
-if ! cmp -s "$seq_out" "$par_out"; then
-    echo "FAIL: flow sweep output depends on the unset mixed-traffic flag" >&2
-    diff "$seq_out" "$par_out" >&2 || true
-    exit 1
-fi
+same_stdout "flow sweep output depends on the unset mixed-traffic flag"
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> rustfmt check"

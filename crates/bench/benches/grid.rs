@@ -1,181 +1,18 @@
-//! Batched pool-parallel admission vs the serial per-vehicle baseline,
-//! at corridor scale: 10,000 decision requests spread over 8 policy
-//! shards — the workload shape `exp_grid_sweep`'s K = 8 points drain
-//! through `BatchHost`.
+//! Corridor transcript gate: the windowed-parallel corridor engine
+//! (DESIGN.md §7) must reproduce the serial engine's full outcome —
+//! records, counters, audits, end time, handoffs — at 2/4/8 shard
+//! workers on a K = 4 grid point.
 //!
-//! The batched path partitions each round of requests by shard
-//! (preserving per-shard order, so every shard's policy sees exactly the
-//! serial decision sequence) and evaluates the shards concurrently; the
-//! serial baseline decides every request inline, one at a time, like the
-//! pre-corridor world did. Verdict-level agreement between the two paths
-//! is hard-asserted over the full 10k-request stream before anything is
-//! timed.
-//!
-//! Two agreement gates run before anything is timed: the
-//! verdict-level batched == serial assertion over the full 10k-request
-//! stream, and a corridor transcript gate pinning the windowed-parallel
-//! engine (DESIGN.md §7) to the serial engine's full outcome at 2/4/8
-//! shard workers.
-//!
-//! Self-timed (`harness = false`); run with `cargo bench --bench grid`.
-//! `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`, which keeps both
-//! agreement gates and skips the timing loops.
+//! A `harness = false` bench target that times nothing: per-K serial
+//! and windowed wall-clock figures come from `exp_grid_sweep`, which
+//! writes them to `BENCH_sweep.json`. Run with
+//! `cargo bench --bench grid`; `ci.sh` runs it with
+//! `CROSSROADS_SWEEP_FAST=1`, which sizes the grid point.
 
-use crossroads_bench::timing::{bench_table_header, measure};
-use crossroads_bench::{
-    emit_micro_bench, fast_sweep, run_grid_point_sharded, BatchHost, GridPoint, GRID_SEED,
-};
-use crossroads_core::policy::{CrossroadsPolicy, IntersectionPolicy, PolicyKind};
-use crossroads_core::{BufferModel, CrossingCommand, CrossingRequest};
-use crossroads_intersection::{
-    Approach, ConflictTable, IntersectionGeometry, Movement, ReservationTable, Turn,
-};
-use crossroads_metrics::BenchPoint;
-use crossroads_units::{Meters, MetersPerSecond, Seconds, TimePoint};
-use crossroads_vehicle::{VehicleId, VehicleSpec};
-use std::hint::black_box;
-use std::sync::Arc;
-
-/// Corridor shards (the K = 8 headline of `exp_grid_sweep`).
-const SHARDS: usize = 8;
-/// Decision requests per pass.
-const REQUESTS: usize = 10_000;
-/// Requests drained per batch round across all shards — the analogue of
-/// one timestamp-boundary drain in the corridor's event loop.
-const ROUND: usize = 2048;
-
-fn request(v: u32, t: f64) -> CrossingRequest {
-    CrossingRequest {
-        vehicle: VehicleId(v),
-        movement: Movement::new(Approach::ALL[(v % 4) as usize], Turn::Straight),
-        spec: VehicleSpec::full_scale(),
-        transmitted_at: TimePoint::new(t),
-        distance_to_intersection: Meters::new(100.0),
-        speed: MetersPerSecond::new(10.0),
-        stopped: false,
-        attempt: 1,
-        proposed_arrival: None,
-        platoon_followers: 0,
-        platoon_gap: Meters::ZERO,
-    }
-}
-
-/// The full request stream: `(shard, request)` pairs, round-robin over
-/// shards, arrival clock advancing 50 ms per request.
-fn stream() -> Vec<(usize, CrossingRequest)> {
-    (0..REQUESTS)
-        .map(|i| {
-            #[allow(clippy::cast_possible_truncation)]
-            let v = i as u32;
-            #[allow(clippy::cast_precision_loss)]
-            let t = i as f64 * 0.05;
-            (i % SHARDS, request(v, t))
-        })
-        .collect()
-}
-
-/// Every shard's reservation table shares the one conflict table behind
-/// an `Arc` — the geometry is immutable, so cloning the table per shard
-/// would only duplicate memory.
-fn fresh_shards(conflicts: &Arc<ConflictTable>) -> Vec<CrossroadsPolicy> {
-    (0..SHARDS)
-        .map(|_| {
-            CrossroadsPolicy::new(
-                IntersectionGeometry::full_scale(),
-                ReservationTable::new(Arc::clone(conflicts)),
-                BufferModel::full_scale(),
-                0.30,
-            )
-        })
-        .collect()
-}
-
-/// Decision time the corridor uses: 50 ms after transmission.
-fn now_for(req: &CrossingRequest) -> TimePoint {
-    req.transmitted_at + Seconds::from_millis(50.0)
-}
-
-/// The serial per-vehicle baseline: every request decided inline, in
-/// stream order, exactly as the pre-corridor single-IM world does.
-fn serial_pass(
-    shards: &mut [CrossroadsPolicy],
-    reqs: &[(usize, CrossingRequest)],
-) -> Vec<CrossingCommand> {
-    reqs.iter()
-        .map(|(s, req)| {
-            let cmd = shards[*s].decide(req, now_for(req));
-            shards[*s].on_exit(req.vehicle, now_for(req) + Seconds::new(4.0));
-            cmd
-        })
-        .collect()
-}
-
-/// The batched path: rounds of `ROUND` requests partitioned by shard and
-/// decided concurrently on the host, verdicts merged back in stream
-/// order. Each shard's policy travels into exactly one job per round and
-/// comes back out, so shard state is never shared between workers; the
-/// request stream itself is shared read-only behind an `Arc`, so a round
-/// ships only index batches, not request copies.
-fn batched_pass(
-    host: &BatchHost,
-    shards: Vec<CrossroadsPolicy>,
-    reqs: &Arc<Vec<(usize, CrossingRequest)>>,
-) -> (Vec<CrossroadsPolicy>, Vec<CrossingCommand>) {
-    let mut slots: Vec<Option<CrossroadsPolicy>> = shards.into_iter().map(Some).collect();
-    let mut verdicts: Vec<Option<CrossingCommand>> = vec![None; reqs.len()];
-    let mut base = 0usize;
-    while base < reqs.len() {
-        let chunk = &reqs[base..(base + ROUND).min(reqs.len())];
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (off, (s, _)) in chunk.iter().enumerate() {
-            per_shard[*s].push(base + off);
-        }
-        let jobs: Vec<(CrossroadsPolicy, Vec<usize>)> = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(s, batch)| (slots[s].take().expect("policy in its slot"), batch))
-            .collect();
-        let stream = Arc::clone(reqs);
-        let done = host.run(jobs, move |_, (mut policy, batch)| {
-            let decided: Vec<(usize, CrossingCommand)> = batch
-                .into_iter()
-                .map(|idx| {
-                    let req = &stream[idx].1;
-                    let cmd = policy.decide(req, now_for(req));
-                    policy.on_exit(req.vehicle, now_for(req) + Seconds::new(4.0));
-                    (idx, cmd)
-                })
-                .collect();
-            (policy, decided)
-        });
-        for (s, (policy, decided)) in done.into_iter().enumerate() {
-            slots[s] = Some(policy);
-            for (idx, cmd) in decided {
-                verdicts[idx] = Some(cmd);
-            }
-        }
-        base += ROUND;
-    }
-    (
-        slots.into_iter().map(|p| p.expect("restored")).collect(),
-        verdicts
-            .into_iter()
-            .map(|v| v.expect("every request decided"))
-            .collect(),
-    )
-}
+use crossroads_bench::{run_grid_point_sharded, GridPoint, GRID_SEED};
+use crossroads_core::policy::PolicyKind;
 
 fn main() {
-    let conflicts = Arc::new(ConflictTable::compute(
-        &IntersectionGeometry::full_scale(),
-        Meters::new(1.8),
-    ));
-    let reqs = Arc::new(stream());
-
-    // Corridor transcript gate: the windowed-parallel engine must
-    // reproduce the serial engine's outcome bit for bit — records,
-    // counters, audits, end time — before any admission timing below is
-    // worth reading. Runs in quick mode too (`ci.sh` relies on it).
     let gate = GridPoint {
         policy: PolicyKind::Crossroads,
         k: 4,
@@ -197,84 +34,4 @@ fn main() {
         "corridor transcript: windowed == serial over {} vehicles at K=4 x {{2,4,8}} shard workers",
         serial.spawned
     );
-
-    // Hard gate first: the batched path must agree with the serial
-    // baseline verdict for verdict over the full 10k-request stream, at
-    // every worker count — otherwise the speedup below measures nothing.
-    let mut reference_shards = fresh_shards(&conflicts);
-    let reference = serial_pass(&mut reference_shards, &reqs);
-    for workers in [1, 2, 4, 8] {
-        let host = BatchHost::new(workers);
-        let (_, batched) = batched_pass(&host, fresh_shards(&conflicts), &reqs);
-        assert_eq!(batched.len(), reference.len());
-        for (i, (b, r)) in batched.iter().zip(&reference).enumerate() {
-            assert!(
-                b == r,
-                "verdict {i} diverged on {workers} workers: {b:?} vs {r:?}"
-            );
-        }
-    }
-    println!(
-        "verdict agreement: batched == serial on all {} requests x {{1,2,4,8}} workers\n",
-        reqs.len()
-    );
-    if fast_sweep() {
-        // ci.sh quick mode: the agreement gate above is the contract;
-        // skip the timing loops.
-        return;
-    }
-
-    bench_table_header("grid_admission_10k");
-    let mut points: Vec<BenchPoint> = Vec::new();
-    let mut serial_ns = 0.0f64;
-
-    let mut shards = fresh_shards(&conflicts);
-    let m = measure("serial_10k", || {
-        black_box(serial_pass(&mut shards, black_box(&reqs))).len()
-    });
-    println!(
-        "| serial_10k | {} | {:.1} ns | {:.1} ns | {} |",
-        m.human_median(),
-        m.min_ns,
-        m.max_ns,
-        m.iters_per_sample
-    );
-    serial_ns = serial_ns.max(m.median_ns);
-    points.push(BenchPoint {
-        label: String::from("serial_10k"),
-        wall_ms: m.median_ns / 1e6,
-        events: m.iters_per_sample,
-    });
-
-    // workers = 1 exercises the inline path (no threads): its gap to
-    // serial_10k is the pure partition/merge bookkeeping cost, separate
-    // from any thread scheduling overhead in the w >= 2 rows.
-    for workers in [1usize, 2, 4, 8] {
-        let host = BatchHost::new(workers);
-        let mut shards = Some(fresh_shards(&conflicts));
-        let m = measure(&format!("batched_10k_w{workers}"), || {
-            let (back, verdicts) = batched_pass(&host, shards.take().expect("shards"), &reqs);
-            shards = Some(back);
-            black_box(verdicts).len()
-        });
-        println!(
-            "| batched_10k_w{workers} | {} | {:.1} ns | {:.1} ns | {} |",
-            m.human_median(),
-            m.min_ns,
-            m.max_ns,
-            m.iters_per_sample
-        );
-        println!(
-            "| speedup_w{workers} | {:.2}x vs serial | | | |",
-            serial_ns / m.median_ns
-        );
-        points.push(BenchPoint {
-            label: format!("batched_10k_w{workers}"),
-            wall_ms: m.median_ns / 1e6,
-            events: m.iters_per_sample,
-        });
-    }
-
-    let total: f64 = points.iter().map(|p| p.wall_ms).sum();
-    emit_micro_bench("bench_grid", total, &points);
 }

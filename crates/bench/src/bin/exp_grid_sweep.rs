@@ -5,14 +5,13 @@
 //! chains K identical intersections into an arterial corridor
 //! (westbound and eastbound through-traffic handed off box to box,
 //! cross traffic at every intersection), runs the full V2I loop on every
-//! leg with batched pool-parallel admission, and reports the corridor's
-//! carried flow. The K = 8 points route 10,000 vehicles each.
+//! leg, and reports the corridor's carried flow. The K = 8 points route
+//! 10,000 vehicles each.
 //!
 //! Stdout is byte-identical at any `CROSSROADS_THREADS` setting: the
-//! table carries only simulation-side figures, and the corridor's batch
-//! merge makes worker count unobservable. Wall-clock figures (events/s)
-//! land in `BENCH_sweep.json` alongside the deterministic grid summary
-//! record.
+//! table carries only simulation-side figures, each a pure function of
+//! its point. Wall-clock figures (events/s) land in `BENCH_sweep.json`
+//! alongside the deterministic grid summary record.
 
 use std::time::Instant;
 

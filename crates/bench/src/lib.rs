@@ -29,7 +29,7 @@ use crossroads_traffic::{
 };
 use crossroads_units::{MetersPerSecond, Seconds};
 
-pub use crossroads_pool::{threads_from_env, BatchHost, WorkerPool};
+pub use crossroads_pool::{threads_from_env, WorkerPool};
 
 /// The input flow rates of Fig. 7.2 (cars/second/lane).
 pub const SWEEP_RATES: [f64; 9] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.25];
@@ -438,13 +438,6 @@ pub fn carried_per_lane(outcome: &SimOutcome) -> f64 {
     outcome.metrics.flow_rate() / 4.0
 }
 
-/// Fixed worker count of the corridor's batched admission pool in the
-/// grid sweep. Independent of `CROSSROADS_THREADS` (which sizes the
-/// *point-level* pool), so the sweep's stdout is byte-identical at any
-/// thread count — and because the batch merge is deterministic, the
-/// worker count would be unobservable anyway.
-pub const GRID_BATCH_WORKERS: usize = 4;
-
 /// The seed every grid point runs at.
 pub const GRID_SEED: u64 = 11;
 
@@ -588,7 +581,7 @@ fn run_grid_point_inner(p: &GridPoint, seed: u64, shard_workers: Option<usize>) 
     let demand = grid_demand(&sim, p.k, p.rate);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2000));
     let (workload, entry_ims) = generate_corridor(&demand, &mut rng);
-    let mut config = CorridorConfig::new(sim, p.k).with_batch_workers(GRID_BATCH_WORKERS);
+    let mut config = CorridorConfig::new(sim, p.k);
     if let Some(w) = shard_workers {
         config = config.with_shard_workers(w);
     }

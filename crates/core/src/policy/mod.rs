@@ -105,9 +105,10 @@ impl std::fmt::Display for PolicyKind {
 /// and execution environment (the simulator drives any implementor
 /// identically — DESIGN.md §5.5).
 ///
-/// `Send` because a corridor world ships each shard's policy to a
-/// `crossroads_pool::BatchHost` worker for batched admission; exactly one
-/// worker touches a given policy per batch, so no `Sync` is needed.
+/// `Send` because the windowed corridor engine steps each shard's world,
+/// policy included, on a `crossroads_pool::WorkerPool::rounds` worker;
+/// exactly one worker touches a given shard per window, so no `Sync` is
+/// needed.
 pub trait IntersectionPolicy: Send {
     /// Protocol identifier.
     fn kind(&self) -> PolicyKind;

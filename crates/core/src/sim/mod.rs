@@ -19,7 +19,6 @@ use crossroads_des::Simulation;
 use crossroads_intersection::{ConflictTable, IntersectionGeometry, ReservationTable};
 use crossroads_metrics::RunMetrics;
 use crossroads_net::{ChannelConfig, ComputationDelayModel, FaultConfig};
-use crossroads_pool::BatchHost;
 use crossroads_trace::Recorder;
 use crossroads_traffic::{Arrival, MixedConfig};
 use crossroads_units::{MetersPerSecond, Seconds, TimePoint};
@@ -147,7 +146,11 @@ impl PlatoonConfig {
         if !self.enabled {
             return;
         }
-        assert!(self.max_size >= 2, "an enabled platoon needs >= 2 members");
+        assert!(
+            self.max_size >= 2,
+            "platoon max_size must be >= 2 when enabled, got {}",
+            self.max_size
+        );
         assert!(
             self.headway.value().is_finite() && self.headway.value() > 0.0,
             "platoon headway must be finite and positive, got {:?}",
@@ -323,6 +326,19 @@ impl SimConfig {
         self
     }
 
+    /// Validates the platoon and mixed-traffic sub-configs. Both engines
+    /// call this once per run, before the first event; the fault config
+    /// is validated where each shard builds its fault injector.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a message naming the bad field, as
+    /// [`PlatoonConfig::validate`] and [`MixedConfig::validate`] do.
+    pub fn validate(&self) {
+        self.platoon.validate();
+        self.mixed.validate();
+    }
+
     /// The speed vehicles carry across the transmission line in the
     /// standard workloads — two thirds of the road limit, leaving the
     /// velocity-transaction IMs headroom to command an acceleration
@@ -411,11 +427,12 @@ pub fn thread_events_processed() -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if the workload is not sorted by arrival time (validate with
+/// Panics if [`SimConfig::validate`] rejects the configuration, or if the
+/// workload is not sorted by arrival time (validate with
 /// [`crossroads_traffic::validate_workload`] first).
 #[must_use]
 pub fn run_simulation(config: &SimConfig, workload: &[Arrival]) -> SimOutcome {
-    run_with_recorder(config, workload, None)
+    run_single(config, workload, None)
 }
 
 /// Runs one experiment with the flight recorder engaged: every structured
@@ -430,36 +447,94 @@ pub fn run_simulation(config: &SimConfig, workload: &[Arrival]) -> SimOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the workload is not sorted by arrival time.
+/// As [`run_simulation`].
 #[must_use]
 pub fn run_simulation_traced(
     config: &SimConfig,
     workload: &[Arrival],
     recorder: &mut Recorder,
 ) -> SimOutcome {
-    run_with_recorder(config, workload, Some(recorder))
+    run_single(config, workload, Some(recorder))
 }
 
-fn run_with_recorder(
+/// A single intersection is the serial engine at `k = 1`.
+fn run_single(
     config: &SimConfig,
     workload: &[Arrival],
     recorder: Option<&mut Recorder>,
 ) -> SimOutcome {
-    let mut sim: Simulation<Event> = Simulation::new();
-    let mut world = World::new(config, workload);
-    world.recorder = recorder;
-    for (i, arr) in workload.iter().enumerate() {
-        sim.schedule(arr.at_line, Event::LineCrossing(i));
+    // One intersection has no links, so the link time is never read.
+    let mut out = run_serial(config, workload, &[], 1, Seconds::ZERO, recorder);
+    SimOutcome {
+        safety: out.safety.pop().expect("one audit per intersection"),
+        metrics: out.metrics,
+        spawned: out.spawned,
+        ended_at: out.ended_at,
     }
-    let horizon = workload
+}
+
+/// The instant a run is cut off: `horizon_slack` after the last arrival,
+/// extended on a corridor so a through-vehicle entering at the last
+/// arrival can still drive its up to `k - 1` further legs.
+fn run_horizon(cfg: &SimConfig, workload: &[Arrival], k: usize, link_time: Seconds) -> TimePoint {
+    #[allow(clippy::cast_precision_loss)]
+    let corridor_slack = (link_time + Seconds::new(120.0)) * (k - 1) as f64;
+    workload
         .last()
-        .map_or(TimePoint::ZERO, |a| a.at_line + config.horizon_slack);
-    if config.fault.enabled() {
-        for (crash, restart) in config.fault.outage_windows(horizon - TimePoint::ZERO) {
-            sim.schedule(TimePoint::ZERO + crash, Event::ImCrash(0));
-            sim.schedule(TimePoint::ZERO + restart, Event::ImRestart(0));
+        .map_or(TimePoint::ZERO, |a| a.at_line + cfg.horizon_slack)
+        + corridor_slack
+}
+
+/// Schedules a run's initial events through `schedule(im, at, event)`,
+/// which must queue `event` where intersection `im` is served: every
+/// arrival's line crossing at its entry intersection (missing entries
+/// default to 0), then, under faults, every IM's outages up to
+/// `horizon`. Each IM crashes on the same schedule (the windows are a
+/// pure function of the config) but recovers independently: shard-local
+/// queues, epochs and fault streams.
+fn schedule_start(
+    cfg: &SimConfig,
+    workload: &[Arrival],
+    entry_ims: &[u32],
+    k: usize,
+    horizon: TimePoint,
+    mut schedule: impl FnMut(usize, TimePoint, Event),
+) {
+    for (i, arr) in workload.iter().enumerate() {
+        let im = entry_ims.get(i).map_or(0, |&x| x as usize);
+        schedule(im, arr.at_line, Event::LineCrossing(i));
+    }
+    if cfg.fault.enabled() {
+        for (crash, restart) in cfg.fault.outage_windows(horizon - TimePoint::ZERO) {
+            for im in 0..k {
+                schedule(im, TimePoint::ZERO + crash, Event::ImCrash(im as u32));
+                schedule(im, TimePoint::ZERO + restart, Event::ImRestart(im as u32));
+            }
         }
     }
+}
+
+/// The serial engine: one event queue and one [`World`] hosting all `k`
+/// intersections, every uplink decided inline by its IM. This is the
+/// reference the windowed engine must reproduce, and the only engine
+/// that can carry a flight recorder (its stamps are global dispatch
+/// indices).
+fn run_serial(
+    cfg: &SimConfig,
+    workload: &[Arrival],
+    entry_ims: &[u32],
+    k: usize,
+    link_time: Seconds,
+    recorder: Option<&mut Recorder>,
+) -> CorridorOutcome {
+    cfg.validate();
+    let mut sim: Simulation<Event> = Simulation::new();
+    let mut world = World::new_corridor(cfg, workload, entry_ims, k, link_time);
+    world.recorder = recorder;
+    let horizon = run_horizon(cfg, workload, k, link_time);
+    schedule_start(cfg, workload, entry_ims, k, horizon, |_, at, ev| {
+        sim.schedule(at, ev);
+    });
     let run = sim.run_until(horizon, |sim, ev| {
         world.handle(sim, ev);
         true
@@ -468,39 +543,29 @@ fn run_with_recorder(
 
     let mut metrics = std::mem::take(&mut world.metrics);
     let mut counters = world.counters;
-    counters.im_ops = world.policy_ops();
     counters.des_events = run.events_processed;
-    let stats = world.channel_stats();
-    counters.messages = stats.total_sent();
-    counters.messages_lost = stats.lost;
-    if let Some(fault_stats) = world.fault_stats() {
-        // Burst drops are losses on top of the base channel's; duplicated
-        // copies are extra frames on the air.
-        counters.burst_losses = fault_stats.burst_losses;
-        counters.messages_lost += fault_stats.burst_losses;
-        counters.messages += fault_stats.duplicated;
-    }
+    world.add_totals(&mut counters);
     metrics.add_counters(&counters);
 
-    let mut occupancies = std::mem::take(&mut world.occupancies);
-    let safety = SafetyReport::audit(
-        occupancies.pop().expect("single-intersection world"),
-        &config.geometry,
-        &config.spec,
-    );
-    world.record_audit(&sim, 0, &safety);
+    let safety: Vec<SafetyReport> = std::mem::take(&mut world.occupancies)
+        .into_iter()
+        .map(|occ| SafetyReport::audit(occ, &cfg.geometry, &cfg.spec))
+        .collect();
+    for (im, report) in safety.iter().enumerate() {
+        world.record_audit(&sim, im, report);
+    }
 
-    SimOutcome {
+    CorridorOutcome {
         metrics,
         safety,
         spawned: workload.len(),
         ended_at: sim.now(),
+        handoffs: world.handoffs,
     }
 }
 
 /// Configuration of a corridor run: `k` chained intersections sharing one
-/// [`SimConfig`], connected by fixed-travel-time links, with optional
-/// batched pool-parallel admission.
+/// [`SimConfig`], connected by fixed-travel-time links.
 #[derive(Debug, Clone, Copy)]
 pub struct CorridorConfig {
     /// The per-intersection configuration (every IM in the corridor runs
@@ -512,11 +577,6 @@ pub struct CorridorConfig {
     /// Exit-to-next-transmission-line travel time between adjacent
     /// intersections.
     pub link_time: Seconds,
-    /// Worker threads for batched admission. Below 2 the corridor decides
-    /// serially inline with each uplink — the same code path as
-    /// [`run_simulation`] — which is also the deterministic reference the
-    /// batched mode must (and does) reproduce byte-for-byte.
-    pub batch_workers: usize,
     /// Worker threads for the conservative time-windowed parallel engine.
     /// Below 2 (or at `k == 1`, or under a flight recorder) the corridor
     /// runs the serial engine; `>= 2` executes the shards concurrently in
@@ -538,7 +598,6 @@ impl CorridorConfig {
             sim,
             k,
             link_time: Seconds::new(6.0),
-            batch_workers: 0,
             shard_workers: std::env::var(SHARD_WORKERS_ENV)
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -554,10 +613,11 @@ impl CorridorConfig {
         self
     }
 
-    /// Enables batched pool-parallel admission on `workers` threads.
+    /// Returns the config unchanged. Batched admission was removed: every
+    /// request is decided inline with its uplink, which is what
+    /// `workers < 2` selected. Kept so existing callers still build.
     #[must_use]
-    pub fn with_batch_workers(mut self, workers: usize) -> Self {
-        self.batch_workers = workers;
+    pub fn with_batch_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -654,15 +714,14 @@ impl CorridorOutcome {
 /// after one box.
 ///
 /// Deterministic: the same `(config, workload, entry_ims)` triple always
-/// produces the identical outcome, at any `batch_workers` setting — the
-/// batch merge replays decisions in shard-then-queue order, so worker
-/// count is unobservable.
+/// produces the identical outcome, at any `shard_workers` setting — the
+/// windowed engine reproduces the serial engine bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if [`CorridorConfig::validate`] rejects the configuration, an
-/// entry index is out of range, or the workload is not sorted by arrival
-/// time.
+/// Panics if [`CorridorConfig::validate`] or [`SimConfig::validate`]
+/// rejects the configuration, an entry index is out of range, or the
+/// workload is not sorted by arrival time.
 #[must_use]
 pub fn run_corridor(
     config: &CorridorConfig,
@@ -711,70 +770,12 @@ fn run_corridor_with_recorder(
             config.effective_lookahead(),
         );
     }
-    let host = (config.batch_workers >= 2).then(|| BatchHost::new(config.batch_workers));
-    let mut sim: Simulation<Event> = Simulation::new();
-    let mut world =
-        World::new_corridor(&config.sim, workload, entry_ims, config.k, config.link_time);
-    world.batch = host.as_ref();
-    world.recorder = recorder;
-    for (i, arr) in workload.iter().enumerate() {
-        sim.schedule(arr.at_line, Event::LineCrossing(i));
-    }
-    // A through-vehicle entering at the last arrival still has up to
-    // `k - 1` legs ahead of it: extend the horizon so the tail of the
-    // corridor drains before the run is cut off.
-    #[allow(clippy::cast_precision_loss)]
-    let corridor_slack = (config.link_time + Seconds::new(120.0)) * (config.k - 1) as f64;
-    let horizon = workload
-        .last()
-        .map_or(TimePoint::ZERO, |a| a.at_line + config.sim.horizon_slack)
-        + corridor_slack;
-    if config.sim.fault.enabled() {
-        // Each IM crashes on the same schedule (the windows are a pure
-        // function of the config), but recovers independently: shard-local
-        // queues, epochs and fault streams.
-        for (crash, restart) in config.sim.fault.outage_windows(horizon - TimePoint::ZERO) {
-            for im in 0..config.k {
-                sim.schedule(TimePoint::ZERO + crash, Event::ImCrash(im as u32));
-                sim.schedule(TimePoint::ZERO + restart, Event::ImRestart(im as u32));
-            }
-        }
-    }
-    let run = sim.run_until(horizon, |sim, ev| {
-        world.handle(sim, ev);
-        world.maybe_drain(sim);
-        true
-    });
-    DES_EVENTS.with(|c| c.set(c.get() + run.events_processed));
-
-    let mut metrics = std::mem::take(&mut world.metrics);
-    let mut counters = world.counters;
-    counters.im_ops = world.policy_ops();
-    counters.des_events = run.events_processed;
-    let stats = world.channel_stats();
-    counters.messages = stats.total_sent();
-    counters.messages_lost = stats.lost;
-    if let Some(fault_stats) = world.fault_stats() {
-        counters.burst_losses = fault_stats.burst_losses;
-        counters.messages_lost += fault_stats.burst_losses;
-        counters.messages += fault_stats.duplicated;
-    }
-    metrics.add_counters(&counters);
-
-    let occupancies = std::mem::take(&mut world.occupancies);
-    let safety: Vec<SafetyReport> = occupancies
-        .into_iter()
-        .map(|occ| SafetyReport::audit(occ, &config.sim.geometry, &config.sim.spec))
-        .collect();
-    for (im, report) in safety.iter().enumerate() {
-        world.record_audit(&sim, im, report);
-    }
-
-    CorridorOutcome {
-        metrics,
-        safety,
-        spawned: workload.len(),
-        ended_at: sim.now(),
-        handoffs: world.handoffs,
-    }
+    run_serial(
+        &config.sim,
+        workload,
+        entry_ims,
+        config.k,
+        config.link_time,
+        recorder,
+    )
 }

@@ -34,7 +34,6 @@ use std::sync::Arc;
 use crossroads_des::Simulation;
 use crossroads_intersection::ConflictTable;
 use crossroads_metrics::{Counters, RunMetrics};
-use crossroads_net::FaultStats;
 use crossroads_pool::WorkerPool;
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::Arrival;
@@ -90,6 +89,7 @@ pub(crate) fn run_corridor_windowed(
 ) -> CorridorOutcome {
     let cfg = &config.sim;
     let k = config.k;
+    cfg.validate();
     assert!(
         lookahead > Seconds::ZERO && lookahead <= config.link_time,
         "lookahead {lookahead} must be in (0, link_time] for conservative windows"
@@ -115,28 +115,12 @@ pub(crate) fn run_corridor_windowed(
         .collect();
 
     // Seed each lane with the arrivals entering at its intersection and
-    // its own outage schedule — the same absolute instants the serial
-    // engine uses.
-    for (i, arr) in workload.iter().enumerate() {
-        let im = entry_ims.get(i).map_or(0, |&x| x as usize);
-        lanes[im].sim.schedule(arr.at_line, Event::LineCrossing(i));
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let corridor_slack = (config.link_time + Seconds::new(120.0)) * (k - 1) as f64;
-    let horizon = workload
-        .last()
-        .map_or(TimePoint::ZERO, |a| a.at_line + cfg.horizon_slack)
-        + corridor_slack;
-    if cfg.fault.enabled() {
-        for (crash, restart) in cfg.fault.outage_windows(horizon - TimePoint::ZERO) {
-            for (im, lane) in lanes.iter_mut().enumerate() {
-                lane.sim
-                    .schedule(TimePoint::ZERO + crash, Event::ImCrash(im as u32));
-                lane.sim
-                    .schedule(TimePoint::ZERO + restart, Event::ImRestart(im as u32));
-            }
-        }
-    }
+    // its own outage schedule — the same absolute instants, in the same
+    // per-intersection order, as the serial engine.
+    let horizon = super::run_horizon(cfg, workload, k, config.link_time);
+    super::schedule_start(cfg, workload, entry_ims, k, horizon, |im, at, ev| {
+        lanes[im].sim.schedule(at, ev);
+    });
 
     let pool = WorkerPool::new(workers.clamp(1, k));
     let mut exchange: Vec<(usize, Handoff)> = Vec::new();
@@ -246,36 +230,12 @@ pub(crate) fn run_corridor_windowed(
     let mut counters = Counters::default();
     for lane in &lanes {
         counters.absorb(&lane.world.counters);
+        lane.world.add_totals(&mut counters);
     }
     counters.im_busy = im_busy;
-    counters.im_ops = lanes.iter().map(|l| l.world.policy_ops()).sum();
     let des_events: u64 = lanes.iter().map(|l| l.sim.events_dispatched()).sum();
     counters.des_events = des_events;
     super::DES_EVENTS.with(|c| c.set(c.get() + des_events));
-    let mut stats = crossroads_net::ChannelStats::default();
-    for lane in &lanes {
-        let st = lane.world.channel_stats();
-        stats.uplink_sent += st.uplink_sent;
-        stats.downlink_sent += st.downlink_sent;
-        stats.lost += st.lost;
-    }
-    counters.messages = stats.total_sent();
-    counters.messages_lost = stats.lost;
-    let mut fault_any = false;
-    let mut fault_total = FaultStats::default();
-    for lane in &lanes {
-        if let Some(st) = lane.world.fault_stats() {
-            fault_any = true;
-            fault_total.burst_losses += st.burst_losses;
-            fault_total.duplicated += st.duplicated;
-            fault_total.reordered += st.reordered;
-        }
-    }
-    if fault_any {
-        counters.burst_losses = fault_total.burst_losses;
-        counters.messages_lost += fault_total.burst_losses;
-        counters.messages += fault_total.duplicated;
-    }
     metrics.add_counters(&counters);
 
     let safety: Vec<SafetyReport> = lanes

@@ -14,10 +14,7 @@ use std::sync::Arc;
 use crossroads_des::Simulation;
 use crossroads_intersection::ConflictTable;
 use crossroads_metrics::{Counters, RunMetrics, VehicleRecord};
-use crossroads_net::{
-    clock::testbed_sync, Channel, Deliveries, Direction, FaultModel, FaultStats, LocalClock,
-};
-use crossroads_pool::BatchHost;
+use crossroads_net::{clock::testbed_sync, Channel, Deliveries, Direction, FaultModel, LocalClock};
 use crossroads_prng::Rng;
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_trace::{Recorder, TraceEvent, TraceRecord, Verdict, LOST_LATENCY, NO_VEHICLE};
@@ -187,15 +184,12 @@ enum FollowerSpacing {
 }
 
 /// Everything one intersection manager owns. A corridor world holds `K`
-/// of these; each shard's mutable policy state is only ever touched by
-/// one batch worker at a time (the batch kernel moves the boxed policy
-/// into the job and back), which is the whole determinism argument for
-/// pool-parallel admission.
+/// of these and a windowed-engine lane holds one; no state is shared
+/// between shards, so a shard's behaviour depends only on its own event
+/// history — the whole determinism argument for the windowed engine.
 pub(crate) struct Shard {
-    /// The IM's decision logic. `Option` so the batch drain can move the
-    /// box into a worker job and restore it on merge; it is `None` only
-    /// inside `maybe_drain`.
-    policy: Option<Box<dyn IntersectionPolicy>>,
+    /// The IM's decision logic.
+    policy: Box<dyn IntersectionPolicy>,
     /// This intersection's radio.
     channel: Channel,
     /// Fault injector, present only when the config enables any fault —
@@ -209,9 +203,6 @@ pub(crate) struct Shard {
     /// IM process incarnation: bumped by every crash so results of
     /// computations started before the crash are discarded on arrival.
     im_epoch: u32,
-    /// Batched mode: responses of the current batch still in flight;
-    /// the shard stays busy until all of them have left the IM.
-    in_flight: u32,
     /// Per-approach vehicles in line-crossing order — the physical lane
     /// order, indexed by `Approach::index`. Stop positions, queue
     /// discharge and follower suppression all derive from it.
@@ -239,7 +230,7 @@ pub(crate) struct Shard {
 impl Shard {
     fn new(cfg: &SimConfig, conflicts: &Arc<ConflictTable>, root: &StdRng, im: usize) -> Self {
         Shard {
-            policy: Some(cfg.build_policy(conflicts)),
+            policy: cfg.build_policy(conflicts),
             channel: Channel::new(cfg.channel),
             // The injector's streams derive from the root seed alone, so
             // the fault pattern is independent of the main stream's draw
@@ -252,7 +243,6 @@ impl Shard {
             im_busy: false,
             im_down: false,
             im_epoch: 0,
-            in_flight: 0,
             lane_arrivals: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
             lane_cursor: [0; 4],
             columns: Vec::new(),
@@ -263,20 +253,6 @@ impl Shard {
             },
         }
     }
-}
-
-/// One per-shard admission batch shipped to a pool worker: the shard's
-/// policy rides along by value, so exactly one worker touches it. The
-/// request and decision buffers are recycled through the world's pools
-/// ([`World::request_pool`] / [`World::decision_pool`]) so the per-drain
-/// hot path allocates nothing in steady state.
-struct BatchJob {
-    im: usize,
-    policy: Box<dyn IntersectionPolicy>,
-    requests: Vec<(VehicleId, CrossingRequest)>,
-    /// Filled by the worker, one `(command, service)` per request.
-    decisions: Vec<(CrossingCommand, Seconds)>,
-    now: TimePoint,
 }
 
 /// A vehicle that cleared its box and continues at an intersection owned
@@ -323,11 +299,6 @@ pub(crate) struct World<'a> {
     /// global decision-latency order (and its `im_busy` f64 sum order).
     pub(crate) decision_log: Vec<(TimePoint, Seconds)>,
     log_decisions: bool,
-    /// Batched admission: when set, uplinks queue silently and
-    /// [`maybe_drain`](Self::maybe_drain) evaluates per-shard batches on
-    /// the host between DES dispatches. `None` = serial admission inline
-    /// with the uplink (the pre-corridor behavior).
-    pub(crate) batch: Option<&'a BatchHost>,
     /// Dense agent slab indexed by `VehicleId` (workload ids are small
     /// sequential integers): O(1) lookup with no hashing on the hot path.
     /// Agents are never removed, so a slot is `None` only before its
@@ -344,15 +315,6 @@ pub(crate) struct World<'a> {
     /// (`Self::unentered_predecessors`), so the per-request queue check
     /// allocates nothing in steady state.
     pred_scratch: Vec<VehicleId>,
-    /// Reusable job/result shells for [`maybe_drain`](Self::maybe_drain)
-    /// — drained and refilled every dispatch boundary, never dropped.
-    batch_jobs: Vec<BatchJob>,
-    batch_results: Vec<BatchJob>,
-    /// Recycled per-job request buffers (capacity survives the round
-    /// trip through the batch host).
-    request_pool: Vec<Vec<(VehicleId, CrossingRequest)>>,
-    /// Recycled per-job decision buffers.
-    decision_pool: Vec<Vec<(CrossingCommand, Seconds)>>,
     /// Flight recorder, present only when the caller asked for a traced
     /// run. The `None` arm does no work and draws no randomness, so an
     /// untraced run is byte-identical to one built before tracing existed
@@ -366,9 +328,11 @@ pub(crate) struct World<'a> {
 }
 
 impl<'a> World<'a> {
-    /// A single-intersection world (the pre-corridor constructor).
+    /// A single-intersection world for the handler tests below (runs
+    /// build theirs through `run_serial`).
+    #[cfg(test)]
     pub(crate) fn new(cfg: &'a SimConfig, workload: &'a [Arrival]) -> Self {
-        World::new_corridor(cfg, workload, &[], 1, Seconds::new(6.0))
+        World::new_corridor(cfg, workload, &[], 1, Seconds::ZERO)
     }
 
     /// A corridor of `k` chained intersections. `entry_ims[i]` names the
@@ -439,7 +403,6 @@ impl<'a> World<'a> {
             outbox: Vec::new(),
             decision_log: Vec::new(),
             log_decisions: false,
-            batch: None,
             vehicles: Vec::with_capacity(workload.len()),
             occupancies: (0..count).map(|_| Vec::new()).collect(),
             metrics: RunMetrics::new(),
@@ -447,10 +410,6 @@ impl<'a> World<'a> {
             handoffs: 0,
             s_entry: cfg.geometry.transmission_line_distance,
             pred_scratch: Vec::new(),
-            batch_jobs: Vec::new(),
-            batch_results: Vec::new(),
-            request_pool: Vec::new(),
-            decision_pool: Vec::new(),
             recorder: None,
             filter: (cfg.safety_filter || cfg.mixed.enabled).then(|| SafetyFilter::new(cfg, count)),
         }
@@ -613,41 +572,26 @@ impl<'a> World<'a> {
             .total_time
     }
 
-    /// Total scheduling work performed across every shard's policy.
-    pub(crate) fn policy_ops(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.policy.as_ref().expect("policy resident").ops())
-            .sum()
-    }
-
-    /// Radio statistics summed over every shard's channel.
-    pub(crate) fn channel_stats(&self) -> crossroads_net::ChannelStats {
-        let mut total = crossroads_net::ChannelStats::default();
+    /// Adds this world's run totals to `counters`: scheduling work over
+    /// every shard's policy, and frames on the air and lost over every
+    /// shard's radio and fault injector. Nothing else writes these
+    /// fields and they are integer sums, so adding them lane by lane (the
+    /// windowed engine) gives exactly the serial engine's totals.
+    pub(crate) fn add_totals(&self, counters: &mut Counters) {
         for s in &self.shards {
+            counters.im_ops += s.policy.ops();
             let st = s.channel.stats();
-            total.uplink_sent += st.uplink_sent;
-            total.downlink_sent += st.downlink_sent;
-            total.lost += st.lost;
-        }
-        total
-    }
-
-    /// What the fault injectors did, summed over shards (if any are
-    /// active).
-    pub(crate) fn fault_stats(&self) -> Option<FaultStats> {
-        let mut any = false;
-        let mut total = FaultStats::default();
-        for s in &self.shards {
+            counters.messages += st.total_sent();
+            counters.messages_lost += st.lost;
             if let Some(f) = s.fault.as_ref() {
-                any = true;
-                let st = f.stats();
-                total.burst_losses += st.burst_losses;
-                total.duplicated += st.duplicated;
-                total.reordered += st.reordered;
+                // Burst drops are losses on top of the base channel's;
+                // duplicated copies are extra frames on the air.
+                let fs = f.stats();
+                counters.burst_losses += fs.burst_losses;
+                counters.messages_lost += fs.burst_losses;
+                counters.messages += fs.duplicated;
             }
         }
-        any.then_some(total)
     }
 
     /// Prices an uplink frame on shard `im`'s radio and runs it through
@@ -1195,9 +1139,7 @@ impl<'a> World<'a> {
             return;
         }
         self.shards[s].im_queue.push_back((v, req));
-        // Batched admission defers the decision to the next drain point;
-        // serial admission starts it inline if the IM is idle.
-        if self.batch.is_none() && !self.shards[s].im_busy {
+        if !self.shards[s].im_busy {
             self.im_start_next(sim, im);
         }
     }
@@ -1244,7 +1186,7 @@ impl<'a> World<'a> {
             let now = sim.now();
             self.rec(sim, im, v.0, req.attempt, TraceEvent::DecisionEnter);
             let (cmd, svc) = {
-                let policy = self.shards[s].policy.as_mut().expect("policy resident");
+                let policy = &mut self.shards[s].policy;
                 let ops_before = policy.ops();
                 let cmd = policy.decide(&req, now);
                 let svc = self
@@ -1269,141 +1211,12 @@ impl<'a> World<'a> {
             );
             self.counters.im_requests += 1;
             self.counters.im_busy += svc;
-            self.shards[s]
-                .policy
-                .as_mut()
-                .expect("policy resident")
-                .prune(now);
+            self.shards[s].policy.prune(now);
             let epoch = self.shards[s].im_epoch;
             sim.schedule_in(svc, Event::ImFinish(v, im as u32, req.attempt, cmd, epoch));
             return;
         }
         self.shards[s].im_busy = false;
-    }
-
-    /// Batched, pool-parallel admission: called after every DES dispatch;
-    /// acts only at a *timestamp boundary* (no further event due at the
-    /// current instant), where it drains every idle shard's queued
-    /// requests into one per-shard batch and evaluates the batches
-    /// concurrently on the host.
-    ///
-    /// Determinism argument: the drained batches are a pure function of
-    /// the (deterministic) DES event order; each shard's policy is moved
-    /// into exactly one job, decided sequentially within it, and drawn
-    /// from no RNG; [`BatchHost::run_reusing`] returns results in input
-    /// order; and the merge walks shards in ascending index, scheduling
-    /// each response at the same cumulative service offset a lone IM core
-    /// would. Worker count therefore cannot reorder anything observable.
-    ///
-    /// Allocation: job shells and per-job request/decision buffers are
-    /// recycled through `batch_jobs`/`batch_results` and the
-    /// `request_pool`/`decision_pool` free lists, so a steady-state drain
-    /// allocates nothing (the multi-worker host path still boxes one
-    /// closure per job in flight).
-    pub(crate) fn maybe_drain(&mut self, sim: &mut Simulation<Event>) {
-        let Some(host) = self.batch else {
-            return;
-        };
-        let now = sim.now();
-        if sim.peek_time() == Some(now) {
-            return; // more events due at this instant: keep batching
-        }
-        let mut jobs = std::mem::take(&mut self.batch_jobs);
-        debug_assert!(jobs.is_empty());
-        for s in 0..self.shards.len() {
-            if self.shards[s].im_busy
-                || self.shards[s].im_down
-                || self.shards[s].im_queue.is_empty()
-            {
-                continue;
-            }
-            let im = self.shard_base + s;
-            let mut requests = self.request_pool.pop().unwrap_or_default();
-            requests.reserve(self.shards[s].im_queue.len());
-            while let Some((v, req)) = self.shards[s].im_queue.pop_front() {
-                if self.admit_request(v, im, &req) {
-                    requests.push((v, req));
-                }
-            }
-            if requests.is_empty() {
-                self.request_pool.push(requests);
-                continue;
-            }
-            let policy = self.shards[s].policy.take().expect("policy resident");
-            let decisions = self.decision_pool.pop().unwrap_or_default();
-            jobs.push(BatchJob {
-                im,
-                policy,
-                requests,
-                decisions,
-                now,
-            });
-        }
-        if jobs.is_empty() {
-            self.batch_jobs = jobs;
-            return;
-        }
-        let computation = self.cfg.computation;
-        let mut results = std::mem::take(&mut self.batch_results);
-        host.run_reusing(&mut jobs, &mut results, move |_, mut job| {
-            for i in 0..job.requests.len() {
-                let req = &job.requests[i].1;
-                let ops_before = job.policy.ops();
-                let cmd = job.policy.decide(req, job.now);
-                let svc = computation.decision_time(job.policy.ops() - ops_before);
-                job.policy.prune(job.now);
-                job.decisions.push((cmd, svc));
-            }
-            job
-        });
-        for job in results.drain(..) {
-            let BatchJob {
-                im,
-                policy,
-                mut requests,
-                mut decisions,
-                now: _,
-            } = job;
-            let s = im - self.shard_base;
-            self.shards[s].policy = Some(policy);
-            let epoch = self.shards[s].im_epoch;
-            let mut offset = Seconds::ZERO;
-            for (&(v, req), &(cmd, svc)) in requests.iter().zip(&decisions) {
-                self.rec(sim, im, v.0, req.attempt, TraceEvent::DecisionEnter);
-                self.metrics.push_decision_latency(svc);
-                if self.log_decisions {
-                    self.decision_log.push((now, svc));
-                }
-                self.rec(
-                    sim,
-                    im,
-                    v.0,
-                    req.attempt,
-                    TraceEvent::DecisionExit {
-                        verdict: verdict_of(&cmd),
-                        service: svc,
-                    },
-                );
-                self.counters.im_requests += 1;
-                self.counters.im_busy += svc;
-                // The IM still serializes its own responses: the batch
-                // models one decision core per intersection, so response
-                // k leaves after the k-prefix of service times.
-                offset += svc;
-                sim.schedule_in(
-                    offset,
-                    Event::ImFinish(v, im as u32, req.attempt, cmd, epoch),
-                );
-            }
-            self.shards[s].im_busy = true;
-            self.shards[s].in_flight = u32::try_from(requests.len()).unwrap_or(u32::MAX);
-            requests.clear();
-            self.request_pool.push(requests);
-            decisions.clear();
-            self.decision_pool.push(decisions);
-        }
-        self.batch_jobs = jobs;
-        self.batch_results = results;
     }
 
     fn on_im_finish(
@@ -1435,17 +1248,7 @@ impl<'a> World<'a> {
         for latency in deliveries.iter() {
             sim.schedule_in(latency, Event::DownlinkArrival(v, im as u32, attempt, cmd));
         }
-        if self.batch.is_some() {
-            let shard = &mut self.shards[im - self.shard_base];
-            shard.in_flight = shard.in_flight.saturating_sub(1);
-            if shard.in_flight == 0 {
-                // Anything queued while the batch was in flight drains at
-                // the next timestamp boundary.
-                shard.im_busy = false;
-            }
-        } else {
-            self.im_start_next(sim, im);
-        }
+        self.im_start_next(sim, im);
     }
 
     fn on_im_crash(&mut self, im: usize) {
@@ -1453,12 +1256,11 @@ impl<'a> World<'a> {
         shard.im_down = true;
         shard.im_epoch = shard.im_epoch.wrapping_add(1);
         // Requests queued inside the IM die with it; the vehicles recover
-        // through their retransmission timeouts. In-flight batched
-        // decisions die on the epoch guard when their ImFinish lands.
+        // through their retransmission timeouts. An in-flight decision
+        // dies on the epoch guard when its ImFinish lands.
         self.counters.im_outage_drops += shard.im_queue.len() as u64;
         shard.im_queue.clear();
         shard.im_busy = false;
-        shard.in_flight = 0;
     }
 
     fn on_im_restart(&mut self, now: TimePoint, im: usize) {
@@ -1467,11 +1269,7 @@ impl<'a> World<'a> {
         // Conservative ledger re-validation: grants already issued stay
         // booked (their vehicles will execute them regardless), expired
         // bookkeeping is dropped.
-        shard
-            .policy
-            .as_mut()
-            .expect("policy resident")
-            .on_restart(now);
+        shard.policy.on_restart(now);
     }
 
     // --- Response handling ---------------------------------------------------
@@ -2379,20 +2177,12 @@ impl<'a> World<'a> {
                 if col.remaining.is_empty() {
                     let leader = col.leader;
                     shard.columns.swap_remove(ix);
-                    shard
-                        .policy
-                        .as_mut()
-                        .expect("policy resident")
-                        .on_exit(leader, now);
+                    shard.policy.on_exit(leader, now);
                 }
             }
             return;
         }
-        shard
-            .policy
-            .as_mut()
-            .expect("policy resident")
-            .on_exit(v, now);
+        shard.policy.on_exit(v, now);
     }
 
     /// Installs one follower's inherited slot: entry at `t_i`, either a
@@ -2886,6 +2676,31 @@ mod tests {
         }
     }
 
+    /// Delivers `uplinks` — `(instant, attempt)` frames from one vehicle
+    /// already past sync — to a fresh single-intersection world, runs it
+    /// for five seconds, and returns what the IM made of them: requests
+    /// processed, the vehicle's watermark, and whether the IM is busy.
+    fn serve_uplinks(uplinks: &[(f64, u32)]) -> (u64, Option<u32>, bool) {
+        let cfg = test_config();
+        let workload = test_workload();
+        let movement = workload[0].movement;
+        let mut sim: Simulation<Event> = Simulation::new();
+        let mut world = World::new(&cfg, &workload);
+        world.insert_agent(VehicleId(0), requesting_agent(movement));
+        for &(at, attempt) in uplinks {
+            sim.schedule(
+                TimePoint::new(at),
+                Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, attempt)),
+            );
+        }
+        sim.run_until(TimePoint::new(5.0), |sim, ev| {
+            world.handle(sim, ev);
+            true
+        });
+        let seen = world.agent(VehicleId(0)).unwrap().im_seen_attempt;
+        (world.counters.im_requests, seen, world.shards[0].im_busy)
+    }
+
     /// Regression (watermark sentinel): a *duplicated* attempt-1 uplink —
     /// the first frame this vehicle ever sends, twice on the air — must be
     /// processed exactly once. With the old `0`-as-never-seen sentinel the
@@ -2893,74 +2708,38 @@ mod tests {
     /// "never seen" unconfusable with any attempt number.
     #[test]
     fn duplicated_first_attempt_is_processed_once() {
-        let cfg = test_config();
-        let workload = test_workload();
-        let movement = workload[0].movement;
-        let mut sim: Simulation<Event> = Simulation::new();
-        let mut world = World::new(&cfg, &workload);
-        world.insert_agent(VehicleId(0), requesting_agent(movement));
-        let req = request(&cfg, movement, 1);
-        sim.schedule(
-            TimePoint::new(0.001),
-            Event::UplinkArrival(VehicleId(0), 0, req),
-        );
-        sim.schedule(
-            TimePoint::new(0.002),
-            Event::UplinkArrival(VehicleId(0), 0, req),
-        );
-        sim.run_until(TimePoint::new(5.0), |sim, ev| {
-            world.handle(sim, ev);
-            true
-        });
+        let (requests, seen, _) = serve_uplinks(&[(0.001, 1), (0.002, 1)]);
         assert_eq!(
-            world.counters.im_requests, 1,
+            requests, 1,
             "the duplicate attempt-1 frame must be dropped by the watermark"
         );
-        assert_eq!(
-            world.agent(VehicleId(0)).unwrap().im_seen_attempt,
-            Some(1),
-            "watermark records the processed attempt"
-        );
+        assert_eq!(seen, Some(1), "watermark records the processed attempt");
     }
 
-    /// A retransmission storm of stale frames queued behind a fresh one:
-    /// the iterative drain must drop all of them in one sweep (the old
-    /// recursive version deepened the call stack per dropped frame) and
-    /// process only the two distinct attempts.
+    /// Stale duplicates queued around two distinct attempts: exactly the
+    /// two attempts are processed and the IM ends idle. The storm case
+    /// checks that the iterative drain drops every stale frame in one
+    /// sweep (the old recursive version deepened the call stack per
+    /// dropped frame); the same-instant case lands a duplicate and the
+    /// fresh attempt at the original's instant.
     #[test]
     fn stale_storm_drains_iteratively_to_the_fresh_request() {
-        let cfg = test_config();
-        let workload = test_workload();
-        let movement = workload[0].movement;
-        let mut sim: Simulation<Event> = Simulation::new();
-        let mut world = World::new(&cfg, &workload);
-        world.insert_agent(VehicleId(0), requesting_agent(movement));
         // Attempt 1 arrives first and occupies the IM; while it computes,
         // a storm of duplicated attempt-1 frames and one fresh attempt-2
         // frame pile into the queue.
-        sim.schedule(
-            TimePoint::new(0.001),
-            Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, 1)),
-        );
-        for i in 0..64u32 {
-            sim.schedule(
-                TimePoint::new(0.002 + f64::from(i) * 1e-5),
-                Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, 1)),
+        let mut storm = vec![(0.001, 1)];
+        storm.extend((0..64u32).map(|i| (0.002 + f64::from(i) * 1e-5, 1)));
+        storm.push((0.004, 2));
+        let same_instant = vec![(0.001, 1), (0.001, 1), (0.001, 2)];
+        for uplinks in [storm, same_instant] {
+            let (requests, seen, busy) = serve_uplinks(&uplinks);
+            assert_eq!(
+                requests, 2,
+                "exactly the two distinct attempts are processed"
             );
+            assert_eq!(seen, Some(2));
+            assert!(!busy, "the IM drains its queue and goes idle");
         }
-        sim.schedule(
-            TimePoint::new(0.004),
-            Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, 2)),
-        );
-        sim.run_until(TimePoint::new(5.0), |sim, ev| {
-            world.handle(sim, ev);
-            true
-        });
-        assert_eq!(
-            world.counters.im_requests, 2,
-            "exactly the two distinct attempts are processed"
-        );
-        assert_eq!(world.agent(VehicleId(0)).unwrap().im_seen_attempt, Some(2));
     }
 
     /// Uplinks landing during an IM crash window are dropped and counted;
@@ -3009,45 +2788,5 @@ mod tests {
         // The in-flight attempt-1 computation died with the old epoch: its
         // downlink was never transmitted.
         assert!(!world.shards[0].im_down);
-    }
-
-    /// A batched drain and the serial path must agree verdict-for-verdict
-    /// on the same queue contents (the benches assert this at scale; this
-    /// pins the wiring).
-    #[test]
-    fn batched_drain_matches_serial_watermark_behavior() {
-        let cfg = test_config();
-        let workload = test_workload();
-        let movement = workload[0].movement;
-        let host = BatchHost::new(2);
-        let mut sim: Simulation<Event> = Simulation::new();
-        let mut world = World::new(&cfg, &workload);
-        world.batch = Some(&host);
-        world.insert_agent(VehicleId(0), requesting_agent(movement));
-        // A duplicate and a fresh attempt at the same instant: the drain
-        // admits exactly the two distinct attempts.
-        sim.schedule(
-            TimePoint::new(0.001),
-            Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, 1)),
-        );
-        sim.schedule(
-            TimePoint::new(0.001),
-            Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, 1)),
-        );
-        sim.schedule(
-            TimePoint::new(0.001),
-            Event::UplinkArrival(VehicleId(0), 0, request(&cfg, movement, 2)),
-        );
-        sim.run_until(TimePoint::new(5.0), |sim, ev| {
-            world.handle(sim, ev);
-            world.maybe_drain(sim);
-            true
-        });
-        assert_eq!(
-            world.counters.im_requests, 2,
-            "watermark admits the two distinct attempts, batched"
-        );
-        assert_eq!(world.agent(VehicleId(0)).unwrap().im_seen_attempt, Some(2));
-        assert!(!world.shards[0].im_busy, "batch fully drained");
     }
 }

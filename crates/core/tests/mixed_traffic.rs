@@ -8,7 +8,9 @@
 
 use crossroads_check::{ck_assert, forall, Config};
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SafetyReport, SimConfig, SimOutcome};
+use crossroads_core::sim::{
+    run_corridor, run_simulation, CorridorConfig, SafetyReport, SimConfig, SimOutcome,
+};
 use crossroads_metrics::{records_to_csv, run_to_json};
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::{generate_poisson, MixedConfig, PoissonConfig};
@@ -170,4 +172,27 @@ fn unfiltered_adversarial_mix_shows_real_violations() {
         "disarming the filter exposed no violations — the adversarial \
          grid is not actually adversarial"
     );
+}
+
+/// Compliance shares summing past 1 are rejected before the first event
+/// on the serial engine.
+#[test]
+#[should_panic(expected = "human_share")]
+fn oversubscribed_compliance_shares_are_rejected_by_run_simulation() {
+    let config = SimConfig::scale_model(PolicyKind::Crossroads)
+        .with_mixed(MixedConfig::standard().with_shares(0.6, 0.4, 0.2));
+    let w = workload(&config, 0.3, 8, 1);
+    let _ = run_simulation(&config, &w);
+}
+
+/// The same check guards the windowed corridor engine.
+#[test]
+#[should_panic(expected = "speed_error")]
+fn out_of_range_speed_error_is_rejected_by_the_windowed_corridor() {
+    let mut mixed = MixedConfig::standard();
+    mixed.speed_error = 1.5;
+    let sim = SimConfig::scale_model(PolicyKind::Crossroads).with_mixed(mixed);
+    let w = workload(&sim, 0.3, 8, 1);
+    let config = CorridorConfig::new(sim, 2).with_shard_workers(2);
+    let _ = run_corridor(&config, &w, &[]);
 }

@@ -6,7 +6,10 @@
 
 use crossroads_check::{ck_assert, forall, Config};
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, PlatoonConfig, SafetyReport, SimConfig, SimOutcome};
+use crossroads_core::sim::{
+    run_corridor, run_simulation, CorridorConfig, PlatoonConfig, SafetyReport, SimConfig,
+    SimOutcome,
+};
 use crossroads_net::{FaultConfig, GilbertElliott};
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::{generate_poisson, PoissonConfig};
@@ -196,4 +199,32 @@ fn im_crash_mid_platoon_degrades_to_per_vehicle_fallback() {
          deadline (fallbacks {})",
         c.platoon_fallbacks
     );
+}
+
+/// A platoon shape that puts followers inside their predecessor is
+/// rejected before the first event on the serial engine.
+#[test]
+#[should_panic(expected = "gap_lengths")]
+fn overlapping_follower_gap_is_rejected_by_run_simulation() {
+    let platoon = PlatoonConfig {
+        gap_lengths: 0.5,
+        ..PlatoonConfig::standard()
+    };
+    let config = SimConfig::scale_model(PolicyKind::Crossroads).with_platoons(platoon);
+    let w = workload(&config, 0.3, 8, 1);
+    let _ = run_simulation(&config, &w);
+}
+
+/// The same check guards the windowed corridor engine.
+#[test]
+#[should_panic(expected = "max_size")]
+fn single_member_platoon_is_rejected_by_the_windowed_corridor() {
+    let platoon = PlatoonConfig {
+        max_size: 1,
+        ..PlatoonConfig::standard()
+    };
+    let sim = SimConfig::scale_model(PolicyKind::Crossroads).with_platoons(platoon);
+    let w = workload(&sim, 0.3, 8, 1);
+    let config = CorridorConfig::new(sim, 2).with_shard_workers(2);
+    let _ = run_corridor(&config, &w, &[]);
 }

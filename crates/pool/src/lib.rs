@@ -4,8 +4,11 @@
 //! seed)` simulation points; every point owns its seed, so the sweeps are
 //! embarrassingly parallel. The hermetic-build policy (no registry
 //! dependencies — see README.md) rules out `rayon`, so this crate
-//! supplies the one primitive the harness needs: an ordered parallel map
-//! over a slice, built on [`std::thread::scope`].
+//! supplies the two primitives the workspace needs, both built on
+//! [`std::thread::scope`]: an ordered parallel map over a slice for the
+//! sweeps ([`WorkerPool::map`]), and bulk-synchronous rounds over
+//! mutable slots for the windowed corridor engine
+//! ([`WorkerPool::rounds`]).
 //!
 //! Guarantees:
 //!
@@ -37,10 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// The environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "CROSSROADS_THREADS";
@@ -254,201 +256,6 @@ impl WorkerPool {
     }
 }
 
-type HostJob = Box<dyn FnOnce() + Send + 'static>;
-
-struct HostQueue {
-    jobs: VecDeque<HostJob>,
-    shutdown: bool,
-}
-
-struct HostShared {
-    queue: Mutex<HostQueue>,
-    work: Condvar,
-}
-
-/// A persistent worker pool for many *small* batches.
-///
-/// [`WorkerPool::map`] spawns and joins its workers on every call, which
-/// is the right shape for a sweep of second-long simulation points but
-/// costs far more than the work itself when the batch is a handful of
-/// microsecond-scale admission decisions fired thousands of times per
-/// run. `BatchHost` keeps its workers parked on a condvar between
-/// batches, so [`run`](Self::run) costs one lock + wakeup rather than a
-/// thread spawn.
-///
-/// The guarantees mirror [`WorkerPool`]:
-///
-/// - **Deterministic result ordering.** `run` returns results indexed
-///   exactly like the input vector, whatever order workers finish in.
-/// - **Panic propagation.** A panicking job poisons nothing: every other
-///   job still runs, and the first panic (by input index) is re-thrown in
-///   the caller via [`std::panic::resume_unwind`].
-/// - **Inline degeneration.** A host built with fewer than two workers
-///   (or handed fewer than two jobs) runs the batch on the calling
-///   thread — same results, no synchronization.
-pub struct BatchHost {
-    shared: Arc<HostShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    requested: usize,
-}
-
-impl std::fmt::Debug for BatchHost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchHost")
-            .field("workers", &self.requested)
-            .finish()
-    }
-}
-
-impl BatchHost {
-    /// A host with `workers` persistent workers. Fewer than two workers
-    /// spawns no threads at all: every batch runs inline on the caller.
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(HostShared {
-            queue: Mutex::new(HostQueue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-        });
-        let spawned = if workers >= 2 { workers } else { 0 };
-        let handles = (0..spawned)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut q = shared
-                            .queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        loop {
-                            if let Some(job) = q.jobs.pop_front() {
-                                break job;
-                            }
-                            if q.shutdown {
-                                return;
-                            }
-                            q = shared
-                                .work
-                                .wait(q)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                    };
-                    job();
-                })
-            })
-            .collect();
-        BatchHost {
-            shared,
-            workers: handles,
-            requested: workers.max(1),
-        }
-    }
-
-    /// Worker count the host was built with (minimum 1; the inline path
-    /// counts as one worker).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.requested
-    }
-
-    /// Runs one batch: applies `f` to every job, returning results in
-    /// input order. `f` receives `(index, job)` and takes the job by
-    /// value, so jobs can carry owned state (e.g. a policy shard) through
-    /// the worker and back out in the result.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic (by input index) raised inside `f`,
-    /// after every job has finished.
-    pub fn run<J, R, F>(&self, mut jobs: Vec<J>, f: F) -> Vec<R>
-    where
-        J: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, J) -> R + Send + Sync + 'static,
-    {
-        let mut results = Vec::with_capacity(jobs.len());
-        self.run_reusing(&mut jobs, &mut results, f);
-        results
-    }
-
-    /// [`run`](Self::run) with caller-held buffers: drains `jobs` (the
-    /// vector keeps its allocation) and writes results — input order, as
-    /// always — into `results` (cleared first, capacity reused).
-    ///
-    /// This is the steady-state shape for a hot loop firing thousands of
-    /// small batches: the caller parks both vectors between calls, so the
-    /// single-job fast path (by far the common case at a DES dispatch
-    /// boundary) allocates nothing at all, and a multi-job batch
-    /// allocates only its per-job closures.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic (by input index) raised inside `f`,
-    /// after every job has finished. `jobs` is drained either way.
-    pub fn run_reusing<J, R, F>(&self, jobs: &mut Vec<J>, results: &mut Vec<R>, f: F)
-    where
-        J: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, J) -> R + Send + Sync + 'static,
-    {
-        results.clear();
-        if self.workers.is_empty() || jobs.len() <= 1 {
-            results.extend(jobs.drain(..).enumerate().map(|(i, j)| f(i, j)));
-            return;
-        }
-        let n = jobs.len();
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-        {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (i, job) in jobs.drain(..).enumerate() {
-                let f = Arc::clone(&f);
-                let tx = tx.clone();
-                q.jobs.push_back(Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i, job)));
-                    let _ = tx.send((i, out));
-                }));
-            }
-        }
-        self.shared.work.notify_all();
-        drop(tx);
-        let mut done: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, r) = rx.recv().expect("worker delivers every queued job");
-            done[i] = Some(r);
-        }
-        for slot in done {
-            match slot.expect("every index delivered exactly once") {
-                Ok(v) => results.push(v),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-    }
-}
-
-impl Drop for BatchHost {
-    fn drop(&mut self) {
-        {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,35 +281,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = WorkerPool::new(0);
-    }
-
-    #[test]
-    fn batch_host_returns_input_order_at_any_worker_count() {
-        let expected: Vec<u64> = (0..97).map(|x| x * 3 + 1).collect();
-        for workers in [1, 2, 4, 7] {
-            let host = BatchHost::new(workers);
-            for _ in 0..3 {
-                let jobs: Vec<u64> = (0..97).collect();
-                let out = host.run(jobs, |i, x| {
-                    assert_eq!(i as u64, x);
-                    x * 3 + 1
-                });
-                assert_eq!(out, expected, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_host_moves_owned_state_through_workers() {
-        let host = BatchHost::new(4);
-        let jobs: Vec<Vec<u64>> = (0..16).map(|i| vec![i; 4]).collect();
-        let out = host.run(jobs, |_, mut v| {
-            v.push(v[0]);
-            v
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v, &vec![i as u64; 5]);
-        }
     }
 
     /// A toy windowed engine over `rounds`: every round each slot adds
@@ -561,41 +339,5 @@ mod tests {
             WorkerPool::new(3).rounds(&mut slots, |_| true, |i, _| assert!(i != 2, "boom at {i}"));
         }));
         assert!(result.is_err(), "step panic must propagate");
-    }
-
-    #[test]
-    fn run_reusing_keeps_buffer_capacity() {
-        let host = BatchHost::new(3);
-        let mut jobs: Vec<u64> = Vec::with_capacity(64);
-        let mut results: Vec<u64> = Vec::new();
-        for round in 0..4u64 {
-            jobs.extend(0..8u64);
-            let cap = jobs.capacity();
-            host.run_reusing(&mut jobs, &mut results, move |_i, x| x * 10 + round);
-            assert!(jobs.is_empty() && jobs.capacity() == cap);
-            assert_eq!(
-                results,
-                (0..8u64).map(|x| x * 10 + round).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn batch_host_propagates_first_panic_by_index() {
-        let host = BatchHost::new(3);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            host.run((0..8u32).collect(), |_, x| {
-                assert!(x != 2 && x != 5, "boom at {x}");
-                x
-            })
-        }));
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("boom at 2"), "first panic by index: {msg}");
-        // The host survives a panicking batch.
-        assert_eq!(host.run(vec![1u32, 2], |_, x| x + 1), vec![2, 3]);
     }
 }

@@ -167,7 +167,8 @@ impl MixedConfig {
         let shares = [self.human_share, self.faulty_share, self.emergency_share];
         assert!(
             shares.iter().all(|s| s.is_finite() && *s >= 0.0) && shares.iter().sum::<f64>() <= 1.0,
-            "compliance shares must be non-negative and sum to at most 1, got {shares:?}"
+            "compliance shares (human_share, faulty_share, emergency_share) must be \
+             non-negative and sum to at most 1, got {shares:?}"
         );
         assert!(
             self.speed_error.is_finite() && (0.0..1.0).contains(&self.speed_error),

@@ -2,10 +2,9 @@
 //! `exp_grid_sweep` prints are a pure function of `(point, seed)`, so
 //! fanning the grid out over a worker pool must reproduce the
 //! sequential rows byte for byte at any thread count — the worker count
-//! (and the corridor's internal batch worker count) must be
-//! unobservable in the output — as must the corridor engine itself:
-//! the windowed-parallel engine reproduces the serial rows at any
-//! shard-worker count.
+//! must be unobservable in the output — as must the corridor engine
+//! itself: the windowed-parallel engine reproduces the serial rows at
+//! any shard-worker count.
 
 use crossroads_bench::{
     grid_points, grid_row, run_grid_point, run_grid_point_sharded, WorkerPool, GRID_SEED,
