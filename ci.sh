@@ -74,14 +74,19 @@ CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=7 \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
 same_stdout "grid sweep output diverges on a 7-thread pool"
 
-echo "==> windowed-parallel corridor smoke (1 vs 4 vs 7 shard workers)"
+echo "==> windowed-parallel corridor smoke (1 vs 2 vs 4 vs 7 shard workers)"
 # The conservative time-windowed parallel corridor engine must be
 # unobservable: routing every corridor of the reduced grid through K
-# per-shard event queues on 4 or 7 workers (1 = the serial engine) must
-# leave the sweep's stdout byte-identical.
-for w in 1 4 7; do
-    CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_SHARD_WORKERS=$w \
-        ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
+# per-shard event queues on 2, 4 or 7 workers (1 = the serial engine)
+# must leave the sweep's stdout byte-identical. Each run is bounded by
+# `timeout` (it takes well under a second), so a deadlocked barrier
+# fails CI instead of hanging it.
+for w in 1 2 4 7; do
+    if ! CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_SHARD_WORKERS=$w \
+        timeout 120 ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null; then
+        echo "FAIL: grid sweep on $w shard workers failed or timed out" >&2
+        exit 1
+    fi
     same_stdout "grid sweep output diverges on $w shard workers"
 done
 
@@ -128,9 +133,13 @@ CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 echo "==> windowed corridor transcript agreement gate"
 # benches/grid.rs hard-asserts that the windowed-parallel corridor
 # engine reproduces the serial engine's full outcome at 2/4/8 shard
-# workers.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
-    cargo bench --offline --bench grid -p crossroads-bench
+# workers. Built first, then run under `timeout` like the smoke above.
+cargo bench --offline --bench grid -p crossroads-bench --no-run
+if ! CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+    timeout 300 cargo bench --offline --bench grid -p crossroads-bench; then
+    echo "FAIL: windowed corridor transcript gate failed or timed out" >&2
+    exit 1
+fi
 
 echo "==> AIM analytic-vs-marched kernel agreement gate"
 # Quick mode: benches/trajectory.rs hard-asserts that the closed-form

@@ -11,12 +11,24 @@
 //! The engine is bulk-synchronous: every lane drains its own event queue
 //! up to the barrier at `t0 + lookahead` (half-open — an event *at* the
 //! barrier belongs to the next window), then the buffered handoffs are
-//! exchanged on the caller thread in deterministic
+//! exchanged between rounds in deterministic
 //! (destination, time, source-lane) order, and the next window opens at
 //! the earliest pending event across all lanes. The final stretch runs
 //! inclusive to the horizon, exactly like the serial engine's
 //! `run_until`; since `horizon < t0 + lookahead` there, every handoff it
-//! generates lands beyond the horizon and the loop terminates.
+//! generates lands beyond the horizon. One last round then runs every
+//! lane's safety audit, and the loop ends.
+//!
+//! Rounds run on `WorkerPool::rounds`, a barrier whose calling thread is
+//! itself a worker: lanes are claimed off an atomic counter, idle workers
+//! spin briefly and then park, and a round neither allocates nor crosses
+//! a channel. Windows are short — a pass of perfbench's `corridor-w2`
+//! workload (K = 8, 2 workers, two policies) runs 8 586 windows of about
+//! 124 DES events each, summed over all eight lanes — so the barrier's
+//! cost decides whether the engine wins at all. On a 2-core host
+//! (`nproc` = 2) that workload's upper-quartile pass takes 565 ms,
+//! against 757 ms for the serial engine on the same inputs (the
+//! benchmark's `corridor` workload); see EXPERIMENTS.md E14.
 //!
 //! Determinism: each lane is a complete serial [`World`] whose RNG,
 //! radio, fault injector and policy are shard-local (see
@@ -42,33 +54,53 @@ use crossroads_units::{Seconds, TimePoint};
 use crate::sim::event::Event;
 use crate::sim::safety::SafetyReport;
 use crate::sim::world::{Handoff, World};
-use crate::sim::{CorridorConfig, CorridorOutcome};
+use crate::sim::{CorridorConfig, CorridorOutcome, SimConfig};
 
 /// One shard's independent DES: its own event queue and a single-shard
 /// [`World`] hosting the shard's policy, radio, fault injector and RNG.
 struct Lane<'a> {
     sim: Simulation<Event>,
     world: World<'a>,
-    /// Barrier for the window the next `step` call runs (set by the
-    /// control closure each round).
-    window_end: TimePoint,
-    /// Whether the next window is the final inclusive run to the horizon.
-    inclusive: bool,
+    /// What the next `step` call does (set by the control closure each
+    /// round).
+    next: Step,
+    /// The lane's safety verdict, filled in by the final round.
+    safety: Option<SafetyReport>,
+}
+
+/// One round's work for a lane.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Drain events strictly before the barrier.
+    Window(TimePoint),
+    /// The final stretch: drain events up to and including the horizon.
+    Last(TimePoint),
+    /// After the last window: audit the lane's box occupancies.
+    Audit,
 }
 
 impl Lane<'_> {
-    fn step(&mut self) {
+    fn step(&mut self, cfg: &SimConfig) {
         let world = &mut self.world;
-        if self.inclusive {
-            self.sim.run_until(self.window_end, |sim, ev| {
-                world.handle(sim, ev);
-                true
-            });
-        } else {
-            self.sim.run_window(self.window_end, |sim, ev| {
-                world.handle(sim, ev);
-                true
-            });
+        match self.next {
+            Step::Window(end) => {
+                self.sim.run_window(end, |sim, ev| {
+                    world.handle(sim, ev);
+                    true
+                });
+            }
+            Step::Last(horizon) => {
+                self.sim.run_until(horizon, |sim, ev| {
+                    world.handle(sim, ev);
+                    true
+                });
+            }
+            Step::Audit => {
+                let occ = std::mem::take(&mut world.occupancies)
+                    .pop()
+                    .expect("one shard per lane");
+                self.safety = Some(SafetyReport::audit(occ, &cfg.geometry, &cfg.spec));
+            }
         }
     }
 }
@@ -109,8 +141,8 @@ pub(crate) fn run_corridor_windowed(
                 k,
                 config.link_time,
             ),
-            window_end: TimePoint::ZERO,
-            inclusive: false,
+            next: Step::Window(TimePoint::ZERO),
+            safety: None,
         })
         .collect();
 
@@ -122,55 +154,71 @@ pub(crate) fn run_corridor_windowed(
         lanes[im].sim.schedule(at, ev);
     });
 
-    let pool = WorkerPool::new(workers.clamp(1, k));
     let mut exchange: Vec<(usize, Handoff)> = Vec::new();
-    pool.rounds(
-        &mut lanes,
-        |lanes: &mut [&mut Lane]| {
-            // Barrier: collect every lane's banked departures and re-seat
-            // them at their destination, in (destination, time, source)
-            // order. Exact-time ties across sources cannot influence shard
-            // state (per-shard RNGs; continuous-time draws make cross-lane
-            // stamp collisions measure-zero), but the fixed order makes
-            // the exchange itself deterministic by construction.
-            exchange.clear();
-            for (src, lane) in lanes.iter_mut().enumerate() {
-                lane.world.drain_outbox(src, &mut exchange);
+    let mut audited = false;
+    let control = |lanes: &mut [&mut Lane]| {
+        if audited {
+            return false;
+        }
+        // Barrier: collect every lane's banked departures and re-seat
+        // them at their destination, in (destination, time, source)
+        // order. Exact-time ties across sources cannot influence shard
+        // state (per-shard RNGs; continuous-time draws make cross-lane
+        // stamp collisions measure-zero), but the fixed order makes
+        // the exchange itself deterministic by construction.
+        exchange.clear();
+        for (src, lane) in lanes.iter_mut().enumerate() {
+            lane.world.drain_outbox(src, &mut exchange);
+        }
+        exchange.sort_by(|(a_src, a), (b_src, b)| {
+            a.to_im
+                .cmp(&b.to_im)
+                .then(a.at.total_cmp(b.at))
+                .then(a_src.cmp(b_src))
+        });
+        for (_, h) in exchange.drain(..) {
+            let lane = &mut *lanes[h.to_im];
+            lane.world.accept_handoff(&mut lane.sim, h);
+        }
+        // Open the next window at the earliest pending event; once
+        // none is left before the horizon, one last round audits
+        // every lane.
+        let t0 = lanes
+            .iter()
+            .filter_map(|l| l.sim.peek_time())
+            .min_by(|a, b| a.total_cmp(*b))
+            .filter(|&t0| t0 <= horizon);
+        // The last window runs inclusive to the horizon (matching the
+        // serial `run_until` contract that events *at* the horizon are
+        // processed); every handoff it generates lands at
+        // `>= t0 + link_time >= t0 + lookahead > horizon`, so the next
+        // round audits.
+        let next = match t0 {
+            None => {
+                audited = true;
+                Step::Audit
             }
-            exchange.sort_by(|(a_src, a), (b_src, b)| {
-                a.to_im
-                    .cmp(&b.to_im)
-                    .then(a.at.total_cmp(b.at))
-                    .then(a_src.cmp(b_src))
-            });
-            for (_, h) in exchange.drain(..) {
-                let lane = &mut *lanes[h.to_im];
-                lane.world.accept_handoff(&mut lane.sim, h);
-            }
-            // Open the next window at the earliest pending event.
-            let t0 = lanes
-                .iter()
-                .filter_map(|l| l.sim.peek_time())
-                .min_by(|a, b| a.total_cmp(*b));
-            let Some(t0) = t0 else { return false };
-            if t0 > horizon {
-                return false;
-            }
-            let w_end = t0 + lookahead;
-            // The last window runs inclusive to the horizon (matching the
-            // serial `run_until` contract that events *at* the horizon are
-            // processed); every handoff it generates lands at
-            // `>= t0 + link_time >= w_end > horizon`, so the next round
-            // terminates the loop.
-            let inclusive = w_end > horizon;
-            for lane in lanes.iter_mut() {
-                lane.window_end = if inclusive { horizon } else { w_end };
-                lane.inclusive = inclusive;
-            }
-            true
-        },
-        |_i, lane| lane.step(),
-    );
+            Some(t0) if t0 + lookahead > horizon => Step::Last(horizon),
+            Some(t0) => Step::Window(t0 + lookahead),
+        };
+        for lane in lanes.iter_mut() {
+            lane.next = next;
+        }
+        true
+    };
+    // The rounds run on a scoped thread rather than on the caller. Their
+    // thread steps lanes too, so part of the lane state comes from its
+    // malloc arena and returns there when the lanes drop. Run on the
+    // caller, that left the caller's arena full of free chunks, which its
+    // next large allocation had to sort first (glibc; perfbench
+    // `corridor-w2` `setup_s` rose by a quarter on a 2-core host).
+    let pool = WorkerPool::new(workers.clamp(1, k));
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| pool.rounds(&mut lanes, control, |_i, lane| lane.step(cfg)))
+            .join()
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
     // --- Deterministic merge: reassemble the serial engine's global
     // metric order from the per-lane streams. -----------------------------
@@ -240,12 +288,7 @@ pub(crate) fn run_corridor_windowed(
 
     let safety: Vec<SafetyReport> = lanes
         .iter_mut()
-        .map(|l| {
-            let occ = std::mem::take(&mut l.world.occupancies)
-                .pop()
-                .expect("one shard per lane");
-            SafetyReport::audit(occ, &cfg.geometry, &cfg.spec)
-        })
+        .map(|l| l.safety.take().expect("the final round audits every lane"))
         .collect();
 
     // `ended_at` follows the serial engine: the horizon if any event

@@ -78,6 +78,9 @@ fn clock_stream(vehicle: u32, im: usize) -> u64 {
 /// injector's `0xFA17_…` streams.
 const SHARD_RNG_STREAM: u64 = 0x5AAD_0000_0000_0000;
 
+/// `World::agent_slot` entry of a vehicle the world does not hold.
+const NO_SLOT: u32 = u32::MAX;
+
 pub(crate) struct Agent {
     movement: crossroads_intersection::Movement,
     /// When the current leg's transmission line was crossed.
@@ -299,11 +302,18 @@ pub(crate) struct World<'a> {
     /// global decision-latency order (and its `im_busy` f64 sum order).
     pub(crate) decision_log: Vec<(TimePoint, Seconds)>,
     log_decisions: bool,
-    /// Dense agent slab indexed by `VehicleId` (workload ids are small
-    /// sequential integers): O(1) lookup with no hashing on the hot path.
-    /// Agents are never removed, so a slot is `None` only before its
-    /// vehicle crosses the line.
-    vehicles: Vec<Option<Agent>>,
+    /// Agent slot of each `VehicleId` ([`NO_SLOT`] until the vehicle
+    /// reaches this world). Workload ids are small sequential integers,
+    /// so lookup is two indexings with no hashing on the hot path.
+    agent_slot: Vec<u32>,
+    /// Dense agent storage, one entry per vehicle this world has hosted.
+    /// Reserved to the workload size but filled only as vehicles arrive,
+    /// so a windowed lane pays memory for its own vehicles, not for the
+    /// whole corridor's. A slot is `None` only while free.
+    agents: Vec<Option<Agent>>,
+    /// Slots vacated by vehicles handed off to another lane, reused
+    /// before `agents` grows.
+    free_slots: Vec<u32>,
     /// Per-shard box occupancies for the ground-truth safety audit.
     pub(crate) occupancies: Vec<Vec<BoxOccupancy>>,
     pub(crate) metrics: RunMetrics,
@@ -403,7 +413,9 @@ impl<'a> World<'a> {
             outbox: Vec::new(),
             decision_log: Vec::new(),
             log_decisions: false,
-            vehicles: Vec::with_capacity(workload.len()),
+            agent_slot: Vec::new(),
+            agents: Vec::with_capacity(workload.len()),
+            free_slots: Vec::new(),
             occupancies: (0..count).map(|_| Vec::new()).collect(),
             metrics: RunMetrics::new(),
             counters: Counters::default(),
@@ -473,24 +485,44 @@ impl<'a> World<'a> {
         }
     }
 
-    /// The agent for `v`, if the vehicle has crossed the line.
+    /// The agent for `v`, if the vehicle is in this world. A
+    /// [`NO_SLOT`] entry indexes past `agents` and reads as `None`.
     fn agent(&self, v: VehicleId) -> Option<&Agent> {
-        self.vehicles.get(v.0 as usize).and_then(Option::as_ref)
+        let slot = *self.agent_slot.get(v.0 as usize)?;
+        self.agents.get(slot as usize)?.as_ref()
     }
 
     /// Mutable access to the agent for `v`.
     fn agent_mut(&mut self, v: VehicleId) -> Option<&mut Agent> {
-        self.vehicles.get_mut(v.0 as usize).and_then(Option::as_mut)
+        let slot = *self.agent_slot.get(v.0 as usize)?;
+        self.agents.get_mut(slot as usize)?.as_mut()
     }
 
-    /// Installs a fresh agent in its slab slot, growing the slab to cover
-    /// the id if the workload's ids arrive out of numeric order.
+    /// Installs an agent for `v`: over its current one if it has a slot,
+    /// else in a freed slot, else in a new one.
     fn insert_agent(&mut self, v: VehicleId, agent: Agent) {
-        let slot = v.0 as usize;
-        if slot >= self.vehicles.len() {
-            self.vehicles.resize_with(slot + 1, || None);
+        let id = v.0 as usize;
+        if id >= self.agent_slot.len() {
+            self.agent_slot.resize(id + 1, NO_SLOT);
         }
-        self.vehicles[slot] = Some(agent);
+        if self.agent_slot[id] == NO_SLOT {
+            self.agent_slot[id] = match self.free_slots.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.agents.push(None);
+                    u32::try_from(self.agents.len() - 1).expect("fewer than u32::MAX agents")
+                }
+            };
+        }
+        self.agents[self.agent_slot[id] as usize] = Some(agent);
+    }
+
+    /// Removes `v`'s agent from this world and frees its slot.
+    fn take_agent(&mut self, v: VehicleId) -> Option<Agent> {
+        let slot = std::mem::replace(self.agent_slot.get_mut(v.0 as usize)?, NO_SLOT);
+        let agent = self.agents.get_mut(slot as usize)?.take();
+        self.free_slots.push(slot);
+        agent
     }
 
     /// Advances the shard's lane cursor past the prefix of vehicles that
@@ -2538,7 +2570,7 @@ impl<'a> World<'a> {
                     // and bank it for the barrier exchange — before the
                     // exit-notice draws below, so this shard's RNG
                     // sequence is unaffected by where the vehicle goes.
-                    let agent = self.vehicles[v.0 as usize].take().expect("agent exists");
+                    let agent = self.take_agent(v).expect("agent exists");
                     self.outbox.push(Handoff {
                         at: now + link_time,
                         to_im: next_im,

@@ -8,7 +8,12 @@
 //! [`std::thread::scope`]: an ordered parallel map over a slice for the
 //! sweeps ([`WorkerPool::map`]), and bulk-synchronous rounds over
 //! mutable slots for the windowed corridor engine
-//! ([`WorkerPool::rounds`]).
+//! ([`WorkerPool::rounds`]). `rounds` is a barrier the calling thread
+//! joins as a worker: helpers claim slots off an atomic ticket counter,
+//! wait between rounds on an epoch counter (a short fixed spin, then
+//! `park`), and nothing crosses a channel or allocates per round —
+//! a round costs a few atomic operations plus, when a helper has
+//! parked, one unpark.
 //!
 //! Guarantees:
 //!
@@ -20,7 +25,8 @@
 //! - **Panic propagation.** A panic inside a worker is caught, the queue
 //!   is drained, and the payload re-thrown in the caller via
 //!   [`std::panic::resume_unwind`] — a failing sweep point fails the
-//!   sweep, never hangs it.
+//!   sweep, never hangs it. `rounds` stops and joins every helper before
+//!   re-raising a panic from a step or from its control closure.
 //! - **Fixed workers, shared queue.** `threads` workers pull indices off
 //!   an atomic counter; tasks ≫ workers oversubscribe gracefully.
 //!
@@ -40,9 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// The environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "CROSSROADS_THREADS";
@@ -137,9 +145,7 @@ impl WorkerPool {
                     if out.is_err() {
                         poisoned.store(true, Ordering::Relaxed);
                     }
-                    done.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((i, out));
+                    lock(&done).push((i, out));
                 });
             }
         });
@@ -159,9 +165,8 @@ impl WorkerPool {
         results
     }
 
-    /// Bulk-synchronous rounds over mutable slots, with workers spawned
-    /// once and reused across every round — the "shard step" shape of
-    /// conservative windowed parallel DES.
+    /// Bulk-synchronous rounds over mutable slots — the "shard step"
+    /// shape of conservative windowed parallel DES.
     ///
     /// The loop alternates two phases until `control` returns `false`:
     ///
@@ -170,10 +175,20 @@ impl WorkerPool {
     ///    where a windowed engine exchanges handoffs between shards and
     ///    computes the next barrier. Returning `false` ends the call.
     /// 2. **Round (parallel).** `step(i, &mut slot_i)` runs for every
-    ///    slot, distributed over the workers. Slots travel to workers as
-    ///    `&mut` borrows over a channel, so no slot is ever aliased and
-    ///    no `'static` bound is needed — the whole call lives inside one
-    ///    [`std::thread::scope`].
+    ///    slot, distributed over the workers.
+    ///
+    /// The call spawns `min(workers, slots) − 1` helper threads once, in
+    /// one [`std::thread::scope`]; the calling thread is the remaining
+    /// worker. Before a round the caller lends each slot to its own
+    /// uncontended mutex cell and publishes the round on an epoch
+    /// counter. Workers claim slots off a shared ticket counter, so no
+    /// slot is ever aliased, and the caller claims alongside them until
+    /// the round's done counter reaches the slot count; then it takes the
+    /// slots back for the next control phase. Between rounds helpers spin
+    /// on the epoch for a short fixed budget of `spin_loop` hints, then
+    /// park until the caller unparks them; the caller spins on the done
+    /// counter for the same budget, then yields. No allocation happens
+    /// per round.
     ///
     /// Determinism: each `step` owns its slot exclusively and the control
     /// phase always observes slots in input order, so as long as `step`
@@ -184,8 +199,9 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Re-raises the first panic (by slot index) raised inside `step` in
-    /// the round that observed it, after every slot of that round has
-    /// been returned.
+    /// the round that observed it, once every slot of that round has
+    /// finished, and re-raises a panic raised inside `control`. Either
+    /// way every helper is stopped and joined first.
     pub fn rounds<T, C, S>(&self, slots: &mut [T], mut control: C, step: S)
     where
         T: Send,
@@ -193,7 +209,8 @@ impl WorkerPool {
         S: Fn(usize, &mut T) + Sync,
     {
         let mut refs: Vec<&mut T> = slots.iter_mut().collect();
-        if self.threads == 1 || refs.len() <= 1 {
+        let n = refs.len();
+        if self.threads == 1 || n <= 1 {
             while control(&mut refs) {
                 for (i, slot) in refs.iter_mut().enumerate() {
                     step(i, slot);
@@ -201,64 +218,189 @@ impl WorkerPool {
             }
             return;
         }
-        let step = &step;
+        let barrier = Barrier {
+            cells: (0..n).map(|_| Mutex::new(None)).collect(),
+            epoch: AtomicUsize::new(0),
+            tickets: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            first_panic: Mutex::new(None),
+        };
+        let (barrier, step) = (&barrier, &step);
         std::thread::scope(|scope| {
-            type Returned<'r, T> = (usize, &'r mut T, Option<Box<dyn std::any::Any + Send>>);
-            let (task_tx, task_rx) = mpsc::channel::<(usize, &mut T)>();
-            let task_rx = Arc::new(Mutex::new(task_rx));
-            let (done_tx, done_rx) = mpsc::channel::<Returned<'_, T>>();
-            for _ in 0..self.threads.min(refs.len()) {
-                let task_rx = Arc::clone(&task_rx);
-                let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    // Workers park on the channel between rounds; the
-                    // coordinator dropping the sender is the shutdown.
-                    let msg = task_rx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .recv();
-                    let Ok((i, slot)) = msg else { break };
-                    let out = catch_unwind(AssertUnwindSafe(|| step(i, &mut *slot)));
-                    // The slot ref travels back even when the step
-                    // panicked, so the control phase never loses a shard.
-                    let _ = done_tx.send((i, slot, out.err()));
-                });
-            }
-            drop(done_tx);
-            while control(&mut refs) {
-                let n = refs.len();
-                for pair in refs.drain(..).enumerate() {
-                    task_tx.send(pair).expect("workers outlive the rounds");
-                }
-                let mut returned: Vec<Option<&mut T>> = (0..n).map(|_| None).collect();
-                let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-                for _ in 0..n {
-                    let (i, slot, panic) = done_rx.recv().expect("every slot comes back");
-                    returned[i] = Some(slot);
-                    if let Some(p) = panic {
-                        if first_panic.as_ref().is_none_or(|&(j, _)| i < j) {
-                            first_panic = Some((i, p));
+            // Dropped on every exit path — a panic in `control` included —
+            // so no helper is left parked when the scope joins them.
+            let mut helpers = StopOnDrop {
+                epoch: &barrier.epoch,
+                threads: Vec::with_capacity(self.threads.min(n) - 1),
+            };
+            for _ in 1..self.threads.min(n) {
+                let handle = scope.spawn(move || {
+                    let mut seen = 0;
+                    loop {
+                        seen = barrier.next_epoch(seen);
+                        if seen == STOP {
+                            break;
                         }
+                        barrier.work(seen, step);
+                    }
+                });
+                helpers.threads.push(handle.thread().clone());
+            }
+            let mut round = 0;
+            while control(&mut refs) {
+                for (cell, slot) in barrier.cells.iter().zip(refs.drain(..)) {
+                    *lock(cell) = Some(slot);
+                }
+                round += 1;
+                barrier.epoch.store(round, Ordering::Release);
+                for helper in &helpers.threads {
+                    helper.unpark();
+                }
+                barrier.work(round, step);
+                let mut spins = 0;
+                while barrier.done.load(Ordering::Acquire) < round * n {
+                    if spins < SPIN_BUDGET {
+                        std::hint::spin_loop();
+                        spins += 1;
+                    } else {
+                        std::thread::yield_now();
                     }
                 }
-                if let Some((_, payload)) = first_panic {
-                    drop(task_tx);
+                if let Some((_, payload)) = lock(&barrier.first_panic).take() {
                     resume_unwind(payload);
                 }
                 refs.extend(
-                    returned
-                        .into_iter()
-                        .map(|s| s.expect("every index returned exactly once")),
+                    barrier
+                        .cells
+                        .iter()
+                        .map(|cell| lock(cell).take().expect("every slot comes back")),
                 );
             }
-            drop(task_tx);
         });
     }
+}
+
+/// Spin-loop hints a waiting [`WorkerPool::rounds`] worker issues before
+/// it blocks: helpers then park, the caller yields. Short on purpose —
+/// on an oversubscribed host a long spin steals the core from the very
+/// thread being waited for.
+const SPIN_BUDGET: u32 = 256;
+
+/// Epoch value that tells the helpers of [`WorkerPool::rounds`] to exit.
+const STOP: usize = usize::MAX;
+
+/// A panic payload tagged with the slot index that raised it.
+type SlotPanic = (usize, Box<dyn Any + Send>);
+
+/// The shared state of one [`WorkerPool::rounds`] call.
+///
+/// Round `r` (numbered from 1) owns the tickets `(r − 1)·n .. r·n` and is
+/// complete once `done` reaches `r·n`. Both counters are cumulative, so a
+/// helper still draining round `r` after the caller opened round `r + 1`
+/// sees its own bound exhausted and cannot steal a newer ticket.
+///
+/// Orderings: the caller's `Release` store of `epoch` pairs with the
+/// helpers' `Acquire` loads, and each worker's `Release` increment of
+/// `done` with the caller's `Acquire` load, so a round starts after the
+/// control phase and the control phase after the round. Slot data itself
+/// passes through the cell mutexes; `tickets` publishes nothing and is
+/// `Relaxed`.
+struct Barrier<'s, T> {
+    /// Slot `i`, lent by the caller for the duration of a round.
+    cells: Vec<Mutex<Option<&'s mut T>>>,
+    /// The open round; [`STOP`] shuts the helpers down.
+    epoch: AtomicUsize,
+    /// Tickets claimed so far, over all rounds.
+    tickets: AtomicUsize,
+    /// Slots finished so far, over all rounds.
+    done: AtomicUsize,
+    /// The lowest-indexed step panic of the current round.
+    first_panic: Mutex<Option<SlotPanic>>,
+}
+
+impl<T> Barrier<'_, T> {
+    /// Waits until the epoch moves past `seen` and returns it: a short
+    /// spin, then parking (the caller unparks every helper per round).
+    fn next_epoch(&self, seen: usize) -> usize {
+        for _ in 0..SPIN_BUDGET {
+            let epoch = self.epoch.load(Ordering::Acquire);
+            if epoch != seen {
+                return epoch;
+            }
+            std::hint::spin_loop();
+        }
+        loop {
+            let epoch = self.epoch.load(Ordering::Acquire);
+            if epoch != seen {
+                return epoch;
+            }
+            std::thread::park();
+        }
+    }
+
+    /// Claims and steps slots of `round` until its tickets run out.
+    fn work<S: Fn(usize, &mut T)>(&self, round: usize, step: &S) {
+        let n = self.cells.len();
+        let (first, end) = ((round - 1) * n, round * n);
+        let mut ticket = self.tickets.load(Ordering::Relaxed);
+        while ticket < end {
+            if let Err(now) = self.tickets.compare_exchange_weak(
+                ticket,
+                ticket + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                ticket = now;
+                continue;
+            }
+            let i = ticket - first;
+            let out = {
+                let mut cell = lock(&self.cells[i]);
+                let slot = cell.as_deref_mut().expect("slot lent for the round");
+                catch_unwind(AssertUnwindSafe(|| step(i, slot)))
+            };
+            if let Err(payload) = out {
+                let mut first_panic = lock(&self.first_panic);
+                if first_panic.as_ref().is_none_or(|&(j, _)| i < j) {
+                    *first_panic = Some((i, payload));
+                }
+            }
+            self.done.fetch_add(1, Ordering::Release);
+            ticket = self.tickets.load(Ordering::Relaxed);
+        }
+    }
+}
+
+/// The helper threads of one [`WorkerPool::rounds`] call; publishes
+/// [`STOP`] and wakes every helper when dropped.
+struct StopOnDrop<'a> {
+    epoch: &'a AtomicUsize,
+    threads: Vec<Thread>,
+}
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.epoch.store(STOP, Ordering::Release);
+        for helper in &self.threads {
+            helper.unpark();
+        }
+    }
+}
+
+/// Locks a mutex, ignoring poisoning. Every critical section in this
+/// crate is a single push or assignment, or (a `rounds` cell) wraps the
+/// step in `catch_unwind`, so the data is whole whenever a panic could
+/// have poisoned it.
+fn lock<M>(mutex: &Mutex<M>) -> MutexGuard<'_, M> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn ordered_map_over_many_items() {
@@ -339,5 +481,140 @@ mod tests {
             WorkerPool::new(3).rounds(&mut slots, |_| true, |i, _| assert!(i != 2, "boom at {i}"));
         }));
         assert!(result.is_err(), "step panic must propagate");
+    }
+
+    /// Runs `f` on its own thread and returns its result, failing the
+    /// test (instead of hanging it) if the barrier deadlocks.
+    fn within_timeout<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("rounds deadlocked instead of returning")
+    }
+
+    fn panic_message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn rounds_control_panic_stops_parked_helpers() {
+        let message = within_timeout(|| {
+            let mut slots = vec![0u32; 6];
+            let mut round = 0;
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::new(3).rounds(
+                    &mut slots,
+                    |_| {
+                        round += 1;
+                        if round == 3 {
+                            // Long enough for both helpers to exhaust their
+                            // spin budget and park on the epoch.
+                            std::thread::sleep(Duration::from_millis(20));
+                            panic!("control failed on round 3");
+                        }
+                        true
+                    },
+                    |_, slot| *slot += 1,
+                );
+            }));
+            panic_message(&*result.expect_err("control panic must propagate"))
+        });
+        assert_eq!(message, "control failed on round 3");
+    }
+
+    #[test]
+    fn rounds_propagates_step_panic_on_the_calling_thread() {
+        let message = within_timeout(|| {
+            let caller = std::thread::current().id();
+            // Both slots meet at the rendezvous, so the caller and the
+            // helper each step exactly one of them.
+            let rendezvous = std::sync::Barrier::new(2);
+            let mut slots = [0u32; 2];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::new(2).rounds(
+                    &mut slots,
+                    |_| true,
+                    |i, _| {
+                        rendezvous.wait();
+                        assert!(
+                            std::thread::current().id() != caller,
+                            "caller stepped slot {i}"
+                        );
+                    },
+                );
+            }));
+            panic_message(&*result.expect_err("caller step panic must propagate"))
+        });
+        assert!(message.starts_with("caller stepped slot"), "{message}");
+    }
+
+    #[test]
+    fn rounds_wake_parked_helpers_every_round() {
+        within_timeout(|| {
+            // Each control phase outlasts the spin budget, so the helper
+            // is parked when a round opens. Both slots meet at the
+            // rendezvous, so no round can finish unless the caller wakes
+            // the helper to step the second one.
+            let rendezvous = std::sync::Barrier::new(2);
+            let mut slots = [0u32; 2];
+            let mut round = 0;
+            WorkerPool::new(2).rounds(
+                &mut slots,
+                |_| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    round += 1;
+                    round <= 30
+                },
+                |_, slot| {
+                    rendezvous.wait();
+                    *slot += 1;
+                },
+            );
+            assert_eq!(slots, [30, 30]);
+        });
+    }
+
+    /// 10 000 rounds × 8 slots through a step that no lost, repeated or
+    /// misrouted slot leaves unnoticed; every 64th control phase sleeps
+    /// so the helpers park and must be woken.
+    fn stress_rounds(workers: usize) -> (Vec<u64>, u64) {
+        let mut slots: Vec<u64> = (0..8).collect();
+        let round = std::sync::atomic::AtomicU64::new(0);
+        let mut digest = 0u64;
+        WorkerPool::new(workers).rounds(
+            &mut slots,
+            |slots| {
+                for slot in slots.iter() {
+                    digest = digest.rotate_left(5) ^ **slot;
+                }
+                let r = round.fetch_add(1, Ordering::Relaxed);
+                if r % 64 == 63 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                r < 10_000
+            },
+            |i, slot| {
+                let r = round.load(Ordering::Relaxed);
+                *slot = slot
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(r << 3 | i as u64);
+            },
+        );
+        (slots, digest)
+    }
+
+    #[test]
+    fn rounds_stress_matches_the_inline_run() {
+        let reference = stress_rounds(1);
+        for workers in [2, 3, 8] {
+            let got = within_timeout(move || stress_rounds(workers));
+            assert_eq!(got, reference, "workers={workers}");
+        }
     }
 }
