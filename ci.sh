@@ -211,4 +211,7 @@ else
     echo "==> clippy not installed; skipping lint check"
 fi
 
+echo "==> rustdoc check (broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "CI OK"

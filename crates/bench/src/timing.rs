@@ -111,7 +111,7 @@ pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> Measurement {
     m
 }
 
-/// Prints the table header [`bench`] rows belong under.
+/// Prints the table header [`bench()`] rows belong under.
 pub fn bench_table_header(group: &str) {
     println!("\n### {group}\n");
     println!("| benchmark | median/iter | min/iter | max/iter | iters/sample |");

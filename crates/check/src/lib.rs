@@ -6,7 +6,7 @@
 //!
 //! 1. **Seeded generators** — [`Strategy`] is implemented for plain range
 //!    expressions (`0.0f64..15.0`, `1usize..300`), tuples of strategies,
-//!    [`vec`] collections and [`bools`]. Every case derives its own seed
+//!    [`vec()`] collections and [`bools`]. Every case derives its own seed
 //!    from the config's root seed, so any failure is reproducible from
 //!    one `u64`.
 //! 2. **Automatic shrinking** — on failure the runner greedily descends

@@ -140,7 +140,7 @@ pub fn vec<S: Strategy>(elem: S, len: std::ops::Range<usize>) -> VecStrategy<S> 
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     elem: S,
@@ -213,6 +213,8 @@ impl_tuple_strategy! {
     (S0 / V0 / 0, S1 / V1 / 1, S2 / V2 / 2, S3 / V3 / 3)
     (S0 / V0 / 0, S1 / V1 / 1, S2 / V2 / 2, S3 / V3 / 3, S4 / V4 / 4)
     (S0 / V0 / 0, S1 / V1 / 1, S2 / V2 / 2, S3 / V3 / 3, S4 / V4 / 4, S5 / V5 / 5)
+    (S0 / V0 / 0, S1 / V1 / 1, S2 / V2 / 2, S3 / V3 / 3, S4 / V4 / 4, S5 / V5 / 5, S6 / V6 / 6)
+    (S0 / V0 / 0, S1 / V1 / 1, S2 / V2 / 2, S3 / V3 / 3, S4 / V4 / 4, S5 / V5 / 5, S6 / V6 / 6, S7 / V7 / 7)
 }
 
 #[cfg(test)]

@@ -265,7 +265,7 @@ impl AimPolicy {
     /// front-bumper progress values `f` the buffered footprint covers
     /// each tile — depends only on the movement path, the footprint
     /// dimensions and the grid, so it is precomputed once per
-    /// [`BandKey`] by [`build_tile_bands`] (a conservative spatial sweep
+    /// `BandKey` by `build_tile_bands` (a conservative spatial sweep
     /// whose inflation makes each band a superset of the continuous
     /// coverage). Time is where the closed form does the work: the entry
     /// motion is piecewise-constant-acceleration, so

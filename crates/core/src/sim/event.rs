@@ -8,23 +8,22 @@ use crate::request::{CrossingCommand, CrossingRequest};
 /// `plan_version` are ignored when the vehicle has re-planned since they
 /// were scheduled (cheap logical cancellation).
 ///
-/// In a corridor world the V2I events additionally carry the intersection
-/// (shard) index they belong to: a vehicle restarts its protocol at every
-/// handoff, so an event scheduled on one leg must never be acted on by
-/// the next leg's fresh state machine. Single-intersection worlds carry a
-/// constant 0 — the guards never fire and the event flow is identical to
-/// the pre-corridor world.
+/// Every event names the intersection whose lane handles it (see
+/// [`Event::im`]): the lane that scheduled it, or for a `LinkArrival` the
+/// lane the vehicle is handed to. A vehicle restarts its protocol at
+/// every handoff and leaves its old lane, so an event of one leg is
+/// never acted on by the next leg's fresh state machine.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
-    /// A workload vehicle crosses the transmission line (index into the
-    /// workload slice).
-    LineCrossing(usize),
+    /// A workload vehicle crosses the tagged entry intersection's
+    /// transmission line (index into the workload slice).
+    LineCrossing(usize, u32),
     /// Clock synchronization with the tagged IM finished.
     SyncComplete(VehicleId, u32),
     /// The vehicle should (re)transmit its crossing request to the tagged
     /// IM; `attempt` guards against stale firings.
     SendRequest(VehicleId, u32, u32),
-    /// An uplink frame reached the tagged IM's radio. The shard is bound
+    /// An uplink frame reached the tagged IM's radio. The IM is bound
     /// at send time: a frame in flight when its vehicle hands off still
     /// lands at the IM it was addressed to.
     UplinkArrival(VehicleId, u32, CrossingRequest),
@@ -42,13 +41,13 @@ pub(crate) enum Event {
     /// leg.
     ResponseTimeout(VehicleId, u32, u32),
     /// Last moment to start braking without a plan (`plan_version` guard).
-    StopGuard(VehicleId, u32),
+    StopGuard(VehicleId, u32, u32),
     /// The braking profile completed; the vehicle now waits at the line.
-    MarkStopped(VehicleId, u32),
+    MarkStopped(VehicleId, u32, u32),
     /// Front bumper crosses into the box (`plan_version` guard).
-    BoxEntry(VehicleId, u32),
+    BoxEntry(VehicleId, u32, u32),
     /// Rear bumper clears the box (`plan_version` guard).
-    BoxExit(VehicleId, u32),
+    BoxExit(VehicleId, u32, u32),
     /// The vehicle's exit notification reached the tagged IM.
     ImExitNotice(VehicleId, u32),
     /// Corridor handoff: the vehicle reaches the tagged downstream
@@ -71,4 +70,43 @@ pub(crate) enum Event {
     /// conservatively re-validates its ledger
     /// (`IntersectionPolicy::on_restart`).
     ImRestart(u32),
+}
+
+impl Event {
+    /// The intersection whose lane handles this event.
+    pub(crate) fn im(&self) -> usize {
+        let im = match *self {
+            Event::LineCrossing(_, im)
+            | Event::SyncComplete(_, im)
+            | Event::SendRequest(_, _, im)
+            | Event::UplinkArrival(_, im, _)
+            | Event::ImFinish(_, im, ..)
+            | Event::DownlinkArrival(_, im, ..)
+            | Event::ResponseTimeout(_, _, im)
+            | Event::StopGuard(_, _, im)
+            | Event::MarkStopped(_, _, im)
+            | Event::BoxEntry(_, _, im)
+            | Event::BoxExit(_, _, im)
+            | Event::ImExitNotice(_, im)
+            | Event::LinkArrival(_, im)
+            | Event::PlatoonTimeout(_, im)
+            | Event::ComplianceCheck(_, im)
+            | Event::ImCrash(im)
+            | Event::ImRestart(im) => im,
+        };
+        im as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Event;
+
+    /// The intersection tags ride in padding next to the largest variant
+    /// (`UplinkArrival`'s request), so tagging every event must not grow
+    /// the queue's slots.
+    #[test]
+    fn intersection_tags_do_not_grow_the_event() {
+        assert!(std::mem::size_of::<Event>() <= 128);
+    }
 }

@@ -27,10 +27,9 @@
 //!   vouches for it, so it must prove its window clear against all
 //!   committed traffic.
 //!
-//! The registry is sharded like the world itself: every envelope is
-//! registered and queried on the shard whose box it crosses, so the
-//! windowed corridor engine sees the identical registry state the serial
-//! engine would at the same dispatch.
+//! Each intersection's world owns one filter, so every envelope is
+//! registered and queried at the box it crosses, and both corridor
+//! engines see the identical registry state at the same dispatch.
 
 use std::collections::HashMap;
 
@@ -50,8 +49,8 @@ struct Envelope {
     noncompliant: bool,
 }
 
-/// The runtime monitor: per-shard registries of committed crossing
-/// envelopes plus the cached path geometry the pairwise solver needs.
+/// The runtime monitor: the registry of committed crossing envelopes at
+/// one box, plus the cached path geometry the pairwise solver needs.
 pub(crate) struct SafetyFilter {
     paths: HashMap<Movement, MovementPath>,
     spec: VehicleSpec,
@@ -65,19 +64,18 @@ pub(crate) struct SafetyFilter {
     /// configuration the adversarial tests use to show the filter is
     /// load-bearing.
     veto: bool,
-    /// One registry per hosted shard (local index).
-    envelopes: Vec<Vec<Envelope>>,
+    envelopes: Vec<Envelope>,
 }
 
 impl SafetyFilter {
-    /// Builds the monitor for a world hosting `shards` intersections.
-    pub(crate) fn new(cfg: &SimConfig, shards: usize) -> Self {
+    /// Builds the monitor for one intersection.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         SafetyFilter {
             paths: movement_paths(&cfg.geometry),
             spec: cfg.spec,
             margin: cfg.buffers.e_long,
             veto: cfg.safety_filter,
-            envelopes: (0..shards).map(|_| Vec::new()).collect(),
+            envelopes: Vec::new(),
         }
     }
 
@@ -86,41 +84,30 @@ impl SafetyFilter {
         self.veto
     }
 
-    /// Registers a committed crossing envelope on shard `s`, replacing any
-    /// earlier commitment by the same vehicle (a vetoed vehicle re-requests
-    /// and commits again). Envelopes whose windows have fully expired are
+    /// Registers a committed crossing envelope, replacing any earlier
+    /// commitment by the same vehicle (a vetoed vehicle re-requests and
+    /// commits again). Envelopes whose windows have fully expired are
     /// pruned on the way in, so the registry tracks the working set of the
     /// box rather than the whole run.
-    pub(crate) fn register(
-        &mut self,
-        s: usize,
-        occ: BoxOccupancy,
-        noncompliant: bool,
-        now: TimePoint,
-    ) {
-        let reg = &mut self.envelopes[s];
+    pub(crate) fn register(&mut self, occ: BoxOccupancy, noncompliant: bool, now: TimePoint) {
         let v = occ.vehicle;
-        reg.retain(|e| e.occ.exited >= now && e.occ.vehicle != v);
-        reg.push(Envelope { occ, noncompliant });
+        self.envelopes
+            .retain(|e| e.occ.exited >= now && e.occ.vehicle != v);
+        self.envelopes.push(Envelope { occ, noncompliant });
     }
 
-    /// Drops `v`'s envelope on shard `s` (its commitment was overridden).
-    pub(crate) fn remove(&mut self, s: usize, v: VehicleId) {
-        self.envelopes[s].retain(|e| e.occ.vehicle != v);
+    /// Drops `v`'s envelope (its commitment was overridden).
+    pub(crate) fn remove(&mut self, v: VehicleId) {
+        self.envelopes.retain(|e| e.occ.vehicle != v);
     }
 
-    /// First registered envelope on shard `s` that conflicts with the
-    /// candidate crossing `cand`. A managed candidate
-    /// (`check_all == false`) is tested against non-compliant envelopes
-    /// only; a non-compliant candidate (`check_all == true`) against all
-    /// of them. The candidate's own vehicle is always skipped.
-    pub(crate) fn first_conflict(
-        &self,
-        s: usize,
-        cand: &BoxOccupancy,
-        check_all: bool,
-    ) -> Option<VehicleId> {
-        self.envelopes[s]
+    /// First registered envelope that conflicts with the candidate
+    /// crossing `cand`. A managed candidate (`check_all == false`) is
+    /// tested against non-compliant envelopes only; a non-compliant
+    /// candidate (`check_all == true`) against all of them. The
+    /// candidate's own vehicle is always skipped.
+    pub(crate) fn first_conflict(&self, cand: &BoxOccupancy, check_all: bool) -> Option<VehicleId> {
+        self.envelopes
             .iter()
             .filter(|e| check_all || e.noncompliant)
             .filter(|e| e.occ.vehicle != cand.vehicle)
@@ -128,14 +115,14 @@ impl SafetyFilter {
             .map(|e| e.occ.vehicle)
     }
 
-    /// Every registered vehicle on shard `s` whose envelope conflicts with
-    /// the candidate crossing, written into `out` (cleared first) — the
+    /// Every registered vehicle whose envelope conflicts with the
+    /// candidate crossing, written into `out` (cleared first) — the
     /// emergency-preemption path partitions these into overridable and
     /// hard conflicts.
-    pub(crate) fn conflicts_into(&self, s: usize, cand: &BoxOccupancy, out: &mut Vec<VehicleId>) {
+    pub(crate) fn conflicts_into(&self, cand: &BoxOccupancy, out: &mut Vec<VehicleId>) {
         out.clear();
         out.extend(
-            self.envelopes[s]
+            self.envelopes
                 .iter()
                 .filter(|e| e.occ.vehicle != cand.vehicle)
                 .filter(|e| {

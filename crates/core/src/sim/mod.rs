@@ -17,7 +17,7 @@ pub use safety::{BoxOccupancy, SafetyReport, SafetyViolation};
 
 use crossroads_des::Simulation;
 use crossroads_intersection::{ConflictTable, IntersectionGeometry, ReservationTable};
-use crossroads_metrics::RunMetrics;
+use crossroads_metrics::{Counters, RunMetrics, VehicleRecord};
 use crossroads_net::{ChannelConfig, ComputationDelayModel, FaultConfig};
 use crossroads_trace::Recorder;
 use crossroads_traffic::{Arrival, MixedConfig};
@@ -44,7 +44,7 @@ pub const AIM_ANALYTIC_ENV: &str = "CROSSROADS_AIM_ANALYTIC";
 /// Environment default for [`CorridorConfig::shard_workers`]: worker
 /// threads for the conservative time-windowed parallel corridor engine.
 /// Unset or `0`/`1` selects the serial engine; `>= 2` runs the corridor
-/// shards concurrently in lookahead windows. The outcome is byte-
+/// intersections concurrently in lookahead windows. The outcome is byte-
 /// identical at every setting — the knob only changes wall-clock time.
 pub const SHARD_WORKERS_ENV: &str = "CROSSROADS_SHARD_WORKERS";
 
@@ -291,7 +291,7 @@ impl SimConfig {
     }
 
     /// Installs a fault-injection configuration (validated when the run
-    /// builds its [`FaultModel`]).
+    /// builds its [`FaultModel`](crossroads_net::FaultModel)).
     #[must_use]
     pub fn with_faults(mut self, fault: FaultConfig) -> Self {
         self.fault = fault;
@@ -328,7 +328,7 @@ impl SimConfig {
 
     /// Validates the platoon and mixed-traffic sub-configs. Both engines
     /// call this once per run, before the first event; the fault config
-    /// is validated where each shard builds its fault injector.
+    /// is validated where each lane builds its fault injector.
     ///
     /// # Panics
     ///
@@ -485,12 +485,12 @@ fn run_horizon(cfg: &SimConfig, workload: &[Arrival], k: usize, link_time: Secon
         + corridor_slack
 }
 
-/// Schedules a run's initial events through `schedule(im, at, event)`,
-/// which must queue `event` where intersection `im` is served: every
-/// arrival's line crossing at its entry intersection (missing entries
-/// default to 0), then, under faults, every IM's outages up to
+/// Schedules a run's initial events through `schedule(at, event)`, which
+/// must queue `event` where its intersection (`event.im()`) is served:
+/// every arrival's line crossing at its entry intersection (missing
+/// entries default to 0), then, under faults, every IM's outages up to
 /// `horizon`. Each IM crashes on the same schedule (the windows are a
-/// pure function of the config) but recovers independently: shard-local
+/// pure function of the config) but recovers independently: lane-local
 /// queues, epochs and fault streams.
 fn schedule_start(
     cfg: &SimConfig,
@@ -498,27 +498,30 @@ fn schedule_start(
     entry_ims: &[u32],
     k: usize,
     horizon: TimePoint,
-    mut schedule: impl FnMut(usize, TimePoint, Event),
+    mut schedule: impl FnMut(TimePoint, Event),
 ) {
     for (i, arr) in workload.iter().enumerate() {
-        let im = entry_ims.get(i).map_or(0, |&x| x as usize);
-        schedule(im, arr.at_line, Event::LineCrossing(i));
+        let im = entry_ims.get(i).copied().unwrap_or(0);
+        schedule(arr.at_line, Event::LineCrossing(i, im));
     }
     if cfg.fault.enabled() {
         for (crash, restart) in cfg.fault.outage_windows(horizon - TimePoint::ZERO) {
-            for im in 0..k {
-                schedule(im, TimePoint::ZERO + crash, Event::ImCrash(im as u32));
-                schedule(im, TimePoint::ZERO + restart, Event::ImRestart(im as u32));
+            for im in 0..k as u32 {
+                schedule(TimePoint::ZERO + crash, Event::ImCrash(im));
+                schedule(TimePoint::ZERO + restart, Event::ImRestart(im));
             }
         }
     }
 }
 
-/// The serial engine: one event queue and one [`World`] hosting all `k`
-/// intersections, every uplink decided inline by its IM. This is the
-/// reference the windowed engine must reproduce, and the only engine
-/// that can carry a flight recorder (its stamps are global dispatch
-/// indices).
+/// The serial engine: the `k` lanes of [`World::lanes`] driven by one
+/// event queue, each event dispatched to the lane of the intersection it
+/// names and every uplink decided inline by its IM. A vehicle leaving
+/// its box toward the next intersection is re-seated there right after
+/// the handler. This is the reference the windowed engine must
+/// reproduce, and the only engine that can carry a flight recorder: the
+/// recorder is lent to the dispatching lane, so its stamps are global
+/// dispatch indices.
 fn run_serial(
     cfg: &SimConfig,
     workload: &[Arrival],
@@ -528,39 +531,124 @@ fn run_serial(
     recorder: Option<&mut Recorder>,
 ) -> CorridorOutcome {
     cfg.validate();
+    // Rebound so the borrow can shrink to the lanes' lifetime: the lanes
+    // hand it back after every event.
+    let mut recorder = recorder;
     let mut sim: Simulation<Event> = Simulation::new();
-    let mut world = World::new_corridor(cfg, workload, entry_ims, k, link_time);
-    world.recorder = recorder;
+    let mut lanes = World::lanes(cfg, workload, k, link_time);
     let horizon = run_horizon(cfg, workload, k, link_time);
-    schedule_start(cfg, workload, entry_ims, k, horizon, |_, at, ev| {
+    schedule_start(cfg, workload, entry_ims, k, horizon, |at, ev| {
         sim.schedule(at, ev);
     });
+    let mut handoffs = Vec::new();
     let run = sim.run_until(horizon, |sim, ev| {
-        world.handle(sim, ev);
+        let lane = &mut lanes[ev.im()];
+        lane.recorder = recorder.take();
+        lane.handle(sim, ev);
+        recorder = lane.recorder.take();
+        handoffs.append(&mut lane.outbox);
+        for h in handoffs.drain(..) {
+            lanes[h.to_im].accept_handoff(sim, h);
+        }
         true
     });
-    DES_EVENTS.with(|c| c.set(c.get() + run.events_processed));
 
-    let mut metrics = std::mem::take(&mut world.metrics);
-    let mut counters = world.counters;
-    counters.des_events = run.events_processed;
-    world.add_totals(&mut counters);
-    metrics.add_counters(&counters);
-
-    let safety: Vec<SafetyReport> = std::mem::take(&mut world.occupancies)
-        .into_iter()
-        .map(|occ| SafetyReport::audit(occ, &cfg.geometry, &cfg.spec))
-        .collect();
-    for (im, report) in safety.iter().enumerate() {
-        world.record_audit(&sim, im, report);
+    let safety: Vec<SafetyReport> = lanes.iter_mut().map(World::audit).collect();
+    for (lane, report) in lanes.iter_mut().zip(&safety) {
+        lane.recorder = recorder.take();
+        lane.record_audit(&sim, report);
+        recorder = lane.recorder.take();
     }
+    close_out(
+        lanes.iter_mut().collect(),
+        safety,
+        workload.len(),
+        run.events_processed,
+        sim.now(),
+    )
+}
 
+/// Closes a run out over its lanes, given in corridor order with their
+/// audits. Vehicle records are merged by clearance time and decision
+/// latencies by decision stamp (ties go to the lower lane), which is the
+/// order one event queue dispatches them in; a single lane's metrics are
+/// taken as they are. `im_busy` is folded over the merged latencies, so
+/// its f64 sum is added in that order on either engine.
+fn close_out(
+    mut lanes: Vec<&mut World>,
+    safety: Vec<SafetyReport>,
+    spawned: usize,
+    des_events: u64,
+    ended_at: TimePoint,
+) -> CorridorOutcome {
+    let mut metrics = match lanes.as_mut_slice() {
+        [lane] => std::mem::take(&mut lane.metrics),
+        lanes => {
+            let mut merged = RunMetrics::new();
+            let records: Vec<&[VehicleRecord]> =
+                lanes.iter().map(|l| l.metrics.records()).collect();
+            merge_by(
+                &records,
+                |r| r.cleared_at,
+                |l, i| merged.push(records[l][i]),
+            );
+            let stamps: Vec<&[TimePoint]> =
+                lanes.iter().map(|l| l.decision_stamps.as_slice()).collect();
+            merge_by(
+                &stamps,
+                |&t| t,
+                |l, i| {
+                    merged.push_decision_latency(lanes[l].metrics.decision_latencies()[i]);
+                },
+            );
+            merged
+        }
+    };
+    let mut counters = Counters::default();
+    for lane in &lanes {
+        counters.absorb(&lane.counters);
+        lane.add_totals(&mut counters);
+    }
+    counters.im_busy = metrics
+        .decision_latencies()
+        .iter()
+        .fold(Seconds::ZERO, |busy, &svc| busy + svc);
+    counters.des_events = des_events;
+    DES_EVENTS.with(|c| c.set(c.get() + des_events));
+    metrics.add_counters(&counters);
     CorridorOutcome {
         metrics,
         safety,
-        spawned: workload.len(),
-        ended_at: sim.now(),
-        handoffs: world.handoffs,
+        spawned,
+        ended_at,
+        handoffs: lanes.iter().map(|l| l.handoffs).sum(),
+    }
+}
+
+/// Visits the items of `streams`, each already ordered by `key`, in one
+/// merged `key` order with ties going to the lower stream, calling
+/// `visit(stream, index)` for each.
+fn merge_by<T, K: PartialOrd>(
+    streams: &[&[T]],
+    key: impl Fn(&T) -> K,
+    mut visit: impl FnMut(usize, usize),
+) {
+    let mut next = vec![0usize; streams.len()];
+    loop {
+        let mut best: Option<(usize, K)> = None;
+        for (s, stream) in streams.iter().enumerate() {
+            if let Some(item) = stream.get(next[s]) {
+                let k = key(item);
+                if best.as_ref().is_none_or(|(_, b)| k < *b) {
+                    best = Some((s, k));
+                }
+            }
+        }
+        let Some((s, _)) = best else {
+            return;
+        };
+        visit(s, next[s]);
+        next[s] += 1;
     }
 }
 
@@ -579,14 +667,16 @@ pub struct CorridorConfig {
     pub link_time: Seconds,
     /// Worker threads for the conservative time-windowed parallel engine.
     /// Below 2 (or at `k == 1`, or under a flight recorder) the corridor
-    /// runs the serial engine; `>= 2` executes the shards concurrently in
+    /// runs the serial engine; `>= 2` executes the intersections concurrently in
     /// lookahead windows with the identical outcome at any worker count.
     /// Defaults to [`SHARD_WORKERS_ENV`].
     pub shard_workers: usize,
     /// Conservative window length override for the windowed engine. Must
     /// lie in `(0, link_time]`; `None` derives `link_time` minus the
     /// protocol's worst-case response-time budget (WC-RTD) — the largest
-    /// window with comfortable slack under the handoff lookahead bound.
+    /// window with comfortable slack under the handoff lookahead bound —
+    /// or `link_time` itself when the budget is not shorter than the
+    /// link.
     pub lookahead: Option<Seconds>,
 }
 
@@ -637,11 +727,17 @@ impl CorridorConfig {
         self
     }
 
-    /// The conservative window the windowed engine will use.
+    /// The conservative window the windowed engine will use. Any window
+    /// in `(0, link_time]` gives the identical outcome.
     #[must_use]
     pub fn effective_lookahead(&self) -> Seconds {
+        let derived = self.link_time - self.sim.buffers.rtd.wc_rtd();
         self.lookahead
-            .unwrap_or_else(|| self.link_time - self.sim.buffers.rtd.wc_rtd())
+            .unwrap_or(if derived > Seconds::ZERO {
+                derived
+            } else {
+                self.link_time
+            })
             .min(self.link_time)
     }
 
@@ -675,7 +771,8 @@ impl CorridorConfig {
 #[derive(Debug)]
 pub struct CorridorOutcome {
     /// Per-vehicle trip records (line crossing to final box clearance,
-    /// across all legs) and aggregate load counters summed over shards.
+    /// across all legs) and aggregate load counters summed over
+    /// intersections.
     pub metrics: RunMetrics,
     /// One ground-truth safety audit per intersection.
     pub safety: Vec<SafetyReport>,
@@ -758,9 +855,9 @@ fn run_corridor_with_recorder(
         entry_ims.iter().all(|&im| (im as usize) < config.k),
         "every entry intersection must be inside the corridor"
     );
-    // The windowed parallel engine handles the untraced multi-shard case;
-    // flight-recorder stamps carry the global dispatch index, which is
-    // inherently serial, so traced runs always take the serial engine.
+    // The windowed parallel engine handles the untraced multi-lane case;
+    // flight-recorder stamps carry the global dispatch index, which only
+    // the serial engine's one queue defines, so traced runs take it.
     if recorder.is_none() && config.k >= 2 && config.shard_workers >= 2 {
         return windowed::run_corridor_windowed(
             config,

@@ -2,11 +2,11 @@
 //!
 //! The corridor's only cross-intersection influence is the `LinkArrival`
 //! handoff, and it is delayed by `link_time >= 2 s`. That is the classic
-//! conservative-PDES lookahead structure (Chandy–Misra): an event a shard
-//! processes inside the window `[t0, t0 + L)` can affect *another* shard
+//! conservative-PDES lookahead structure (Chandy–Misra): an event a lane
+//! processes inside the window `[t0, t0 + L)` can affect *another* lane
 //! no earlier than `t0 + link_time >= t0 + L` for any `L <= link_time`.
-//! So all `K` shards may advance through the window concurrently, one
-//! per [`Lane`], with no shard ever seeing an event out of order.
+//! So all `K` intersections may advance through the window concurrently,
+//! one per [`Lane`], with no lane ever seeing an event out of order.
 //!
 //! The engine is bulk-synchronous: every lane drains its own event queue
 //! up to the barrier at `t0 + lookahead` (half-open — an event *at* the
@@ -30,34 +30,27 @@
 //! against 757 ms for the serial engine on the same inputs (the
 //! benchmark's `corridor` workload); see EXPERIMENTS.md E14.
 //!
-//! Determinism: each lane is a complete serial [`World`] whose RNG,
-//! radio, fault injector and policy are shard-local (see
-//! `Shard::rng`), so a lane's draw sequence depends only on its own
-//! event history — which windowing preserves. The merge below
-//! reassembles the global metrics in the serial engine's order: vehicle
-//! records by clearance time, decision latencies by decision stamp (the
-//! `im_busy` f64 sum is refolded in that merged order so floating-point
-//! addition order matches the serial engine bit-for-bit). Worker count
-//! never enters any of it — `WorkerPool::rounds` only changes *where*
-//! a lane's window executes, not what it computes.
-
-use std::sync::Arc;
+//! Determinism: each lane is the same single-intersection [`World`] the
+//! serial engine dispatches to, built by the same [`World::lanes`], with
+//! its own RNG, radio, fault injector and policy, so a lane's draw
+//! sequence depends only on its own event history — which windowing
+//! preserves. Both engines close out through `close_out`, which
+//! reassembles the global metrics in one-queue order. Worker count never
+//! enters any of it — `WorkerPool::rounds` only changes *where* a lane's
+//! window executes, not what it computes.
 
 use crossroads_des::Simulation;
-use crossroads_intersection::ConflictTable;
-use crossroads_metrics::{Counters, RunMetrics};
 use crossroads_pool::WorkerPool;
-use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::Arrival;
 use crossroads_units::{Seconds, TimePoint};
 
 use crate::sim::event::Event;
 use crate::sim::safety::SafetyReport;
 use crate::sim::world::{Handoff, World};
-use crate::sim::{CorridorConfig, CorridorOutcome, SimConfig};
+use crate::sim::{CorridorConfig, CorridorOutcome};
 
-/// One shard's independent DES: its own event queue and a single-shard
-/// [`World`] hosting the shard's policy, radio, fault injector and RNG.
+/// One intersection's independent DES: its own event queue and its
+/// [`World`].
 struct Lane<'a> {
     sim: Simulation<Event>,
     world: World<'a>,
@@ -80,7 +73,7 @@ enum Step {
 }
 
 impl Lane<'_> {
-    fn step(&mut self, cfg: &SimConfig) {
+    fn step(&mut self) {
         let world = &mut self.world;
         match self.next {
             Step::Window(end) => {
@@ -95,12 +88,7 @@ impl Lane<'_> {
                     true
                 });
             }
-            Step::Audit => {
-                let occ = std::mem::take(&mut world.occupancies)
-                    .pop()
-                    .expect("one shard per lane");
-                self.safety = Some(SafetyReport::audit(occ, &cfg.geometry, &cfg.spec));
-            }
+            Step::Audit => self.safety = Some(world.audit()),
         }
     }
 }
@@ -108,10 +96,9 @@ impl Lane<'_> {
 /// Runs a corridor on `workers` threads in conservative windows of
 /// `lookahead` simulated seconds (`0 < lookahead <= link_time`).
 ///
-/// Produces the identical [`CorridorOutcome`] as the serial
-/// `run_corridor` engine at any worker count (the tracing engine is the
-/// one exception: flight-recorder dispatch stamps are inherently global,
-/// so traced runs always use the serial engine).
+/// Produces the identical [`CorridorOutcome`] as the serial engine at any
+/// worker count. Traced runs always take the serial engine: it lends its
+/// one recorder to each dispatching lane in global dispatch order.
 pub(crate) fn run_corridor_windowed(
     config: &CorridorConfig,
     workload: &[Arrival],
@@ -126,21 +113,11 @@ pub(crate) fn run_corridor_windowed(
         lookahead > Seconds::ZERO && lookahead <= config.link_time,
         "lookahead {lookahead} must be in (0, link_time] for conservative windows"
     );
-    let conflicts = Arc::new(ConflictTable::compute(&cfg.geometry, cfg.spec.width));
-    let root = StdRng::seed_from_u64(cfg.seed);
-    let mut lanes: Vec<Lane> = (0..k)
-        .map(|im| Lane {
+    let mut lanes: Vec<Lane> = World::lanes(cfg, workload, k, config.link_time)
+        .into_iter()
+        .map(|world| Lane {
             sim: Simulation::new(),
-            world: World::new_lane(
-                cfg,
-                workload,
-                entry_ims,
-                &conflicts,
-                &root,
-                im,
-                k,
-                config.link_time,
-            ),
+            world,
             next: Step::Window(TimePoint::ZERO),
             safety: None,
         })
@@ -150,8 +127,8 @@ pub(crate) fn run_corridor_windowed(
     // its own outage schedule — the same absolute instants, in the same
     // per-intersection order, as the serial engine.
     let horizon = super::run_horizon(cfg, workload, k, config.link_time);
-    super::schedule_start(cfg, workload, entry_ims, k, horizon, |im, at, ev| {
-        lanes[im].sim.schedule(at, ev);
+    super::schedule_start(cfg, workload, entry_ims, k, horizon, |at, ev| {
+        lanes[ev.im()].sim.schedule(at, ev);
     });
 
     let mut exchange: Vec<(usize, Handoff)> = Vec::new();
@@ -162,13 +139,12 @@ pub(crate) fn run_corridor_windowed(
         }
         // Barrier: collect every lane's banked departures and re-seat
         // them at their destination, in (destination, time, source)
-        // order. Exact-time ties across sources cannot influence shard
-        // state (per-shard RNGs; continuous-time draws make cross-lane
+        // order. Exact-time ties across sources cannot influence lane
+        // state (per-lane RNGs; continuous-time draws make cross-lane
         // stamp collisions measure-zero), but the fixed order makes
         // the exchange itself deterministic by construction.
-        exchange.clear();
         for (src, lane) in lanes.iter_mut().enumerate() {
-            lane.world.drain_outbox(src, &mut exchange);
+            exchange.extend(lane.world.outbox.drain(..).map(|h| (src, h)));
         }
         exchange.sort_by(|(a_src, a), (b_src, b)| {
             a.to_im
@@ -215,81 +191,10 @@ pub(crate) fn run_corridor_windowed(
     let pool = WorkerPool::new(workers.clamp(1, k));
     std::thread::scope(|scope| {
         scope
-            .spawn(|| pool.rounds(&mut lanes, control, |_i, lane| lane.step(cfg)))
+            .spawn(|| pool.rounds(&mut lanes, control, |_i, lane| lane.step()))
             .join()
     })
     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-
-    // --- Deterministic merge: reassemble the serial engine's global
-    // metric order from the per-lane streams. -----------------------------
-
-    let mut metrics = RunMetrics::new();
-    // Vehicle records, globally ordered by clearance time (each lane's
-    // stream is already chronological); ties broken by lane index.
-    {
-        let streams: Vec<&[crossroads_metrics::VehicleRecord]> =
-            lanes.iter().map(|l| l.world.metrics.records()).collect();
-        let mut idx = vec![0usize; k];
-        let total: usize = streams.iter().map(|s| s.len()).sum();
-        for _ in 0..total {
-            let mut best: Option<usize> = None;
-            for (lane, stream) in streams.iter().enumerate() {
-                let Some(r) = stream.get(idx[lane]) else {
-                    continue;
-                };
-                if best.is_none_or(|b| r.cleared_at < streams[b][idx[b]].cleared_at) {
-                    best = Some(lane);
-                }
-            }
-            let b = best.expect("total counts remaining records");
-            metrics.push(streams[b][idx[b]]);
-            idx[b] += 1;
-        }
-    }
-    // Decision latencies, globally ordered by decision stamp. `im_busy`
-    // is refolded in the merged order so the f64 accumulation sequence
-    // matches the serial engine exactly.
-    let mut im_busy = Seconds::ZERO;
-    {
-        let streams: Vec<&[(TimePoint, Seconds)]> = lanes
-            .iter()
-            .map(|l| l.world.decision_log.as_slice())
-            .collect();
-        let mut idx = vec![0usize; k];
-        let total: usize = streams.iter().map(|s| s.len()).sum();
-        for _ in 0..total {
-            let mut best: Option<usize> = None;
-            for (lane, stream) in streams.iter().enumerate() {
-                let Some(&(at, _)) = stream.get(idx[lane]) else {
-                    continue;
-                };
-                if best.is_none_or(|b| at < streams[b][idx[b]].0) {
-                    best = Some(lane);
-                }
-            }
-            let b = best.expect("total counts remaining decisions");
-            let (_, svc) = streams[b][idx[b]];
-            metrics.push_decision_latency(svc);
-            im_busy += svc;
-            idx[b] += 1;
-        }
-    }
-
-    let mut counters = Counters::default();
-    for lane in &lanes {
-        counters.absorb(&lane.world.counters);
-        lane.world.add_totals(&mut counters);
-    }
-    counters.im_busy = im_busy;
-    let des_events: u64 = lanes.iter().map(|l| l.sim.events_dispatched()).sum();
-    counters.des_events = des_events;
-    super::DES_EVENTS.with(|c| c.set(c.get() + des_events));
-    metrics.add_counters(&counters);
-
-    let safety: Vec<SafetyReport> = lanes
-        .iter_mut()
-        .map(|l| l.safety.take().expect("the final round audits every lane"))
-        .collect();
 
     // `ended_at` follows the serial engine: the horizon if any event
     // remains beyond it, else the instant of the globally last event.
@@ -302,12 +207,16 @@ pub(crate) fn run_corridor_windowed(
             .map(|l| l.sim.now())
             .fold(TimePoint::ZERO, |a, b| if b > a { b } else { a })
     };
-
-    CorridorOutcome {
-        metrics,
+    let des_events = lanes.iter().map(|l| l.sim.events_dispatched()).sum();
+    let safety = lanes
+        .iter_mut()
+        .map(|l| l.safety.take().expect("the final round audits every lane"))
+        .collect();
+    super::close_out(
+        lanes.iter_mut().map(|l| &mut l.world).collect(),
         safety,
-        spawned: workload.len(),
+        workload.len(),
+        des_events,
         ended_at,
-        handoffs: lanes.iter().map(|l| l.world.handoffs).sum(),
-    }
+    )
 }

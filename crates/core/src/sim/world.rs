@@ -1,12 +1,13 @@
-//! The closed-loop world: vehicle agents, the IM servers, and the radio,
-//! coupled on the DES.
+//! The closed-loop world of one intersection: its IM server, its radio
+//! and the vehicle agents approaching or crossing its box, coupled on
+//! the DES.
 //!
-//! Since the corridor generalization the world hosts `K >= 1` chained
-//! intersections. All per-IM state — policy ledger, radio channel, fault
-//! injector, request queue, epoch, lane order — lives in a [`Shard`];
-//! a single-intersection world is exactly the `K = 1` special case and
-//! follows the identical code path (same RNG draw order, same event
-//! schedule), so pre-corridor runs replay byte-for-byte.
+//! A run holds one `World` per intersection, a *lane*, built by
+//! [`World::lanes`]; a single-intersection run is one lane. Lanes share
+//! no state. A vehicle that clears its box toward the next intersection
+//! leaves its lane's agent storage as a [`Handoff`] in the outbox, and
+//! the engine re-seats it in the destination lane with
+//! [`World::accept_handoff`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -27,7 +28,7 @@ use crate::policy::IntersectionPolicy;
 use crate::request::{CrossingCommand, CrossingRequest};
 use crate::sim::event::Event;
 use crate::sim::filter::SafetyFilter;
-use crate::sim::safety::BoxOccupancy;
+use crate::sim::safety::{BoxOccupancy, SafetyReport};
 use crate::sim::SimConfig;
 
 /// Margin before the hard braking point at which the stop guard fires.
@@ -66,13 +67,13 @@ fn follower_protocol(v: VehicleId, now: TimePoint) -> VehicleProtocol {
 /// so clock errors survive event reordering and every corridor leg draws
 /// an independent error. Leg 0 collapses to the pre-corridor stream id,
 /// keeping single-intersection runs byte-identical.
-fn clock_stream(vehicle: u32, im: usize) -> u64 {
-    u64::from(vehicle) | ((im as u64) << 32)
+fn clock_stream(vehicle: u32, im: u32) -> u64 {
+    u64::from(vehicle) | (u64::from(im) << 32)
 }
 
-/// Stream id of shard `im`'s main RNG (`SHARD_RNG_STREAM | im`). Shard 0
+/// Stream id of lane `im`'s main RNG (`SHARD_RNG_STREAM | im`). Lane 0
 /// uses the root stream itself, so the single-intersection world (and the
-/// first corridor shard) draws exactly the pre-corridor sequence. The
+/// first corridor lane) draws exactly the pre-corridor sequence. The
 /// high constant keeps the id space disjoint from both [`clock_stream`]
 /// (whose ids stay below `2^34` for any realistic corridor) and the fault
 /// injector's `0xFA17_…` streams.
@@ -88,8 +89,6 @@ pub(crate) struct Agent {
     /// When the vehicle first entered the corridor (equals `line_at` on
     /// the first leg).
     first_line_at: TimePoint,
-    /// The intersection the vehicle is currently approaching/crossing.
-    im: usize,
     profile: SpeedProfile,
     protocol: VehicleProtocol,
     clock_err: Seconds,
@@ -165,9 +164,6 @@ pub(crate) struct PlatoonLead {
     sent_stopped: bool,
 }
 
-/// How a freshly granted leader's followers are spaced behind it,
-/// derived from the granted command so the world's follower entry times
-/// stay inside the span the policy booked.
 /// One platoon crossing on a single reservation, tracked IM-side so the
 /// slot is freed when the *column* clears the box, not when its leader
 /// does. `members` stays immutable (it also classifies duplicate exit
@@ -178,6 +174,9 @@ struct PlatoonColumn {
     remaining: Vec<VehicleId>,
 }
 
+/// How a freshly granted leader's followers are spaced behind it,
+/// derived from the granted command so the world's follower entry times
+/// stay inside the span the policy booked.
 #[derive(Clone, Copy)]
 enum FollowerSpacing {
     /// Stop-and-go column: successive standstill launches.
@@ -186,11 +185,30 @@ enum FollowerSpacing {
     Cruise(MetersPerSecond),
 }
 
-/// Everything one intersection manager owns. A corridor world holds `K`
-/// of these and a windowed-engine lane holds one; no state is shared
-/// between shards, so a shard's behaviour depends only on its own event
-/// history — the whole determinism argument for the windowed engine.
-pub(crate) struct Shard {
+/// A vehicle that cleared its box and continues at the next
+/// intersection: the agent leaves its lane here, and the engine re-seats
+/// it in the destination lane, which schedules the `LinkArrival`.
+pub(crate) struct Handoff {
+    /// Absolute arrival instant at the downstream transmission line
+    /// (`exit + link_time`).
+    pub(crate) at: TimePoint,
+    /// Destination intersection.
+    pub(crate) to_im: usize,
+    pub(crate) vehicle: VehicleId,
+    agent: Agent,
+}
+
+pub(crate) struct World<'a> {
+    cfg: &'a SimConfig,
+    workload: &'a [Arrival],
+    /// This world's intersection: its index in the corridor, and the tag
+    /// of every event it schedules.
+    im: u32,
+    /// Corridor length — leg routing must see the whole corridor.
+    k: usize,
+    /// Link travel time between adjacent intersections (exit of this box
+    /// to the transmission line of the next).
+    link_time: Seconds,
     /// The IM's decision logic.
     policy: Box<dyn IntersectionPolicy>,
     /// This intersection's radio.
@@ -221,114 +239,44 @@ pub(crate) struct Shard {
     /// exit notice — only when the last member reports out (see the
     /// `ImExitNotice` handler).
     columns: Vec<PlatoonColumn>,
-    /// This shard's main RNG: radio latency draws, clock-sync noise.
-    /// Per-shard (rather than one world-global stream) so a shard's draw
-    /// sequence depends only on its own event history — the property that
-    /// lets the windowed engine run shards concurrently and still match
-    /// the serial engine draw-for-draw. Shard 0 holds the root stream, so
-    /// `K = 1` runs are byte-identical to the pre-corridor world.
+    /// This lane's main RNG: radio latency draws, clock-sync noise.
+    /// Per-lane so a lane's draw sequence depends only on its own event
+    /// history — the property that lets the windowed engine run lanes
+    /// concurrently and still match the serial engine draw-for-draw.
     rng: StdRng,
-}
-
-impl Shard {
-    fn new(cfg: &SimConfig, conflicts: &Arc<ConflictTable>, root: &StdRng, im: usize) -> Self {
-        Shard {
-            policy: cfg.build_policy(conflicts),
-            channel: Channel::new(cfg.channel),
-            // The injector's streams derive from the root seed alone, so
-            // the fault pattern is independent of the main stream's draw
-            // history (and of every other shard's).
-            fault: cfg
-                .fault
-                .enabled()
-                .then(|| FaultModel::for_shard(cfg.fault, root, im as u64)),
-            im_queue: VecDeque::new(),
-            im_busy: false,
-            im_down: false,
-            im_epoch: 0,
-            lane_arrivals: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            lane_cursor: [0; 4],
-            columns: Vec::new(),
-            rng: if im == 0 {
-                root.clone()
-            } else {
-                root.stream(SHARD_RNG_STREAM | im as u64)
-            },
-        }
-    }
-}
-
-/// A vehicle that cleared its box and continues at an intersection owned
-/// by *another* lane of the windowed engine: the agent is banked here
-/// until the next barrier, where the target lane re-seats it and
-/// schedules the `LinkArrival`.
-pub(crate) struct Handoff {
-    /// Absolute arrival instant at the downstream transmission line
-    /// (`exit + link_time` — exactly the instant the serial engine's
-    /// `schedule_in` would produce).
-    pub(crate) at: TimePoint,
-    /// Destination intersection (global index).
-    pub(crate) to_im: usize,
-    pub(crate) vehicle: VehicleId,
-    agent: Agent,
-}
-
-pub(crate) struct World<'a> {
-    cfg: &'a SimConfig,
-    workload: &'a [Arrival],
-    /// Entry intersection per workload index (empty = everything enters
-    /// at shard 0, the single-intersection case).
-    entry_ims: &'a [u32],
-    /// Link travel time between adjacent intersections (exit of shard i
-    /// to the transmission line of shard i±1).
-    link_time: Seconds,
-    /// The chained intersections this world *hosts*. The serial engine
-    /// hosts all `K`; a windowed-engine lane hosts exactly one.
-    /// `shards.len() == 1` reproduces the pre-corridor world exactly.
-    shards: Vec<Shard>,
-    /// Global index of `shards[0]` (0 for the serial engine; the lane's
-    /// intersection index in the windowed engine). Event shard tags are
-    /// always global, so every `shards[...]` access subtracts this.
-    shard_base: usize,
-    /// Total corridor length, which may exceed `shards.len()` for a
-    /// windowed lane — leg routing must see the whole corridor.
-    k_total: usize,
-    /// Windowed engine only: vehicles that exited toward an intersection
-    /// this world does not host, awaiting the next barrier exchange.
-    outbox: Vec<Handoff>,
-    /// Windowed lanes only (`log_decisions`): `(now, service)` per IM
-    /// decision, in this lane's decision order — the barrier merge
-    /// interleaves lanes by stamp to reproduce the serial engine's
-    /// global decision-latency order (and its `im_busy` f64 sum order).
-    pub(crate) decision_log: Vec<(TimePoint, Seconds)>,
-    log_decisions: bool,
+    /// Vehicles that cleared this box toward another intersection,
+    /// awaiting re-seating by the engine.
+    pub(crate) outbox: Vec<Handoff>,
+    /// The instant of every IM decision, parallel to `metrics`' decision
+    /// latencies: the close-out merges lanes by it.
+    pub(crate) decision_stamps: Vec<TimePoint>,
     /// Agent slot of each `VehicleId` ([`NO_SLOT`] until the vehicle
     /// reaches this world). Workload ids are small sequential integers,
     /// so lookup is two indexings with no hashing on the hot path.
     agent_slot: Vec<u32>,
     /// Dense agent storage, one entry per vehicle this world has hosted.
     /// Reserved to the workload size but filled only as vehicles arrive,
-    /// so a windowed lane pays memory for its own vehicles, not for the
-    /// whole corridor's. A slot is `None` only while free.
+    /// so a lane pays memory for its own vehicles, not for the whole
+    /// corridor's. A slot is `None` only while free.
     agents: Vec<Option<Agent>>,
     /// Slots vacated by vehicles handed off to another lane, reused
     /// before `agents` grows.
     free_slots: Vec<u32>,
-    /// Per-shard box occupancies for the ground-truth safety audit.
-    pub(crate) occupancies: Vec<Vec<BoxOccupancy>>,
+    /// Box occupancies for the ground-truth safety audit.
+    occupancies: Vec<BoxOccupancy>,
     pub(crate) metrics: RunMetrics,
     pub(crate) counters: Counters,
-    /// Completed intersection-to-intersection handoffs.
+    /// Vehicles handed off to this intersection from the previous one.
     pub(crate) handoffs: u64,
     s_entry: Meters,
     /// Reusable scratch for [`unentered_predecessors`]
     /// (`Self::unentered_predecessors`), so the per-request queue check
     /// allocates nothing in steady state.
     pred_scratch: Vec<VehicleId>,
-    /// Flight recorder, present only when the caller asked for a traced
-    /// run. The `None` arm does no work and draws no randomness, so an
-    /// untraced run is byte-identical to one built before tracing existed
-    /// (the same guarantee the fault layer makes).
+    /// Flight recorder, lent by the serial engine to the lane handling
+    /// the current event. The `None` arm does no work and draws no
+    /// randomness, so an untraced run is byte-identical to one built
+    /// before tracing existed (the same guarantee the fault layer makes).
     pub(crate) recorder: Option<&'a mut Recorder>,
     /// The runtime safety monitor (see `sim/filter.rs`). Present when
     /// mixed traffic can appear (the registry is what humans judge gaps
@@ -338,139 +286,86 @@ pub(crate) struct World<'a> {
 }
 
 impl<'a> World<'a> {
-    /// A single-intersection world for the handler tests below (runs
-    /// build theirs through `run_serial`).
-    #[cfg(test)]
-    pub(crate) fn new(cfg: &'a SimConfig, workload: &'a [Arrival]) -> Self {
-        World::new_corridor(cfg, workload, &[], 1, Seconds::ZERO)
-    }
-
-    /// A corridor of `k` chained intersections. `entry_ims[i]` names the
-    /// shard at which `workload[i]` enters (missing entries default to
-    /// 0). `link_time` is the exit-to-next-line travel time; corridor
-    /// configs validate it against the protocol's timeout horizon so a
-    /// leg's stale events cannot outlive the handoff.
-    pub(crate) fn new_corridor(
+    /// The lanes of a `k`-intersection run, one world per intersection in
+    /// corridor order. The lanes share the conflict table; every lane's
+    /// RNG and fault injector split off the seed-fresh root stream.
+    pub(crate) fn lanes(
         cfg: &'a SimConfig,
         workload: &'a [Arrival],
-        entry_ims: &'a [u32],
         k: usize,
         link_time: Seconds,
-    ) -> Self {
+    ) -> Vec<World<'a>> {
         assert!(k >= 1, "a corridor needs at least one intersection");
         let conflicts = Arc::new(ConflictTable::compute(&cfg.geometry, cfg.spec.width));
         let root = StdRng::seed_from_u64(cfg.seed);
-        World::hosting(
-            cfg, workload, entry_ims, &conflicts, &root, 0, k, k, link_time,
-        )
+        (0..k)
+            .map(|im| World {
+                cfg,
+                workload,
+                im: u32::try_from(im).expect("fewer than u32::MAX intersections"),
+                k,
+                link_time,
+                policy: cfg.build_policy(&conflicts),
+                channel: Channel::new(cfg.channel),
+                // The injector's streams derive from the root seed alone,
+                // so the fault pattern is independent of the main
+                // stream's draw history (and of every other lane's).
+                fault: cfg
+                    .fault
+                    .enabled()
+                    .then(|| FaultModel::for_shard(cfg.fault, &root, im as u64)),
+                im_queue: VecDeque::new(),
+                im_busy: false,
+                im_down: false,
+                im_epoch: 0,
+                lane_arrivals: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
+                lane_cursor: [0; 4],
+                columns: Vec::new(),
+                rng: if im == 0 {
+                    root.clone()
+                } else {
+                    root.stream(SHARD_RNG_STREAM | im as u64)
+                },
+                outbox: Vec::new(),
+                decision_stamps: Vec::new(),
+                agent_slot: Vec::new(),
+                agents: Vec::with_capacity(workload.len()),
+                free_slots: Vec::new(),
+                occupancies: Vec::new(),
+                metrics: RunMetrics::new(),
+                counters: Counters::default(),
+                handoffs: 0,
+                s_entry: cfg.geometry.transmission_line_distance,
+                pred_scratch: Vec::new(),
+                recorder: None,
+                filter: (cfg.safety_filter || cfg.mixed.enabled).then(|| SafetyFilter::new(cfg)),
+            })
+            .collect()
     }
 
-    /// One lane of the windowed parallel engine: a world hosting exactly
-    /// the shard at global index `im` of a `k_total`-intersection
-    /// corridor. `root` must be the untouched seed-fresh root RNG (shard
-    /// streams split off it) and `conflicts` the corridor-shared table.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_lane(
-        cfg: &'a SimConfig,
-        workload: &'a [Arrival],
-        entry_ims: &'a [u32],
-        conflicts: &Arc<ConflictTable>,
-        root: &StdRng,
-        im: usize,
-        k_total: usize,
-        link_time: Seconds,
-    ) -> Self {
-        let mut world = World::hosting(
-            cfg, workload, entry_ims, conflicts, root, im, 1, k_total, link_time,
-        );
-        world.log_decisions = true;
-        world
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn hosting(
-        cfg: &'a SimConfig,
-        workload: &'a [Arrival],
-        entry_ims: &'a [u32],
-        conflicts: &Arc<ConflictTable>,
-        root: &StdRng,
-        base: usize,
-        count: usize,
-        k_total: usize,
-        link_time: Seconds,
-    ) -> Self {
-        let shards = (base..base + count)
-            .map(|im| Shard::new(cfg, conflicts, root, im))
-            .collect();
-        World {
-            cfg,
-            workload,
-            entry_ims,
-            link_time,
-            shards,
-            shard_base: base,
-            k_total,
-            outbox: Vec::new(),
-            decision_log: Vec::new(),
-            log_decisions: false,
-            agent_slot: Vec::new(),
-            agents: Vec::with_capacity(workload.len()),
-            free_slots: Vec::new(),
-            occupancies: (0..count).map(|_| Vec::new()).collect(),
-            metrics: RunMetrics::new(),
-            counters: Counters::default(),
-            handoffs: 0,
-            s_entry: cfg.geometry.transmission_line_distance,
-            pred_scratch: Vec::new(),
-            recorder: None,
-            filter: (cfg.safety_filter || cfg.mixed.enabled).then(|| SafetyFilter::new(cfg, count)),
-        }
-    }
-
-    /// Local index of global intersection `im` in this world's `shards`.
-    fn li(&self, im: usize) -> usize {
-        im - self.shard_base
-    }
-
-    /// Whether this world hosts global intersection `im`.
-    fn owns(&self, im: usize) -> bool {
-        im >= self.shard_base && im < self.shard_base + self.shards.len()
-    }
-
-    /// Hands the banked cross-lane departures to the barrier exchange,
-    /// tagged with this lane's index for the deterministic tie-break.
-    pub(crate) fn drain_outbox(&mut self, lane: usize, out: &mut Vec<(usize, Handoff)>) {
-        out.extend(self.outbox.drain(..).map(|h| (lane, h)));
-    }
-
-    /// Re-seats a vehicle handed off from another lane and schedules its
-    /// `LinkArrival` at the exact instant the serial engine would have.
+    /// Re-seats a vehicle handed off from the previous intersection and
+    /// schedules its `LinkArrival` at `exit + link_time`.
     pub(crate) fn accept_handoff(&mut self, sim: &mut Simulation<Event>, h: Handoff) {
-        debug_assert!(self.owns(h.to_im), "handoff routed to the wrong lane");
+        debug_assert_eq!(
+            h.to_im, self.im as usize,
+            "handoff routed to the wrong lane"
+        );
         self.insert_agent(h.vehicle, h.agent);
-        sim.schedule(h.at, Event::LinkArrival(h.vehicle, h.to_im as u32));
+        sim.schedule(h.at, Event::LinkArrival(h.vehicle, self.im));
     }
 
     /// Appends one flight-recorder record stamped with the current DES
-    /// dispatch index, sim time, shard and that shard's IM epoch. A no-op
-    /// when recording is disabled.
-    fn rec(
-        &mut self,
-        sim: &Simulation<Event>,
-        im: usize,
-        vehicle: u32,
-        attempt: u32,
-        event: TraceEvent,
-    ) {
-        let epoch = self.shards[self.li(im)].im_epoch;
+    /// dispatch index, sim time, this intersection and its IM epoch. A
+    /// no-op when recording is disabled.
+    fn rec(&mut self, sim: &Simulation<Event>, vehicle: u32, attempt: u32, event: TraceEvent) {
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(TraceRecord {
                 dispatch: sim.events_dispatched(),
                 at: sim.now(),
                 vehicle,
                 attempt,
-                epoch,
-                im: im as u32,
+                epoch: self.im_epoch,
+                im: self.im,
                 event,
             });
         }
@@ -525,49 +420,44 @@ impl<'a> World<'a> {
         agent
     }
 
-    /// Advances the shard's lane cursor past the prefix of vehicles that
-    /// have permanently left the approach (entered the box, finished the
-    /// leg, or handed off downstream). The skip condition is monotone —
-    /// none of those states ever reverts for a given (vehicle, shard) —
-    /// so skipped entries can never matter to a later predecessor scan.
-    fn advance_lane_cursor(&mut self, im: usize, lane: usize) {
-        let s = self.li(im);
-        let mut cur = self.shards[s].lane_cursor[lane];
-        let len = self.shards[s].lane_arrivals[lane].len();
-        while cur < len {
-            let u = self.shards[s].lane_arrivals[lane][cur];
-            // A missing agent was handed off to another lane of the
-            // windowed engine — it has permanently left this approach.
+    /// Advances the lane cursor past the prefix of vehicles that have
+    /// permanently left the approach (entered the box, finished the leg,
+    /// or handed off downstream). The skip condition is monotone — none
+    /// of those states ever reverts for a vehicle in this world — so
+    /// skipped entries can never matter to a later predecessor scan.
+    fn advance_lane_cursor(&mut self, lane: usize) {
+        let mut cur = self.lane_cursor[lane];
+        while let Some(&u) = self.lane_arrivals[lane].get(cur) {
+            // A missing agent was handed off to the next intersection —
+            // it has permanently left this approach.
             let passed = self
                 .agent(u)
-                .is_none_or(|a| a.im != im || a.done || a.entered_at.is_some());
+                .is_none_or(|a| a.done || a.entered_at.is_some());
             if !passed {
                 break;
             }
             cur += 1;
         }
-        self.shards[s].lane_cursor[lane] = cur;
+        self.lane_cursor[lane] = cur;
     }
 
-    /// Same-lane vehicles that crossed this shard's line before `v` and
-    /// have not yet entered the box, written into `out` (cleared first) —
-    /// the caller holds the buffer so the per-request check never
-    /// allocates.
+    /// Same-lane vehicles that crossed this intersection's line before
+    /// `v` and have not yet entered the box, written into `out` (cleared
+    /// first) — the caller holds the buffer so the per-request check
+    /// never allocates.
     fn unentered_predecessors(&self, v: VehicleId, out: &mut Vec<VehicleId>) {
         out.clear();
         let Some(agent) = self.agent(v) else {
             return;
         };
-        let im = agent.im;
         let lane = agent.movement.approach.index();
-        let shard = &self.shards[self.li(im)];
-        for &u in &shard.lane_arrivals[lane][shard.lane_cursor[lane]..] {
+        for &u in &self.lane_arrivals[lane][self.lane_cursor[lane]..] {
             if u == v {
                 break;
             }
             if self
                 .agent(u)
-                .is_some_and(|a| a.im == im && !a.done && a.entered_at.is_none())
+                .is_some_and(|a| !a.done && a.entered_at.is_none())
             {
                 out.push(u);
             }
@@ -604,45 +494,40 @@ impl<'a> World<'a> {
             .total_time
     }
 
-    /// Adds this world's run totals to `counters`: scheduling work over
-    /// every shard's policy, and frames on the air and lost over every
-    /// shard's radio and fault injector. Nothing else writes these
-    /// fields and they are integer sums, so adding them lane by lane (the
-    /// windowed engine) gives exactly the serial engine's totals.
+    /// Adds this lane's run totals to `counters`: the policy's
+    /// scheduling work, and frames on the air and lost over its radio and
+    /// fault injector. Nothing else writes these fields and they are
+    /// integer sums, so the close-out adds them lane by lane.
     pub(crate) fn add_totals(&self, counters: &mut Counters) {
-        for s in &self.shards {
-            counters.im_ops += s.policy.ops();
-            let st = s.channel.stats();
-            counters.messages += st.total_sent();
-            counters.messages_lost += st.lost;
-            if let Some(f) = s.fault.as_ref() {
-                // Burst drops are losses on top of the base channel's;
-                // duplicated copies are extra frames on the air.
-                let fs = f.stats();
-                counters.burst_losses += fs.burst_losses;
-                counters.messages_lost += fs.burst_losses;
-                counters.messages += fs.duplicated;
-            }
+        counters.im_ops += self.policy.ops();
+        let st = self.channel.stats();
+        counters.messages += st.total_sent();
+        counters.messages_lost += st.lost;
+        if let Some(f) = self.fault.as_ref() {
+            // Burst drops are losses on top of the base channel's;
+            // duplicated copies are extra frames on the air.
+            let fs = f.stats();
+            counters.burst_losses += fs.burst_losses;
+            counters.messages_lost += fs.burst_losses;
+            counters.messages += fs.duplicated;
         }
     }
 
-    /// Prices an uplink frame on shard `im`'s radio and runs it through
-    /// that shard's fault pipeline (identity when faults are disabled).
-    fn uplink_deliveries(&mut self, im: usize) -> Deliveries {
-        let shard = &mut self.shards[im - self.shard_base];
-        let outcome = shard.channel.send_uplink(&mut shard.rng);
-        match shard.fault.as_mut() {
+    /// Prices an uplink frame on this intersection's radio and runs it
+    /// through the fault pipeline (identity when faults are disabled).
+    fn uplink_deliveries(&mut self) -> Deliveries {
+        let outcome = self.channel.send_uplink(&mut self.rng);
+        match self.fault.as_mut() {
             Some(f) => f.filter(Direction::Uplink, outcome),
             None => Deliveries::from(outcome),
         }
     }
 
-    /// Prices a downlink frame on shard `im`'s radio and runs it through
-    /// that shard's fault pipeline.
-    fn downlink_deliveries(&mut self, im: usize) -> Deliveries {
-        let shard = &mut self.shards[im - self.shard_base];
-        let outcome = shard.channel.send_downlink(&mut shard.rng);
-        match shard.fault.as_mut() {
+    /// Prices a downlink frame on this intersection's radio and runs it
+    /// through the fault pipeline.
+    fn downlink_deliveries(&mut self) -> Deliveries {
+        let outcome = self.channel.send_downlink(&mut self.rng);
+        match self.fault.as_mut() {
             Some(f) => f.filter(Direction::Downlink, outcome),
             None => Deliveries::from(outcome),
         }
@@ -653,76 +538,72 @@ impl<'a> World<'a> {
         self.s_entry + self.cfg.geometry.path_length(movement) + self.cfg.spec.length
     }
 
-    /// The shard this vehicle proceeds to after clearing `from`, if any.
-    /// Only arterial through-traffic propagates: westbound entries run
-    /// east (`im + 1`), eastbound entries run west (`im - 1`); turning
-    /// vehicles and cross traffic leave the network after one box.
-    fn next_leg(&self, agent: &Agent) -> Option<usize> {
+    /// The intersection a vehicle on `movement` proceeds to after
+    /// clearing this one, if any. Only arterial through-traffic
+    /// propagates: westbound entries run east (`im + 1`), eastbound
+    /// entries run west (`im - 1`); turning vehicles and cross traffic
+    /// leave the network after one box.
+    fn next_leg(&self, movement: crossroads_intersection::Movement) -> Option<usize> {
         use crossroads_intersection::{Approach, Turn};
-        if self.k_total <= 1 || agent.movement.turn != Turn::Straight {
+        if movement.turn != Turn::Straight {
             return None;
         }
-        match agent.movement.approach {
-            Approach::West => {
-                let next = agent.im + 1;
-                (next < self.k_total).then_some(next)
-            }
-            Approach::East => agent.im.checked_sub(1),
+        let im = self.im as usize;
+        match movement.approach {
+            Approach::West => Some(im + 1).filter(|&next| next < self.k),
+            Approach::East => im.checked_sub(1),
             Approach::North | Approach::South => None,
         }
     }
 
+    /// Handles one event of this intersection (`event.im() == self.im`).
     pub(crate) fn handle(&mut self, sim: &mut Simulation<Event>, event: Event) {
+        debug_assert_eq!(
+            event.im(),
+            self.im as usize,
+            "event routed to the wrong lane"
+        );
         match event {
-            Event::LineCrossing(i) => self.on_line_crossing(sim, i),
-            Event::SyncComplete(v, im) => self.on_sync_complete(sim, v, im as usize),
-            Event::SendRequest(v, attempt, im) => {
-                self.on_send_request(sim, v, attempt, im as usize);
+            Event::LineCrossing(i, _) => self.on_line_crossing(sim, i),
+            Event::SyncComplete(v, _) => self.on_sync_complete(sim, v),
+            Event::SendRequest(v, attempt, _) => self.on_send_request(sim, v, attempt),
+            Event::UplinkArrival(v, _, req) => self.on_uplink(sim, v, req),
+            Event::ImFinish(v, _, attempt, cmd, epoch) => {
+                self.on_im_finish(sim, v, attempt, cmd, epoch);
             }
-            Event::UplinkArrival(v, im, req) => self.on_uplink(sim, v, im as usize, req),
-            Event::ImFinish(v, im, attempt, cmd, epoch) => {
-                self.on_im_finish(sim, v, im as usize, attempt, cmd, epoch);
-            }
-            Event::DownlinkArrival(v, im, attempt, cmd) => {
-                self.on_downlink(sim, v, im as usize, attempt, cmd);
-            }
-            Event::ResponseTimeout(v, attempt, im) => {
-                self.on_timeout(sim, v, attempt, im as usize);
-            }
-            Event::StopGuard(v, version) => self.on_stop_guard(sim, v, version),
-            Event::MarkStopped(v, version) => self.on_mark_stopped(v, version),
-            Event::BoxEntry(v, version) => self.on_box_entry(sim.now(), v, version),
-            Event::BoxExit(v, version) => self.on_box_exit(sim, v, version),
-            Event::LinkArrival(v, im) => self.on_link_arrival(sim, v, im as usize),
-            Event::PlatoonTimeout(v, im) => self.on_platoon_timeout(sim, v, im as usize),
-            Event::ComplianceCheck(v, im) => self.on_compliance_check(sim, v, im as usize),
-            Event::ImExitNotice(v, im) => {
-                let s = self.li(im as usize);
-                if self.shards[s].im_down {
+            Event::DownlinkArrival(v, _, attempt, cmd) => self.on_downlink(sim, v, attempt, cmd),
+            Event::ResponseTimeout(v, attempt, _) => self.on_timeout(sim, v, attempt),
+            Event::StopGuard(v, version, _) => self.on_stop_guard(sim, v, version),
+            Event::MarkStopped(v, version, _) => self.on_mark_stopped(v, version),
+            Event::BoxEntry(v, version, _) => self.on_box_entry(sim.now(), v, version),
+            Event::BoxExit(v, version, _) => self.on_box_exit(sim, v, version),
+            Event::LinkArrival(v, _) => self.on_link_arrival(sim, v),
+            Event::PlatoonTimeout(v, _) => self.on_platoon_timeout(sim, v),
+            Event::ComplianceCheck(v, _) => self.on_compliance_check(sim, v),
+            Event::ImExitNotice(v, _) => {
+                if self.im_down {
                     self.counters.im_outage_drops += 1;
                 } else {
-                    self.on_exit_notice(s, v, sim.now());
+                    self.on_exit_notice(v, sim.now());
                 }
             }
-            Event::ImCrash(im) => {
-                let im = im as usize;
-                self.on_im_crash(im);
+            Event::ImCrash(_) => {
+                self.on_im_crash();
                 // Stamped with the *new* epoch, so in-flight work of the
                 // dead incarnation is identifiable in the trace.
-                self.rec(sim, im, NO_VEHICLE, 0, TraceEvent::ImCrash);
+                self.rec(sim, NO_VEHICLE, 0, TraceEvent::ImCrash);
             }
-            Event::ImRestart(im) => {
-                let im = im as usize;
-                self.on_im_restart(sim.now(), im);
-                self.rec(sim, im, NO_VEHICLE, 0, TraceEvent::ImRestart);
+            Event::ImRestart(_) => {
+                self.on_im_restart(sim.now());
+                self.rec(sim, NO_VEHICLE, 0, TraceEvent::ImRestart);
             }
         }
     }
 
     // --- Vehicle lifecycle --------------------------------------------------
 
-    /// Starts the V2I protocol with shard `im`: fresh state machine, one
-    /// two-way clock-sync exchange on that shard's link, and the
+    /// Starts the V2I protocol with this intersection's IM: fresh state
+    /// machine, one two-way clock-sync exchange on its link, and the
     /// `SyncComplete` that leads to the first request. The offset/drift
     /// noise comes from a per-(vehicle, leg) stream split off the root
     /// seed, so a vehicle's clock error is a function of
@@ -731,26 +612,24 @@ impl<'a> World<'a> {
         &mut self,
         sim: &mut Simulation<Event>,
         v: VehicleId,
-        im: usize,
         now: TimePoint,
     ) -> (VehicleProtocol, Seconds) {
         let mut protocol = VehicleProtocol::new(v);
         protocol
             .apply(ProtocolEvent::ReachedTransmissionLine, now)
             .expect("fresh machine accepts line crossing");
-        let shard = &mut self.shards[im - self.shard_base];
-        let mut vrng = shard.rng.stream(clock_stream(v.0, im));
+        let mut vrng = self.rng.stream(clock_stream(v.0, self.im));
         let clock = LocalClock::new(
             Seconds::from_millis(vrng.gen_range(-200.0..200.0)),
             vrng.gen_range(-100.0..100.0),
         );
-        let sync = testbed_sync(&clock, now, &mut shard.rng);
+        let sync = testbed_sync(&clock, now, &mut self.rng);
         // Two frames on the air for the exchange.
-        let _ = shard.channel.send_uplink(&mut shard.rng);
-        let _ = shard.channel.send_downlink(&mut shard.rng);
+        let _ = self.channel.send_uplink(&mut self.rng);
+        let _ = self.channel.send_downlink(&mut self.rng);
         sim.schedule_in(
             sync.round_trip + Seconds::from_millis(2.0),
-            Event::SyncComplete(v, im as u32),
+            Event::SyncComplete(v, self.im),
         );
         (protocol, sync.residual())
     }
@@ -758,10 +637,9 @@ impl<'a> World<'a> {
     fn on_line_crossing(&mut self, sim: &mut Simulation<Event>, index: usize) {
         let arr = self.workload[index];
         let now = sim.now();
-        let im = self.entry_ims.get(index).map_or(0, |&x| x as usize);
         let compliance = self.cfg.mixed.assign(self.cfg.seed, arr.vehicle);
         let joined = if compliance.uses_v2i() {
-            self.platoon_try_join(im, arr.movement, now)
+            self.platoon_try_join(arr.movement, now)
         } else {
             None
         };
@@ -769,7 +647,7 @@ impl<'a> World<'a> {
             // A follower rides its leader's negotiation: no sync
             // exchange, no radio frames, no RNG draws of its own.
             Some(_) => (follower_protocol(arr.vehicle, now), Seconds::ZERO),
-            None if compliance.uses_v2i() => self.start_protocol(sim, arr.vehicle, im, now),
+            None if compliance.uses_v2i() => self.start_protocol(sim, arr.vehicle, now),
             // No radio at all: the machine parks in `Sync` so the
             // eventual gap-acceptance commit can `inherit_grant`, exactly
             // like a platoon follower waiting on its leader.
@@ -784,15 +662,13 @@ impl<'a> World<'a> {
             SpeedProfile::stop_at(now, Meters::ZERO, arr.speed, self.s_entry, &self.cfg.spec)
         };
         let free_flow = self.free_flow_time(arr.movement, arr.speed);
-        self.shards[im - self.shard_base].lane_arrivals[arr.movement.approach.index()]
-            .push(arr.vehicle);
+        self.lane_arrivals[arr.movement.approach.index()].push(arr.vehicle);
         self.insert_agent(
             arr.vehicle,
             Agent {
                 movement: arr.movement,
                 line_at: now,
                 first_line_at: now,
-                im,
                 profile,
                 protocol,
                 clock_err,
@@ -815,12 +691,12 @@ impl<'a> World<'a> {
             },
         );
         if let Some(leader) = joined {
-            self.platoon_attach(sim, arr.vehicle, leader, im);
+            self.platoon_attach(sim, arr.vehicle, leader);
         }
         if compliance.uses_v2i() {
             self.schedule_guard(sim, arr.vehicle);
         } else {
-            self.begin_gap_acceptance(sim, arr.vehicle, im);
+            self.begin_gap_acceptance(sim, arr.vehicle);
         }
     }
 
@@ -841,7 +717,7 @@ impl<'a> World<'a> {
     /// sync, profile (position re-origined at the new line), stop state,
     /// IM watermark — and the plan version bumps so every event of the
     /// previous leg dies on its guard.
-    fn on_link_arrival(&mut self, sim: &mut Simulation<Event>, v: VehicleId, im: usize) {
+    fn on_link_arrival(&mut self, sim: &mut Simulation<Event>, v: VehicleId) {
         let now = sim.now();
         // Vehicles settle to the corridor cruise speed on the link — the
         // same speed the standard workload builders use at entry, so each
@@ -854,13 +730,13 @@ impl<'a> World<'a> {
             (agent.movement, agent.compliance)
         };
         let joined = if compliance.uses_v2i() {
-            self.platoon_try_join(im, movement, now)
+            self.platoon_try_join(movement, now)
         } else {
             None
         };
         let (protocol, clock_err) = match joined {
             Some(_) => (follower_protocol(v, now), Seconds::ZERO),
-            None if compliance.uses_v2i() => self.start_protocol(sim, v, im, now),
+            None if compliance.uses_v2i() => self.start_protocol(sim, v, now),
             None => (follower_protocol(v, now), Seconds::ZERO),
         };
         let free_flow = self.free_flow_time(movement, speed);
@@ -869,9 +745,8 @@ impl<'a> World<'a> {
         } else {
             SpeedProfile::stop_at(now, Meters::ZERO, speed, self.s_entry, &self.cfg.spec)
         };
-        self.shards[im - self.shard_base].lane_arrivals[movement.approach.index()].push(v);
+        self.lane_arrivals[movement.approach.index()].push(v);
         let agent = self.agent_mut(v).expect("agent exists");
-        agent.im = im;
         agent.line_at = now;
         agent.profile = profile;
         agent.protocol = protocol;
@@ -888,40 +763,35 @@ impl<'a> World<'a> {
         agent.platoon = None;
         self.handoffs += 1;
         if let Some(leader) = joined {
-            self.platoon_attach(sim, v, leader, im);
+            self.platoon_attach(sim, v, leader);
         }
         if compliance.uses_v2i() {
             self.schedule_guard(sim, v);
         } else {
-            self.begin_gap_acceptance(sim, v, im);
+            self.begin_gap_acceptance(sim, v);
         }
     }
 
     /// Parks a non-V2I vehicle (human or emergency) in the approach
     /// queue: claims the stop slot, arms the stopped marker for its brake
     /// profile, and starts the gap-acceptance polling loop.
-    fn begin_gap_acceptance(&mut self, sim: &mut Simulation<Event>, v: VehicleId, im: usize) {
+    fn begin_gap_acceptance(&mut self, sim: &mut Simulation<Event>, v: VehicleId) {
         self.assign_stop_target(v);
         self.bump_unaccepted_plan(sim, v);
-        sim.schedule_in(
-            self.cfg.mixed.gap_poll,
-            Event::ComplianceCheck(v, im as u32),
-        );
+        sim.schedule_in(self.cfg.mixed.gap_poll, Event::ComplianceCheck(v, self.im));
     }
 
-    fn on_sync_complete(&mut self, sim: &mut Simulation<Event>, v: VehicleId, im: usize) {
+    fn on_sync_complete(&mut self, sim: &mut Simulation<Event>, v: VehicleId) {
         let now = sim.now();
+        let im = self.im;
         let Some(agent) = self.agent_mut(v) else {
             return;
         };
-        if agent.im != im {
-            return; // sync of a leg the vehicle has already left
-        }
         agent
             .protocol
             .apply(ProtocolEvent::SyncCompleted, now)
             .expect("sync completes in Sync state");
-        sim.schedule_in(Seconds::ZERO, Event::SendRequest(v, 1, im as u32));
+        sim.schedule_in(Seconds::ZERO, Event::SendRequest(v, 1, im));
     }
 
     /// Whether this vehicle must hold its request. Queues discharge
@@ -982,24 +852,12 @@ impl<'a> World<'a> {
         }
     }
 
-    fn on_send_request(
-        &mut self,
-        sim: &mut Simulation<Event>,
-        v: VehicleId,
-        attempt: u32,
-        im: usize,
-    ) {
+    fn on_send_request(&mut self, sim: &mut Simulation<Event>, v: VehicleId, attempt: u32) {
         let now = sim.now();
-        {
-            let Some(agent) = self.agent(v) else {
-                return;
-            };
-            if agent.im != im {
-                return; // scheduled on a leg the vehicle has left
-            }
-            let lane = agent.movement.approach.index();
-            self.advance_lane_cursor(im, lane);
-        }
+        let Some(agent) = self.agent(v) else {
+            return;
+        };
+        self.advance_lane_cursor(agent.movement.approach.index());
         let mut preds = std::mem::take(&mut self.pred_scratch);
         let blocked = self.queue_blocked(v, &mut preds);
         self.pred_scratch = preds;
@@ -1014,7 +872,7 @@ impl<'a> World<'a> {
             if still_relevant {
                 sim.schedule_in(
                     Seconds::from_millis(200.0),
-                    Event::SendRequest(v, attempt, im as u32),
+                    Event::SendRequest(v, attempt, self.im),
                 );
             }
             return;
@@ -1087,10 +945,9 @@ impl<'a> World<'a> {
                 l.sent_stopped = req.stopped;
             }
         }
-        let deliveries = self.uplink_deliveries(im);
+        let deliveries = self.uplink_deliveries();
         self.rec(
             sim,
-            im,
             v.0,
             attempt,
             TraceEvent::UplinkSend {
@@ -1099,9 +956,9 @@ impl<'a> World<'a> {
             },
         );
         for latency in deliveries.iter() {
-            sim.schedule_in(latency, Event::UplinkArrival(v, im as u32, req));
+            sim.schedule_in(latency, Event::UplinkArrival(v, self.im, req));
         }
-        sim.schedule_in(timeout, Event::ResponseTimeout(v, attempt, im as u32));
+        sim.schedule_in(timeout, Event::ResponseTimeout(v, attempt, self.im));
     }
 
     fn aim_proposal(
@@ -1129,14 +986,12 @@ impl<'a> World<'a> {
         }
     }
 
-    fn on_timeout(&mut self, sim: &mut Simulation<Event>, v: VehicleId, attempt: u32, im: usize) {
+    fn on_timeout(&mut self, sim: &mut Simulation<Event>, v: VehicleId, attempt: u32) {
         let now = sim.now();
+        let im = self.im;
         let Some(agent) = self.agent_mut(v) else {
             return;
         };
-        if agent.im != im {
-            return; // timeout of a leg the vehicle has left
-        }
         if agent.done || agent.accepted {
             return;
         }
@@ -1147,47 +1002,37 @@ impl<'a> World<'a> {
             .protocol
             .apply(ProtocolEvent::TimedOut, now)
             .expect("timeout applies in Request state");
-        sim.schedule_in(Seconds::ZERO, Event::SendRequest(v, attempt + 1, im as u32));
+        sim.schedule_in(Seconds::ZERO, Event::SendRequest(v, attempt + 1, im));
     }
 
     // --- IM server ----------------------------------------------------------
 
-    fn on_uplink(
-        &mut self,
-        sim: &mut Simulation<Event>,
-        v: VehicleId,
-        im: usize,
-        req: CrossingRequest,
-    ) {
+    fn on_uplink(&mut self, sim: &mut Simulation<Event>, v: VehicleId, req: CrossingRequest) {
         // The frame physically reached the IM radio — recorded whether or
         // not the IM process is alive to act on it.
-        self.rec(sim, im, v.0, req.attempt, TraceEvent::UplinkDeliver);
-        let s = self.li(im);
-        if self.shards[s].im_down {
+        self.rec(sim, v.0, req.attempt, TraceEvent::UplinkDeliver);
+        if self.im_down {
             // The IM radio is dead: the frame vanishes, the vehicle's own
             // timeout is the only recovery (exactly like a medium loss,
             // but attributed to the outage).
             self.counters.im_outage_drops += 1;
             return;
         }
-        self.shards[s].im_queue.push_back((v, req));
-        if !self.shards[s].im_busy {
-            self.im_start_next(sim, im);
+        self.im_queue.push_back((v, req));
+        if !self.im_busy {
+            self.im_start_next(sim);
         }
     }
 
     /// Watermark admission for one dequeued request: `true` if the IM
     /// should decide it, `false` if it is stale/duplicated (or from a
-    /// vehicle that has since handed off to another shard) and must be
-    /// dropped.
-    fn admit_request(&mut self, v: VehicleId, im: usize, req: &CrossingRequest) -> bool {
-        // Vehicles request only after crossing the line, so the agent —
-        // which carries the IM's per-vehicle watermark — always exists by
-        // the time an uplink lands.
-        let agent = self.agent_mut(v).expect("uplink implies agent");
-        if agent.im != im {
+    /// vehicle that has since handed off to the next intersection) and
+    /// must be dropped.
+    fn admit_request(&mut self, v: VehicleId, req: &CrossingRequest) -> bool {
+        // The agent carries the IM's per-vehicle watermark.
+        let Some(agent) = self.agent_mut(v) else {
             return false;
-        }
+        };
         if agent
             .im_seen_attempt
             .is_some_and(|seen| req.attempt <= seen)
@@ -1198,27 +1043,26 @@ impl<'a> World<'a> {
         true
     }
 
-    fn im_start_next(&mut self, sim: &mut Simulation<Event>, im: usize) {
-        let s = self.li(im);
+    fn im_start_next(&mut self, sim: &mut Simulation<Event>) {
         // Iterative drain: a retransmission storm can queue arbitrarily
         // many stale frames back-to-back, so dropping them must not grow
         // the call stack once per frame.
-        while let Some((v, req)) = self.shards[s].im_queue.pop_front() {
+        while let Some((v, req)) = self.im_queue.pop_front() {
             // Drop stale/reordered/duplicated requests: the ledger must
             // only ever move forward with the vehicle's newest reported
             // state.
-            if !self.admit_request(v, im, &req) {
+            if !self.admit_request(v, &req) {
                 continue;
             }
-            self.shards[s].im_busy = true;
+            self.im_busy = true;
             // The decision is computed now; the response leaves the IM
             // once the computation time — proportional to the scheduling
             // work it actually performed — has elapsed. This is how AIM's
             // trajectory re-simulation turns into response latency.
             let now = sim.now();
-            self.rec(sim, im, v.0, req.attempt, TraceEvent::DecisionEnter);
+            self.rec(sim, v.0, req.attempt, TraceEvent::DecisionEnter);
             let (cmd, svc) = {
-                let policy = &mut self.shards[s].policy;
+                let policy = &mut self.policy;
                 let ops_before = policy.ops();
                 let cmd = policy.decide(&req, now);
                 let svc = self
@@ -1228,12 +1072,9 @@ impl<'a> World<'a> {
                 (cmd, svc)
             };
             self.metrics.push_decision_latency(svc);
-            if self.log_decisions {
-                self.decision_log.push((now, svc));
-            }
+            self.decision_stamps.push(now);
             self.rec(
                 sim,
-                im,
                 v.0,
                 req.attempt,
                 TraceEvent::DecisionExit {
@@ -1242,34 +1083,33 @@ impl<'a> World<'a> {
                 },
             );
             self.counters.im_requests += 1;
-            self.counters.im_busy += svc;
-            self.shards[s].policy.prune(now);
-            let epoch = self.shards[s].im_epoch;
-            sim.schedule_in(svc, Event::ImFinish(v, im as u32, req.attempt, cmd, epoch));
+            self.policy.prune(now);
+            sim.schedule_in(
+                svc,
+                Event::ImFinish(v, self.im, req.attempt, cmd, self.im_epoch),
+            );
             return;
         }
-        self.shards[s].im_busy = false;
+        self.im_busy = false;
     }
 
     fn on_im_finish(
         &mut self,
         sim: &mut Simulation<Event>,
         v: VehicleId,
-        im: usize,
         attempt: u32,
         cmd: CrossingCommand,
         epoch: u32,
     ) {
-        if epoch != self.shards[self.li(im)].im_epoch {
+        if epoch != self.im_epoch {
             // The IM crashed while this computation was in flight: its
             // result dies with the process that was computing it. The
             // post-restart incarnation drives its own queue.
             return;
         }
-        let deliveries = self.downlink_deliveries(im);
+        let deliveries = self.downlink_deliveries();
         self.rec(
             sim,
-            im,
             v.0,
             attempt,
             TraceEvent::DownlinkSend {
@@ -1278,30 +1118,28 @@ impl<'a> World<'a> {
             },
         );
         for latency in deliveries.iter() {
-            sim.schedule_in(latency, Event::DownlinkArrival(v, im as u32, attempt, cmd));
+            sim.schedule_in(latency, Event::DownlinkArrival(v, self.im, attempt, cmd));
         }
-        self.im_start_next(sim, im);
+        self.im_start_next(sim);
     }
 
-    fn on_im_crash(&mut self, im: usize) {
-        let shard = &mut self.shards[im - self.shard_base];
-        shard.im_down = true;
-        shard.im_epoch = shard.im_epoch.wrapping_add(1);
+    fn on_im_crash(&mut self) {
+        self.im_down = true;
+        self.im_epoch = self.im_epoch.wrapping_add(1);
         // Requests queued inside the IM die with it; the vehicles recover
         // through their retransmission timeouts. An in-flight decision
         // dies on the epoch guard when its ImFinish lands.
-        self.counters.im_outage_drops += shard.im_queue.len() as u64;
-        shard.im_queue.clear();
-        shard.im_busy = false;
+        self.counters.im_outage_drops += self.im_queue.len() as u64;
+        self.im_queue.clear();
+        self.im_busy = false;
     }
 
-    fn on_im_restart(&mut self, now: TimePoint, im: usize) {
-        let shard = &mut self.shards[im - self.shard_base];
-        shard.im_down = false;
+    fn on_im_restart(&mut self, now: TimePoint) {
+        self.im_down = false;
         // Conservative ledger re-validation: grants already issued stay
         // booked (their vehicles will execute them regardless), expired
         // bookkeeping is dropped.
-        shard.policy.on_restart(now);
+        self.policy.on_restart(now);
     }
 
     // --- Response handling ---------------------------------------------------
@@ -1310,21 +1148,17 @@ impl<'a> World<'a> {
         &mut self,
         sim: &mut Simulation<Event>,
         v: VehicleId,
-        im: usize,
         attempt: u32,
         cmd: CrossingCommand,
     ) {
         let now = sim.now();
         // The frame physically reached the vehicle radio — recorded even
         // when the guards below discard it as stale.
-        self.rec(sim, im, v.0, attempt, TraceEvent::DownlinkDeliver);
+        self.rec(sim, v.0, attempt, TraceEvent::DownlinkDeliver);
         {
             let Some(agent) = self.agent(v) else {
                 return;
             };
-            if agent.im != im {
-                return; // response from an IM the vehicle has moved past
-            }
             if agent.done || agent.accepted {
                 return;
             }
@@ -1346,7 +1180,7 @@ impl<'a> World<'a> {
         if let CrossingCommand::Crossroads { execute_at, .. } = cmd {
             if now > execute_at {
                 self.counters.deadline_misses += 1;
-                self.rec(sim, im, v.0, attempt, TraceEvent::DeadlineMiss);
+                self.rec(sim, v.0, attempt, TraceEvent::DeadlineMiss);
                 return self.stale_response(sim, v, now);
             }
         }
@@ -1385,7 +1219,6 @@ impl<'a> World<'a> {
         if self.agent(v).is_some_and(|a| a.accepted) {
             self.rec(
                 sim,
-                im,
                 v.0,
                 attempt,
                 TraceEvent::Actuation {
@@ -1540,14 +1373,13 @@ impl<'a> World<'a> {
     ) {
         let spec = self.cfg.spec;
         let s_entry = self.s_entry;
-        let (s_now, v_now, last_proposal, stopped, im) = {
+        let (s_now, v_now, last_proposal, stopped) = {
             let agent = self.agent(v).expect("agent exists");
             (
                 agent.profile.position_at(now),
                 agent.profile.speed_at(now),
                 agent.last_proposal,
                 agent.stopped,
-                agent.im,
             )
         };
         // Validate against the proposal this grant answers: if the vehicle
@@ -1567,7 +1399,7 @@ impl<'a> World<'a> {
                 // AIM's equivalent of a missed execute-at deadline.
                 self.counters.deadline_misses += 1;
                 let attempt = self.current_attempt(v);
-                self.rec(sim, im, v.0, attempt, TraceEvent::DeadlineMiss);
+                self.rec(sim, v.0, attempt, TraceEvent::DeadlineMiss);
                 return self.stale_response(sim, v, now);
             }
             let mut p = SpeedProfile::starting_at(now, s_now, MetersPerSecond::ZERO);
@@ -1615,8 +1447,8 @@ impl<'a> World<'a> {
         let slowdown = self.cfg.aim_slowdown_factor;
         let spec = self.cfg.spec;
         let s_entry = self.s_entry;
+        let im = self.im;
         let agent = self.agent_mut(v).expect("agent exists");
-        let im = agent.im;
         agent
             .protocol
             .apply(ProtocolEvent::ResponseRejected, now)
@@ -1643,7 +1475,7 @@ impl<'a> World<'a> {
                 self.bump_unaccepted_plan(sim, v);
             }
         }
-        sim.schedule_in(retry, Event::SendRequest(v, attempts, im as u32));
+        sim.schedule_in(retry, Event::SendRequest(v, attempts, im));
     }
 
     /// A VT "stop" command, or any stale/invalid acceptance: brake toward
@@ -1656,8 +1488,8 @@ impl<'a> World<'a> {
         retry: Seconds,
     ) {
         let spec = self.cfg.spec;
+        let im = self.im;
         let agent = self.agent_mut(v).expect("agent exists");
-        let im = agent.im;
         agent
             .protocol
             .apply(ProtocolEvent::ResponseRejected, now)
@@ -1674,11 +1506,11 @@ impl<'a> World<'a> {
                 let agent = self.agent_mut(v).expect("agent exists");
                 agent.profile = SpeedProfile::stop_at(now, s_now, v_now, target, &spec);
                 self.counters.fallback_stops += 1;
-                self.rec(sim, im, v.0, attempts, TraceEvent::FallbackStop);
+                self.rec(sim, v.0, attempts, TraceEvent::FallbackStop);
                 self.bump_unaccepted_plan(sim, v);
             }
         }
-        sim.schedule_in(retry, Event::SendRequest(v, attempts, im as u32));
+        sim.schedule_in(retry, Event::SendRequest(v, attempts, im));
     }
 
     fn stale_response(&mut self, sim: &mut Simulation<Event>, v: VehicleId, now: TimePoint) {
@@ -1715,12 +1547,8 @@ impl<'a> World<'a> {
             Some(f) if f.vetoes() => {
                 let cand = self.crossing_envelope(v, &profile, now);
                 let agent = self.agent(v).expect("agent exists");
-                f.first_conflict(
-                    agent.im - self.shard_base,
-                    &cand,
-                    agent.compliance.noncompliant(),
-                )
-                .is_some()
+                f.first_conflict(&cand, agent.compliance.noncompliant())
+                    .is_some()
             }
             _ => false,
         };
@@ -1815,30 +1643,31 @@ impl<'a> World<'a> {
     /// crossing envelope that conflicts with nothing committed.
     /// Emergency vehicles preempt: conflicting grants whose vehicles can
     /// still stop are flushed back to the line, then the siren crosses.
-    fn on_compliance_check(&mut self, sim: &mut Simulation<Event>, v: VehicleId, im: usize) {
+    fn on_compliance_check(&mut self, sim: &mut Simulation<Event>, v: VehicleId) {
         let now = sim.now();
         let poll = self.cfg.mixed.gap_poll;
+        let im = self.im;
         let Some(agent) = self.agent(v) else {
             return;
         };
-        if agent.im != im || agent.done || agent.accepted {
+        if agent.done || agent.accepted {
             return;
         }
         let compliance = agent.compliance;
         let lane = agent.movement.approach.index();
         if !agent.stopped {
             // Still braking toward the line: check back once parked.
-            sim.schedule_in(poll, Event::ComplianceCheck(v, im as u32));
+            sim.schedule_in(poll, Event::ComplianceCheck(v, im));
             return;
         }
         // Queue discipline: even a human waits out the cars ahead of it.
-        self.advance_lane_cursor(im, lane);
+        self.advance_lane_cursor(lane);
         let mut preds = std::mem::take(&mut self.pred_scratch);
         self.unentered_predecessors(v, &mut preds);
         let blocked = !preds.is_empty();
         self.pred_scratch = preds;
         if blocked {
-            sim.schedule_in(poll, Event::ComplianceCheck(v, im as u32));
+            sim.schedule_in(poll, Event::ComplianceCheck(v, im));
             return;
         }
         // The crossing it would commit to: a standstill launch from the
@@ -1861,14 +1690,14 @@ impl<'a> World<'a> {
                 let clear = self
                     .filter
                     .as_ref()
-                    .is_none_or(|f| f.first_conflict(self.li(im), &cand, true).is_none());
+                    .is_none_or(|f| f.first_conflict(&cand, true).is_none());
                 if clear {
                     self.commit_gap_crossing(sim, v, p);
                 } else {
-                    sim.schedule_in(poll, Event::ComplianceCheck(v, im as u32));
+                    sim.schedule_in(poll, Event::ComplianceCheck(v, im));
                 }
             }
-            Compliance::Emergency => self.emergency_preempt(sim, v, im, p, &cand),
+            Compliance::Emergency => self.emergency_preempt(sim, v, p, &cand),
             // A managed/faulty vehicle never schedules this event.
             Compliance::Managed | Compliance::Faulty => {}
         }
@@ -1906,17 +1735,15 @@ impl<'a> World<'a> {
         &mut self,
         sim: &mut Simulation<Event>,
         v: VehicleId,
-        im: usize,
         profile: SpeedProfile,
         cand: &BoxOccupancy,
     ) {
         let now = sim.now();
-        let s = self.li(im);
         let mut conflicts = Vec::new();
         self.filter
             .as_ref()
             .expect("mixed traffic maintains the registry")
-            .conflicts_into(s, cand, &mut conflicts);
+            .conflicts_into(cand, &mut conflicts);
         let spec = self.cfg.spec;
         let mut overridable = Vec::new();
         let mut hard = false;
@@ -1927,10 +1754,7 @@ impl<'a> World<'a> {
                     && !a.done
                     && a.compliance.uses_v2i()
                     && a.platoon.is_none()
-                    && !self.shards[s]
-                        .columns
-                        .iter()
-                        .any(|c| c.members.contains(&u))
+                    && !self.columns.iter().any(|c| c.members.contains(&u))
                     && self.s_entry - a.profile.position_at(now)
                         > kinematics::stopping_distance(a.profile.speed_at(now), spec.d_max)
                             + GUARD_MARGIN
@@ -1944,12 +1768,12 @@ impl<'a> World<'a> {
         if hard {
             sim.schedule_in(
                 Seconds::from_millis(100.0),
-                Event::ComplianceCheck(v, im as u32),
+                Event::ComplianceCheck(v, self.im),
             );
             return;
         }
         for u in overridable {
-            self.override_grant(sim, u, im, now);
+            self.override_grant(sim, u, now);
         }
         self.counters.emergency_preemptions += 1;
         self.commit_gap_crossing(sim, v, profile);
@@ -1962,14 +1786,8 @@ impl<'a> World<'a> {
     /// plan version so every event of the overridden trajectory dies on
     /// its guard. The IM's orphaned reservation is replaced when the
     /// fresh request lands (or expires via prune).
-    fn override_grant(
-        &mut self,
-        sim: &mut Simulation<Event>,
-        u: VehicleId,
-        im: usize,
-        now: TimePoint,
-    ) {
-        let (protocol, clock_err) = self.start_protocol(sim, u, im, now);
+    fn override_grant(&mut self, sim: &mut Simulation<Event>, u: VehicleId, now: TimePoint) {
+        let (protocol, clock_err) = self.start_protocol(sim, u, now);
         let spec = self.cfg.spec;
         let target = self.assign_stop_target(u);
         let agent = self.agent_mut(u).expect("agent exists");
@@ -1993,7 +1811,7 @@ impl<'a> World<'a> {
         self.counters.fallback_stops += 1;
         self.bump_unaccepted_plan(sim, u);
         if let Some(f) = self.filter.as_mut() {
-            f.remove(im - self.shard_base, u);
+            f.remove(u);
         }
     }
 
@@ -2017,13 +1835,12 @@ impl<'a> World<'a> {
 
     /// Platoon formation at the transmission line: if the vehicle
     /// immediately ahead in this lane belongs to a platoon still
-    /// negotiating the same movement with shard `im`, the new arrival
+    /// negotiating the same movement with this IM, the new arrival
     /// joins it as a follower. Returns the leader to follow, or `None`
     /// to run the per-vehicle protocol (always `None` with platooning
     /// disabled — that path costs one branch and touches nothing).
     fn platoon_try_join(
         &self,
-        im: usize,
         movement: crossroads_intersection::Movement,
         now: TimePoint,
     ) -> Option<VehicleId> {
@@ -2031,18 +1848,13 @@ impl<'a> World<'a> {
         if !p.enabled {
             return None;
         }
-        let lane = movement.approach.index();
-        let shard = &self.shards[self.li(im)];
-        let &pred = shard.lane_arrivals[lane].last()?;
+        let &pred = self.lane_arrivals[movement.approach.index()].last()?;
         let pred_agent = self.agent(pred)?;
         // The headway gate is against the column's tail — the vehicle
         // physically ahead — not the leader. A non-V2I tail (human or
         // emergency vehicle) never platoons: it has no radio to
         // negotiate through.
-        if pred_agent.im != im
-            || now - pred_agent.line_at > p.headway
-            || !pred_agent.compliance.uses_v2i()
-        {
+        if now - pred_agent.line_at > p.headway || !pred_agent.compliance.uses_v2i() {
             return None;
         }
         let leader = match pred_agent.platoon {
@@ -2053,8 +1865,7 @@ impl<'a> World<'a> {
         // Joinable only while the leader still negotiates: once its grant
         // is issued (or it reached the box) the booked span cannot cover
         // another member.
-        if lead_agent.im != im
-            || lead_agent.movement != movement
+        if lead_agent.movement != movement
             || lead_agent.done
             || lead_agent.accepted
             || lead_agent.entered_at.is_some()
@@ -2074,13 +1885,7 @@ impl<'a> World<'a> {
     /// and arms its fallback deadline: if the inherited grant has not
     /// arrived by then — e.g. the IM crashed mid-platoon — the follower
     /// detaches and negotiates alone.
-    fn platoon_attach(
-        &mut self,
-        sim: &mut Simulation<Event>,
-        v: VehicleId,
-        leader: VehicleId,
-        im: usize,
-    ) {
+    fn platoon_attach(&mut self, sim: &mut Simulation<Event>, v: VehicleId, leader: VehicleId) {
         self.agent_mut(v).expect("agent exists").platoon = Some(PlatoonRole::Follower { leader });
         let mut formed = false;
         let lead_agent = self.agent_mut(leader).expect("leader exists");
@@ -2119,12 +1924,12 @@ impl<'a> World<'a> {
                 .expect("retransmission applies in Request state");
             sim.schedule_in(
                 Seconds::ZERO,
-                Event::SendRequest(leader, attempts + 1, im as u32),
+                Event::SendRequest(leader, attempts + 1, self.im),
             );
         }
         sim.schedule_in(
             self.cfg.platoon.fallback_timeout,
-            Event::PlatoonTimeout(v, im as u32),
+            Event::PlatoonTimeout(v, self.im),
         );
     }
 
@@ -2182,9 +1987,7 @@ impl<'a> World<'a> {
         if members.len() > 1 {
             // The column shares the leader's reservation; the IM frees it
             // on the *last* member's exit notice, not the leader's.
-            let im = self.agent(leader).expect("agent exists").im;
-            let s = self.li(im);
-            self.shards[s].columns.push(PlatoonColumn {
+            self.columns.push(PlatoonColumn {
                 leader,
                 members: members.clone(),
                 remaining: members,
@@ -2200,21 +2003,20 @@ impl<'a> World<'a> {
     /// vehicle. A *lost* notice leaves the column undrained and the
     /// reservation expires via prune, the same conservative degradation
     /// as a lost solo notice.
-    fn on_exit_notice(&mut self, s: usize, v: VehicleId, now: TimePoint) {
-        let shard = &mut self.shards[s];
-        if let Some(ix) = shard.columns.iter().position(|c| c.members.contains(&v)) {
-            let col = &mut shard.columns[ix];
+    fn on_exit_notice(&mut self, v: VehicleId, now: TimePoint) {
+        if let Some(ix) = self.columns.iter().position(|c| c.members.contains(&v)) {
+            let col = &mut self.columns[ix];
             if let Some(r) = col.remaining.iter().position(|&u| u == v) {
                 col.remaining.swap_remove(r);
                 if col.remaining.is_empty() {
                     let leader = col.leader;
-                    shard.columns.swap_remove(ix);
-                    shard.policy.on_exit(leader, now);
+                    self.columns.swap_remove(ix);
+                    self.policy.on_exit(leader, now);
                 }
             }
             return;
         }
-        shard.policy.on_exit(v, now);
+        self.policy.on_exit(v, now);
     }
 
     /// Installs one follower's inherited slot: entry at `t_i`, either a
@@ -2293,7 +2095,7 @@ impl<'a> World<'a> {
             Some(f) if f.vetoes() => {
                 let cand = self.crossing_envelope(v, &profile, now);
                 let agent = self.agent(v).expect("agent exists");
-                f.first_conflict(self.li(agent.im), &cand, agent.compliance.noncompliant())
+                f.first_conflict(&cand, agent.compliance.noncompliant())
                     .is_some()
             }
             _ => false,
@@ -2327,8 +2129,7 @@ impl<'a> World<'a> {
         if agent.done || agent.accepted {
             return;
         }
-        let im = agent.im;
-        let (protocol, clock_err) = self.start_protocol(sim, v, im, now);
+        let (protocol, clock_err) = self.start_protocol(sim, v, now);
         let agent = self.agent_mut(v).expect("agent exists");
         agent.platoon = None;
         agent.protocol = protocol;
@@ -2342,12 +2143,12 @@ impl<'a> World<'a> {
     /// alone. It comes off the leader's roster first, so a late grant
     /// cannot race the fresh protocol's sync window (where the machine
     /// briefly sits in `Sync` again and would accept an inherit).
-    fn on_platoon_timeout(&mut self, sim: &mut Simulation<Event>, v: VehicleId, im: usize) {
+    fn on_platoon_timeout(&mut self, sim: &mut Simulation<Event>, v: VehicleId) {
         let now = sim.now();
         let Some(agent) = self.agent(v) else {
             return;
         };
-        if agent.im != im || agent.done || agent.accepted {
+        if agent.done || agent.accepted {
             return;
         }
         let leader = match &agent.platoon {
@@ -2360,13 +2161,11 @@ impl<'a> World<'a> {
         // forfeit the amortization exactly where it pays most — deep
         // queues. Only a dead IM process counts as stalled; while it is
         // down the grant can never come, so the follower leaves now.
-        let leader_negotiating = self
-            .agent(leader)
-            .is_some_and(|a| !a.done && !a.accepted && a.im == im);
-        if leader_negotiating && !self.shards[self.li(im)].im_down {
+        let leader_negotiating = self.agent(leader).is_some_and(|a| !a.done && !a.accepted);
+        if leader_negotiating && !self.im_down {
             sim.schedule_in(
                 self.cfg.platoon.fallback_timeout,
-                Event::PlatoonTimeout(v, im as u32),
+                Event::PlatoonTimeout(v, self.im),
             );
             return;
         }
@@ -2393,7 +2192,10 @@ impl<'a> World<'a> {
             )
         };
         if final_speed.value() <= 0.0 {
-            sim.schedule(end_time.max(sim.now()), Event::MarkStopped(v, version));
+            sim.schedule(
+                end_time.max(sim.now()),
+                Event::MarkStopped(v, version, self.im),
+            );
         } else {
             self.schedule_guard(sim, v);
         }
@@ -2418,7 +2220,7 @@ impl<'a> World<'a> {
         let version = agent.plan_version;
         match agent.profile.time_at_position(s_brake) {
             Some(t) => {
-                sim.schedule(t.max(now), Event::StopGuard(v, version));
+                sim.schedule(t.max(now), Event::StopGuard(v, version, self.im));
             }
             None => {
                 // The profile never reaches the brake point (it stops
@@ -2436,7 +2238,6 @@ impl<'a> World<'a> {
         if agent.done || agent.accepted || agent.plan_version != version {
             return;
         }
-        let im = agent.im;
         let s_now = agent.profile.position_at(now);
         let v_now = agent.profile.speed_at(now);
         if v_now.value() <= 0.0 {
@@ -2447,7 +2248,7 @@ impl<'a> World<'a> {
         agent.profile = SpeedProfile::stop_at(now, s_now, v_now, target, &spec);
         self.counters.fallback_stops += 1;
         let attempt = self.current_attempt(v);
-        self.rec(sim, im, v.0, attempt, TraceEvent::FallbackStop);
+        self.rec(sim, v.0, attempt, TraceEvent::FallbackStop);
         self.bump_unaccepted_plan(sim, v);
     }
 
@@ -2486,8 +2287,8 @@ impl<'a> World<'a> {
             let exit = agent.profile.time_at_position(s_exit).unwrap_or(now);
             (agent.plan_version, entry, exit)
         };
-        sim.schedule(entry_t.max(now), Event::BoxEntry(v, version));
-        sim.schedule(exit_t.max(now), Event::BoxExit(v, version));
+        sim.schedule(entry_t.max(now), Event::BoxEntry(v, version, self.im));
+        sim.schedule(exit_t.max(now), Event::BoxExit(v, version, self.im));
         // Every committed crossing — granted, inherited, or gap-accepted —
         // funnels through here, so this is the single registration point
         // of the runtime monitor's envelope registry.
@@ -2502,9 +2303,8 @@ impl<'a> World<'a> {
                 line_offset: s_entry,
             };
             let noncompliant = agent.compliance.noncompliant();
-            let s = self.li(agent.im);
             if let Some(f) = self.filter.as_mut() {
-                f.register(s, occ, noncompliant, now);
+                f.register(occ, noncompliant, now);
             }
         }
     }
@@ -2527,8 +2327,7 @@ impl<'a> World<'a> {
     fn on_box_exit(&mut self, sim: &mut Simulation<Event>, v: VehicleId, version: u32) {
         let now = sim.now();
         let line_offset = self.s_entry;
-        let link_time = self.link_time;
-        let (im, occupancy) = {
+        let occupancy = {
             let Some(agent) = self.agent_mut(v) else {
                 return;
             };
@@ -2540,44 +2339,33 @@ impl<'a> World<'a> {
                 .apply(ProtocolEvent::CrossedIntersection, now)
                 .expect("exit applies in Follow state");
             agent.done = true;
-            let entered = agent.entered_at.unwrap_or(now);
-            let occupancy = BoxOccupancy {
+            BoxOccupancy {
                 vehicle: v,
                 movement: agent.movement,
-                entered,
+                entered: agent.entered_at.unwrap_or(now),
                 exited: now,
                 profile: agent.profile.clone(),
                 line_offset,
-            };
-            (agent.im, occupancy)
+            }
         };
-        self.occupancies[im - self.shard_base].push(occupancy);
-        let next = self.agent(v).and_then(|a| self.next_leg(a));
+        let next = self.next_leg(occupancy.movement);
+        self.occupancies.push(occupancy);
         match next {
-            Some(next_im) => {
+            Some(to_im) => {
                 // Handoff: bank this leg's protocol tallies and free-flow
-                // time (plus the link traversal), then ride the link to
-                // the next intersection's transmission line.
-                let agent = self.agent_mut(v).expect("agent exists");
+                // time (plus the link traversal), and leave the lane
+                // through the outbox to ride the link to the next
+                // intersection's transmission line.
+                let mut agent = self.take_agent(v).expect("agent exists");
                 agent.trip_requests += agent.protocol.total_requests();
                 agent.trip_rejections += agent.protocol.total_rejections();
-                agent.trip_free_flow += agent.free_flow + link_time;
-                if self.owns(next_im) {
-                    sim.schedule_in(link_time, Event::LinkArrival(v, next_im as u32));
-                } else {
-                    // Windowed engine: the next intersection lives in
-                    // another lane. Take the agent out of this lane's slab
-                    // and bank it for the barrier exchange — before the
-                    // exit-notice draws below, so this shard's RNG
-                    // sequence is unaffected by where the vehicle goes.
-                    let agent = self.take_agent(v).expect("agent exists");
-                    self.outbox.push(Handoff {
-                        at: now + link_time,
-                        to_im: next_im,
-                        vehicle: v,
-                        agent,
-                    });
-                }
+                agent.trip_free_flow += agent.free_flow + self.link_time;
+                self.outbox.push(Handoff {
+                    at: now + self.link_time,
+                    to_im,
+                    vehicle: v,
+                    agent,
+                });
             }
             None => {
                 // Final exit: one record for the whole trip.
@@ -2596,24 +2384,25 @@ impl<'a> World<'a> {
         // Exit notification to the IM. A lost notice is safe: the policy's
         // reservation for the vehicle simply expires via prune instead of
         // being released early.
-        for latency in self.uplink_deliveries(im).iter() {
-            sim.schedule_in(latency, Event::ImExitNotice(v, im as u32));
+        for latency in self.uplink_deliveries().iter() {
+            sim.schedule_in(latency, Event::ImExitNotice(v, self.im));
         }
     }
 
-    /// Appends one shard's post-run safety-audit verdicts to the trace:
+    /// The ground-truth safety audit of every box occupancy this lane
+    /// logged (see [`SafetyReport::audit`]).
+    pub(crate) fn audit(&mut self) -> SafetyReport {
+        let occupancies = std::mem::take(&mut self.occupancies);
+        SafetyReport::audit(occupancies, &self.cfg.geometry, &self.cfg.spec)
+    }
+
+    /// Appends this lane's post-run safety-audit verdicts to the trace:
     /// one record per overlapping pair, then a summary. A no-op when
     /// recording is disabled.
-    pub(crate) fn record_audit(
-        &mut self,
-        sim: &Simulation<Event>,
-        im: usize,
-        report: &crate::sim::safety::SafetyReport,
-    ) {
+    pub(crate) fn record_audit(&mut self, sim: &Simulation<Event>, report: &SafetyReport) {
         for viol in report.violations() {
             self.rec(
                 sim,
-                im,
                 viol.first.0,
                 0,
                 TraceEvent::AuditViolation {
@@ -2623,7 +2412,6 @@ impl<'a> World<'a> {
         }
         self.rec(
             sim,
-            im,
             NO_VEHICLE,
             0,
             TraceEvent::AuditSummary {
@@ -2641,6 +2429,13 @@ mod tests {
 
     fn test_config() -> SimConfig {
         SimConfig::scale_model(PolicyKind::Crossroads).with_seed(7)
+    }
+
+    /// The one lane of a single-intersection run.
+    fn single_lane<'a>(cfg: &'a SimConfig, workload: &'a [Arrival]) -> World<'a> {
+        World::lanes(cfg, workload, 1, Seconds::ZERO)
+            .pop()
+            .expect("one lane")
     }
 
     fn test_workload() -> Vec<Arrival> {
@@ -2666,7 +2461,6 @@ mod tests {
             movement,
             line_at: TimePoint::ZERO,
             first_line_at: TimePoint::ZERO,
-            im: 0,
             profile: SpeedProfile::starting_at(
                 TimePoint::ZERO,
                 Meters::ZERO,
@@ -2717,7 +2511,7 @@ mod tests {
         let workload = test_workload();
         let movement = workload[0].movement;
         let mut sim: Simulation<Event> = Simulation::new();
-        let mut world = World::new(&cfg, &workload);
+        let mut world = single_lane(&cfg, &workload);
         world.insert_agent(VehicleId(0), requesting_agent(movement));
         for &(at, attempt) in uplinks {
             sim.schedule(
@@ -2730,7 +2524,7 @@ mod tests {
             true
         });
         let seen = world.agent(VehicleId(0)).unwrap().im_seen_attempt;
-        (world.counters.im_requests, seen, world.shards[0].im_busy)
+        (world.counters.im_requests, seen, world.im_busy)
     }
 
     /// Regression (watermark sentinel): a *duplicated* attempt-1 uplink —
@@ -2782,7 +2576,7 @@ mod tests {
         let workload = test_workload();
         let movement = workload[0].movement;
         let mut sim: Simulation<Event> = Simulation::new();
-        let mut world = World::new(&cfg, &workload);
+        let mut world = single_lane(&cfg, &workload);
         world.insert_agent(VehicleId(0), requesting_agent(movement));
         sim.schedule(
             TimePoint::new(0.001),
@@ -2819,6 +2613,6 @@ mod tests {
         );
         // The in-flight attempt-1 computation died with the old epoch: its
         // downlink was never transmitted.
-        assert!(!world.shards[0].im_down);
+        assert!(!world.im_down);
     }
 }

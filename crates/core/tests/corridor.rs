@@ -1,17 +1,22 @@
 //! Corridor handoff properties: chaining K intersections must never
 //! lose or duplicate a vehicle (even across IM outages), the windowed
-//! engine must reproduce the serial engine bit for bit, and a K = 1
-//! corridor must be indistinguishable from the single-intersection
+//! engine must reproduce the serial engine bit for bit (with platoons and
+//! mixed traffic too), a traced corridor must be the untraced one, and a
+//! K = 1 corridor must be indistinguishable from the single-intersection
 //! simulator.
 
-use crossroads_check::{ck_assert, forall, Config};
+use crossroads_check::{bools, ck_assert, forall, Config};
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_corridor, run_simulation, CorridorConfig, SimConfig};
-use crossroads_net::{FaultConfig, GilbertElliott};
+use crossroads_core::sim::{
+    run_corridor, run_corridor_traced, run_simulation, CorridorConfig, CorridorOutcome,
+    PlatoonConfig, SimConfig,
+};
+use crossroads_net::{FaultConfig, GilbertElliott, RtdBudget};
 use crossroads_prng::{SeedableRng, StdRng};
-use crossroads_traffic::{generate_corridor, CorridorDemand};
+use crossroads_trace::Recorder;
+use crossroads_traffic::{generate_corridor, CorridorDemand, MixedConfig};
 use crossroads_units::Seconds;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 fn demand(config: &SimConfig, k: usize, arterial_rate: f64, vehicles: u32) -> CorridorDemand {
     CorridorDemand {
@@ -21,6 +26,33 @@ fn demand(config: &SimConfig, k: usize, arterial_rate: f64, vehicles: u32) -> Co
         total_vehicles: vehicles,
         line_speed: config.typical_line_speed(),
         min_headway: Seconds::new(1.0),
+    }
+}
+
+/// The first part of the outcome on which `a` and `b` differ, if any —
+/// the engines must agree on all of it bit for bit.
+fn outcome_diff(a: &CorridorOutcome, b: &CorridorOutcome) -> Option<String> {
+    let (ma, mb) = (&a.metrics, &b.metrics);
+    if ma.records() != mb.records() {
+        Some("records diverge".into())
+    } else if ma.counters() != mb.counters() {
+        Some(format!(
+            "counters diverge ({:?} vs {:?})",
+            ma.counters(),
+            mb.counters()
+        ))
+    } else if ma.decision_latencies() != mb.decision_latencies() {
+        Some("decision latency order diverges".into())
+    } else if a.ended_at != b.ended_at {
+        Some(format!("ended_at {} vs {}", a.ended_at, b.ended_at))
+    } else if a.handoffs != b.handoffs {
+        Some(format!("handoffs {} vs {}", a.handoffs, b.handoffs))
+    } else if a.safety != b.safety {
+        Some("audits diverge".into())
+    } else if a.spawned != b.spawned {
+        Some("spawned diverges".into())
+    } else {
+        None
     }
 }
 
@@ -102,8 +134,9 @@ forall! {
     /// the serial engine: same per-vehicle records (f64s and all), same
     /// counters (including the f64 `im_busy` accumulation), same audits,
     /// same end time — across random policies, corridor lengths, seeds,
-    /// window lengths and worker counts, with recurring IM outage windows
-    /// (which freely straddle barrier instants) thrown in.
+    /// window lengths and worker counts, with platoons, mixed traffic
+    /// under the safety filter, and recurring IM outage windows (which
+    /// freely straddle barrier instants) thrown in.
     fn windowed_parallel_matches_serial(
         policy_ix in 0usize..3,
         k in 2usize..6,
@@ -111,9 +144,23 @@ forall! {
         outage_tenths in 0u32..12,
         lookahead_tenths in 1u64..11,
         workers in 2usize..8,
+        platoon in bools(),
+        mixed in bools(),
     ) {
         let policy = PolicyKind::ALL[policy_ix];
-        let mut sim = SimConfig::full_scale(policy).with_seed(seed);
+        let mut sim = SimConfig::full_scale(policy)
+            .with_seed(seed)
+            .with_platoons(if platoon {
+                PlatoonConfig::standard()
+            } else {
+                PlatoonConfig::disabled()
+            })
+            .with_mixed(if mixed {
+                MixedConfig::standard()
+            } else {
+                MixedConfig::disabled()
+            })
+            .with_safety_filter(mixed);
         if outage_tenths > 0 {
             sim = sim.with_faults(FaultConfig {
                 uplink: GilbertElliott::bursty(0.10),
@@ -139,45 +186,89 @@ forall! {
             &workload,
             &entry_ims,
         );
+        let diff = outcome_diff(&windowed, &serial);
+        ck_assert!(
+            diff.is_none(),
+            "{policy} K={k} seed {seed} w={workers} la={lookahead} platoon={platoon} \
+             mixed={mixed}: {}",
+            diff.unwrap_or_default(),
+        );
+    }
+}
 
-        ck_assert!(
-            windowed.metrics.records() == serial.metrics.records(),
-            "{policy} K={k} seed {seed} w={workers} la={lookahead}: records diverge",
+/// `sim` with platoons and mixed traffic pinned off, so a test does not
+/// depend on the process environment.
+fn plain(sim: SimConfig) -> SimConfig {
+    sim.with_platoons(PlatoonConfig::disabled())
+        .with_mixed(MixedConfig::disabled())
+        .with_safety_filter(false)
+}
+
+/// A WC-RTD budget longer than the link leaves no positive derived
+/// lookahead. The windowed engine then runs `link_time` windows (any
+/// window in `(0, link_time]` is exact) and matches the serial engine.
+#[test]
+fn windowed_matches_serial_when_wc_rtd_exceeds_the_link() {
+    let mut sim = plain(SimConfig::full_scale(PolicyKind::Crossroads).with_seed(42));
+    sim.buffers.rtd = RtdBudget {
+        wc_network: Seconds::from_millis(10.0),
+        wc_computation: Seconds::from_millis(2500.0),
+    };
+    let base = CorridorConfig::new(sim, 2)
+        .with_link_time(Seconds::new(2.0))
+        .with_shard_workers(0);
+    assert_eq!(base.effective_lookahead(), base.link_time);
+    let (workload, entry_ims) = workload_for(&sim, 2, 0.06, 40, 42);
+
+    let serial = run_corridor(&base, &workload, &entry_ims);
+    assert!(serial.all_completed(), "{}/40", serial.metrics.completed());
+    let windowed = run_corridor(&base.with_shard_workers(2), &workload, &entry_ims);
+    assert_eq!(outcome_diff(&windowed, &serial), None);
+}
+
+/// A traced corridor is the untraced one with a recorder attached: for
+/// every policy at K = 3 the traced outcome equals `run_corridor` on the
+/// serial and on the windowed engine, the recorder keeps every record,
+/// dispatch stamps never decrease, and every intersection records into
+/// the one trace.
+#[test]
+fn traced_corridor_matches_untraced_engines() {
+    const K: usize = 3;
+    for policy in PolicyKind::ALL {
+        let sim = plain(SimConfig::full_scale(policy).with_seed(42));
+        let (workload, entry_ims) = workload_for(&sim, K, 0.06, 90, 42);
+        let base = CorridorConfig::new(sim, K);
+        let mut recorder = Recorder::fixed(1 << 20);
+        // Shard workers are set, but a traced run takes the serial engine.
+        let traced = run_corridor_traced(
+            &base.with_shard_workers(2),
+            &workload,
+            &entry_ims,
+            &mut recorder,
         );
-        ck_assert!(
-            windowed.metrics.counters() == serial.metrics.counters(),
-            "{policy} K={k} seed {seed} w={workers} la={lookahead}: counters diverge \
-             ({:?} vs {:?})",
-            windowed.metrics.counters(),
-            serial.metrics.counters(),
+        for workers in [0, 2] {
+            let untraced = run_corridor(&base.with_shard_workers(workers), &workload, &entry_ims);
+            assert_eq!(
+                outcome_diff(&traced, &untraced),
+                None,
+                "{policy} w={workers}"
+            );
+        }
+        assert!(traced.handoffs > 0, "{policy}: no vehicle crossed a link");
+
+        let trace = recorder.into_trace();
+        assert_eq!(trace.dropped, 0, "{policy}");
+        assert!(
+            trace
+                .records
+                .windows(2)
+                .all(|w| w[0].dispatch <= w[1].dispatch),
+            "{policy}: dispatch stamps decrease"
         );
-        ck_assert!(
-            windowed.metrics.decision_latencies() == serial.metrics.decision_latencies(),
-            "{policy} K={k} seed {seed} w={workers} la={lookahead}: \
-             decision latency order diverges",
-        );
-        ck_assert!(
-            windowed.ended_at == serial.ended_at,
-            "{policy} K={k} seed {seed} w={workers} la={lookahead}: \
-             ended_at {} vs {}",
-            windowed.ended_at,
-            serial.ended_at,
-        );
-        ck_assert!(
-            windowed.handoffs == serial.handoffs,
-            "{policy} K={k} seed {seed} w={workers} la={lookahead}: \
-             handoffs {} vs {}",
-            windowed.handoffs,
-            serial.handoffs,
-        );
-        ck_assert!(
-            windowed.safety == serial.safety,
-            "{policy} K={k} seed {seed} w={workers} la={lookahead}: audits diverge",
-        );
-        ck_assert!(
-            windowed.spawned == serial.spawned,
-            "{policy} K={k} seed {seed}: spawned diverges",
-        );
+        #[allow(clippy::cast_possible_truncation)]
+        let all: BTreeSet<u32> = (0..K as u32).collect();
+        let named: BTreeSet<u32> = trace.records.iter().map(|r| r.im).collect();
+        assert_eq!(named, all, "{policy}");
     }
 }
 

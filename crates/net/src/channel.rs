@@ -83,7 +83,7 @@ pub struct Channel {
 
 impl Channel {
     /// Creates a channel with the given configuration, validating it
-    /// once here so the per-frame [`transmit`] path only debug-asserts.
+    /// once here so the per-frame `transmit` path only debug-asserts.
     ///
     /// # Panics
     ///
