@@ -122,12 +122,15 @@ echo "==> no-deadlock liveness under faults (pinned regression seeds)"
 # vehicle or dirty the safety audit.
 cargo test -q --offline -p crossroads-core --test fault_liveness
 
-echo "==> DES engine vs seed-baseline agreement gate"
+echo "==> DES engine + contact kernel vs seed-baseline agreement gate"
 # Quick mode: benches/des.rs replays randomized schedule/cancel/pop
 # interleavings on the rewritten queue and the seed's BinaryHeap
 # baseline (embedded in the bench), and the sweep audit against the
 # exhaustive pairwise reference, hard-asserting identical transcripts
-# and verdicts. Timing loops are skipped.
+# and verdicts. It also gates the contact kernel: the sweep audit's
+# skipping march must report the plain march's contacts at the same
+# instants on full-scale multi-phase traffic at margins 0 and e_long.
+# Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 
 echo "==> windowed corridor transcript agreement gate"

@@ -1,12 +1,15 @@
 //! DES engine hot paths: the slab-indexed cancellable event queue
 //! against the seed's `BinaryHeap` + tombstone-set queue, and the
-//! sweep-pruned safety audit against the exhaustive pairwise reference.
+//! sweep-pruned safety audit with its skipping contact march against the
+//! exhaustive pairwise reference with the plain march.
 //!
 //! Before any timing, the bench **hard-asserts** engine-vs-seed
 //! agreement on randomized workloads — pop transcripts, `cancel` return
-//! values, audit verdicts. `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`,
-//! which keeps those gates and skips the timing loops, so every CI pass
-//! re-proves the rewritten engine behaves exactly like the seed.
+//! values, audit verdicts and contact instants (scale-model constant-speed
+//! traffic, and full-scale multi-phase traffic at margins 0 and `e_long`).
+//! `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`, which keeps those gates
+//! and skips the timing loops, so every CI pass re-proves the rewritten
+//! engine and contact kernel behave exactly like the seed.
 //!
 //! Self-timed (`harness = false`); run with `cargo bench --bench des`.
 
@@ -17,10 +20,11 @@ use std::hint::black_box;
 use crossroads_bench::fast_sweep;
 use crossroads_bench::timing::{bench, bench_table_header};
 use crossroads_core::sim::{BoxOccupancy, SafetyReport};
+use crossroads_core::BufferModel;
 use crossroads_des::EventQueue;
 use crossroads_intersection::{IntersectionGeometry, Movement};
 use crossroads_prng::{Rng, SeedableRng, StdRng};
-use crossroads_units::{Meters, MetersPerSecond, TimePoint};
+use crossroads_units::{Meters, MetersPerSecond, Seconds, TimePoint};
 use crossroads_vehicle::{SpeedProfile, VehicleId, VehicleSpec};
 
 // ---------------------------------------------------------------------
@@ -254,6 +258,75 @@ fn random_occupancies(seed: u64, n: usize) -> Vec<BoxOccupancy> {
         .collect()
 }
 
+/// `n` random full-scale crossings with multi-phase profiles, at the
+/// same ~0.5 box entries per second: cruise-then-speed-change, brake to
+/// the line + hold + standstill launch, and the human gap candidate's
+/// standstill launch from just behind the line, each speed target
+/// mis-tracked by up to ±10 % (clamped to `v_max`) and each window
+/// padded by up to 1 s before entry and after exit.
+fn full_scale_occupancies(seed: u64, n: usize) -> Vec<BoxOccupancy> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = IntersectionGeometry::full_scale();
+    let s = VehicleSpec::full_scale();
+    let line = g.transmission_line_distance;
+    let movements = Movement::all();
+    #[allow(clippy::cast_precision_loss)]
+    let span = n as f64 * 2.0;
+    (0..n)
+        .map(|i| {
+            #[allow(clippy::cast_possible_truncation)]
+            let movement = movements[(rng.next_u64() % 12) as usize];
+            let t0 = TimePoint::new(rng.gen_range(0.0..span));
+            let frac = rng.gen_range(0.2..1.0);
+            let hold = Seconds::new(rng.gen_range(0.0..3.0));
+            let launch = (s.v_max * rng.gen_range(0.9..1.1)).min(s.v_max);
+            let profile = match rng.next_u64() % 3 {
+                0 => {
+                    let v0 = s.v_max * frac;
+                    let mut p = SpeedProfile::starting_at(t0, line - Meters::new(25.0), v0);
+                    p.push_hold(hold);
+                    p.push_speed_change(launch, if launch >= v0 { s.a_max } else { s.d_max });
+                    p
+                }
+                1 => {
+                    let mut p = SpeedProfile::stop_at(
+                        t0,
+                        line - Meters::new(25.0),
+                        s.v_max * frac,
+                        line,
+                        &s,
+                    );
+                    p.push_hold(hold);
+                    p.push_speed_change(launch, s.a_max);
+                    p
+                }
+                _ => {
+                    let mut p = SpeedProfile::starting_at(
+                        t0,
+                        line - Meters::new(frac),
+                        MetersPerSecond::ZERO,
+                    );
+                    p.push_speed_change(launch, s.a_max);
+                    p
+                }
+            };
+            let s_exit = line + g.path_length(movement) + s.length;
+            let probe = |at: Meters| profile.time_at_position(at).unwrap_or(t0).max(t0);
+            let entered = probe(line + Meters::new(1e-3)) - Seconds::new(rng.gen_range(0.0..1.0));
+            let exited = probe(s_exit) + Seconds::new(rng.gen_range(0.0..1.0));
+            #[allow(clippy::cast_possible_truncation)]
+            BoxOccupancy {
+                vehicle: VehicleId(i as u32),
+                movement,
+                entered,
+                exited,
+                profile,
+                line_offset: line,
+            }
+        })
+        .collect()
+}
+
 fn digest(report: &SafetyReport) -> Vec<(u32, u32, u64)> {
     report
         .violations()
@@ -263,7 +336,8 @@ fn digest(report: &SafetyReport) -> Vec<(u32, u32, u64)> {
 }
 
 /// The audit gate: the sweep-pruned audit's verdict must equal the
-/// exhaustive pairwise reference on randomized traffic.
+/// exhaustive pairwise reference on randomized traffic, on the scale
+/// model and on full-scale multi-phase traffic at margins 0 and `e_long`.
 fn assert_audit_agreement() {
     let g = IntersectionGeometry::scale_model();
     let s = VehicleSpec::scale_model();
@@ -281,7 +355,32 @@ fn assert_audit_agreement() {
             checked += 1;
         }
     }
-    println!("audit agreement: sweep == exhaustive on {checked} randomized sets");
+    let g = IntersectionGeometry::full_scale();
+    let s = VehicleSpec::full_scale();
+    let mut violations = 0usize;
+    for seed in 0..8u64 {
+        for margin in [Meters::ZERO, BufferModel::full_scale().e_long] {
+            let occs = full_scale_occupancies(seed, 64);
+            let sweep = SafetyReport::audit_with_margin(occs.clone(), &g, &s, margin);
+            let pairwise = SafetyReport::audit_exhaustive_with_margin(occs, &g, &s, margin);
+            assert_eq!(
+                digest(&sweep),
+                digest(&pairwise),
+                "full-scale sweep audit diverged from the exhaustive audit \
+                 (seed {seed}, margin {margin})"
+            );
+            violations += sweep.violations().len();
+            checked += 1;
+        }
+    }
+    assert!(
+        violations > 0,
+        "the full-scale sets never touch: the gate is vacuous"
+    );
+    println!(
+        "audit agreement: sweep == exhaustive on {checked} randomized sets \
+         ({violations} full-scale contacts)"
+    );
 }
 
 fn main() {
@@ -337,6 +436,26 @@ fn main() {
         });
         bench(&format!("audit_sweep/{n}"), || {
             SafetyReport::audit_with_margin(black_box(occs.clone()), &g, &s, Meters::ZERO)
+                .violations()
+                .len()
+        });
+    }
+
+    // Full-scale multi-phase crossings at the filter's margin: longer
+    // windows and standstill launches, where the skipping march steps
+    // over most samples of every co-resident pair.
+    let g = IntersectionGeometry::full_scale();
+    let s = VehicleSpec::full_scale();
+    let e_long = BufferModel::full_scale().e_long;
+    for n in [64usize, 256, 1024] {
+        let occs = full_scale_occupancies(3, n);
+        bench(&format!("audit_pairwise/full/{n}"), || {
+            SafetyReport::audit_exhaustive_with_margin(black_box(occs.clone()), &g, &s, e_long)
+                .violations()
+                .len()
+        });
+        bench(&format!("audit_sweep/full/{n}"), || {
+            SafetyReport::audit_with_margin(black_box(occs.clone()), &g, &s, e_long)
                 .violations()
                 .len()
         });

@@ -10,7 +10,9 @@
 //! actually trace through the box) and checks each new commitment against
 //! it with the same pairwise solver the post-run safety audit uses
 //! ([`check_pair`]) — the closed-form gap test for same-movement straight
-//! pairs, the swept-footprint march for everything else.
+//! pairs, and for everything else the audit's skipping contact march,
+//! which steps over the 5 ms samples that provably cannot touch and
+//! returns the plain march's verdict bit for bit.
 //!
 //! Two asymmetries keep the filter free of false positives:
 //!
@@ -31,9 +33,7 @@
 //! registered and queried at the box it crosses, and both corridor
 //! engines see the identical registry state at the same dispatch.
 
-use std::collections::HashMap;
-
-use crossroads_intersection::{Movement, MovementPath};
+use crossroads_intersection::MovementPath;
 use crossroads_units::{Meters, TimePoint};
 use crossroads_vehicle::{VehicleId, VehicleSpec};
 
@@ -52,7 +52,7 @@ struct Envelope {
 /// The runtime monitor: the registry of committed crossing envelopes at
 /// one box, plus the cached path geometry the pairwise solver needs.
 pub(crate) struct SafetyFilter {
-    paths: HashMap<Movement, MovementPath>,
+    paths: [MovementPath; 12],
     spec: VehicleSpec,
     /// Clearance margin for the conflict checks — the sensing envelope
     /// `e_long` of the buffer model, the same physical uncertainty the

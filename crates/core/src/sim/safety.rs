@@ -2,18 +2,27 @@
 //!
 //! The simulator records each vehicle's *executed* motion plan through
 //! the box. The audit then replays every pair of temporally overlapping
-//! crossings and sweeps their physical footprints (oriented rectangles,
-//! no buffers) along their paths, flagging any instant of geometric
-//! overlap — the ground-truth safety property all three IMs must uphold,
-//! and the property VT-IM loses when its RTD buffer is disabled (the
-//! paper's Ch. 4 argument, reproduced as failure injection).
+//! crossings and tests their physical footprints (oriented rectangles,
+//! no buffers) on a 5 ms sample grid along their paths, flagging the
+//! first instant of geometric overlap — the ground-truth safety property
+//! all three IMs must uphold, and the property VT-IM loses when its RTD
+//! buffer is disabled (the paper's Ch. 4 argument, reproduced as failure
+//! injection).
+//!
+//! The contact search, `first_contact`, is a conservative-advancement
+//! march: a disc bound around each footprint and a whole-profile speed
+//! bound prove when samples cannot touch, and those are stepped over
+//! without building footprints. The verdict and the contact instant are
+//! bit-identical to the plain march, which survives only in
+//! [`SafetyReport::audit_exhaustive_with_margin`] as the reference. The
+//! runtime safety filter runs the same pair test online.
 //!
 //! Box-interval overlap alone is *not* a violation: AIM legitimately
 //! platoons same-lane vehicles and interleaves spatially disjoint
 //! crossings inside the box — that is precisely its tile-level advantage.
 
 use crossroads_intersection::{IntersectionGeometry, Movement, MovementPath};
-use crossroads_units::{Meters, OrientedRect, Seconds, TimePoint};
+use crossroads_units::{Meters, OrientedRect, Point2, Radians, Seconds, TimePoint};
 use crossroads_vehicle::{SpeedProfile, VehicleId, VehicleSpec};
 
 /// One vehicle's physical presence in the box: the time window plus the
@@ -90,8 +99,9 @@ impl SafetyReport {
     /// windows are still open, so pairs whose box intervals cannot overlap
     /// in time are never geometrically tested — O(n log n + k) candidate
     /// generation against the exhaustive audit's O(n²), with `k` the
-    /// number of genuinely co-resident pairs. The geometric replay per
-    /// candidate, the violation set and its order are identical to
+    /// number of genuinely co-resident pairs. Each candidate's contact
+    /// march steps over samples that provably cannot touch. The violation
+    /// set, its order and every contact instant are identical to
     /// [`audit_exhaustive_with_margin`](Self::audit_exhaustive_with_margin).
     #[must_use]
     pub fn audit_with_margin(
@@ -137,9 +147,12 @@ impl SafetyReport {
     }
 
     /// The seed's exhaustive pairwise audit, kept verbatim as the
-    /// reference implementation: every pair is interval-tested, O(n²).
-    /// Property tests and `benches/des.rs` cross-check the sweep-pruned
-    /// [`audit_with_margin`](Self::audit_with_margin) against it.
+    /// reference implementation: every pair is interval-tested, O(n²),
+    /// and every 5 ms sample of a co-resident pair is SAT-tested (the
+    /// plain march). Property tests, the exhaustive re-audits of the
+    /// platoon and mixed-traffic suites and `benches/des.rs` cross-check
+    /// the sweep-pruned [`audit_with_margin`](Self::audit_with_margin)
+    /// against it.
     #[must_use]
     pub fn audit_exhaustive_with_margin(
         occupancies: Vec<BoxOccupancy>,
@@ -151,7 +164,9 @@ impl SafetyReport {
         let mut violations = Vec::new();
         for (i, a) in occupancies.iter().enumerate() {
             for b in &occupancies[i + 1..] {
-                if let Some(violation) = check_pair(a, b, &paths, spec, margin) {
+                if let Some(violation) =
+                    check_pair_with(a, b, &paths, spec, margin, plain_first_contact)
+                {
                     violations.push(violation);
                 }
             }
@@ -181,35 +196,61 @@ impl SafetyReport {
     }
 }
 
-/// One replayable path per movement, shared by both audit variants (and
-/// cached by the runtime safety filter, which runs the same pair test
-/// online, before actuation, instead of post-hoc).
-pub(crate) fn movement_paths(
-    geometry: &IntersectionGeometry,
-) -> std::collections::HashMap<Movement, MovementPath> {
-    Movement::all()
-        .into_iter()
-        .map(|m| (m, MovementPath::new(geometry, m)))
-        .collect()
+/// One replayable path per movement, indexed by [`Movement::index`] and
+/// shared by both audit variants (and cached by the runtime safety
+/// filter, which runs the same pair test online, before actuation,
+/// instead of post-hoc).
+pub(crate) fn movement_paths(geometry: &IntersectionGeometry) -> [MovementPath; 12] {
+    let all = Movement::all();
+    std::array::from_fn(|i| {
+        debug_assert_eq!(all[i].index(), i);
+        MovementPath::new(geometry, all[i])
+    })
 }
 
-/// The per-pair test both audits share: interval overlap, then contact
-/// search. Returns the violation (entry-ordered vehicle pair, first
-/// contact instant) if the footprints ever touch.
+/// A sampled contact search over `[start, end]`: the first sample
+/// instant at which the two inflated footprints touch.
+type March = fn(
+    &BoxOccupancy,
+    &BoxOccupancy,
+    &[MovementPath; 12],
+    &VehicleSpec,
+    Meters,
+    TimePoint,
+    TimePoint,
+) -> Option<TimePoint>;
+
+/// The per-pair test the sweep audit and the runtime filter share:
+/// interval overlap, then contact search. Returns the violation
+/// (entry-ordered vehicle pair, first contact instant) if the footprints
+/// ever touch.
 ///
 /// Same-movement straight pairs get the *exact* first-contact time: both
 /// bodies ride the same straight line with identical headings, so contact
 /// reduces to the 1-D separation condition and
 /// [`first_gap_violation`](crossroads_vehicle::first_gap_violation)
 /// solves the crossing in closed form. Every other pair (curved paths,
-/// distinct movements) keeps the sampled rectangle march, which the
-/// property suite pins against the closed form on the shared domain.
+/// distinct movements) is sampled by [`first_contact`], which the
+/// property suite pins against the plain march on the shared grid.
 pub(crate) fn check_pair(
     a: &BoxOccupancy,
     b: &BoxOccupancy,
-    paths: &std::collections::HashMap<Movement, MovementPath>,
+    paths: &[MovementPath; 12],
     spec: &VehicleSpec,
     margin: Meters,
+) -> Option<SafetyViolation> {
+    check_pair_with(a, b, paths, spec, margin, first_contact)
+}
+
+/// [`check_pair`] with the sampled contact search supplied: the
+/// exhaustive reference audit passes [`plain_first_contact`].
+fn check_pair_with(
+    a: &BoxOccupancy,
+    b: &BoxOccupancy,
+    paths: &[MovementPath; 12],
+    spec: &VehicleSpec,
+    margin: Meters,
+    march: March,
 ) -> Option<SafetyViolation> {
     let start = a.entered.max(b.entered);
     let end = a.exited.min(b.exited);
@@ -228,7 +269,7 @@ pub(crate) fn check_pair(
                 end,
             )?
         } else {
-            first_contact(a, b, paths, spec, margin, start, end)?
+            march(a, b, paths, spec, margin, start, end)?
         };
     let (first, second) = if a.entered <= b.entered {
         (a.vehicle, b.vehicle)
@@ -238,16 +279,23 @@ pub(crate) fn check_pair(
     Some(SafetyViolation { first, second, at })
 }
 
-fn footprint(
+/// Footprint centre and heading at `t`: the front bumper's path position
+/// less half a body, mapped through the movement's path.
+fn center_pose(
     occ: &BoxOccupancy,
     path: &MovementPath,
     spec: &VehicleSpec,
-    margin: Meters,
     t: TimePoint,
+) -> (Point2, Radians) {
+    path.pose_at(occ.front_at(t) - spec.length / 2.0)
+}
+
+/// The body at `pose`, inflated by `margin` on all sides.
+fn footprint(
+    (center, heading): (Point2, Radians),
+    spec: &VehicleSpec,
+    margin: Meters,
 ) -> OrientedRect {
-    let front = occ.front_at(t);
-    let center_s = front - spec.length / 2.0;
-    let (center, heading) = path.pose_at(center_s);
     OrientedRect {
         center,
         heading,
@@ -256,21 +304,85 @@ fn footprint(
     }
 }
 
+/// Disc clearance the skipping march keeps in hand before it steps over a
+/// sample. It dominates the float error of the poses and the SAT by
+/// orders of magnitude (see [`first_contact`]).
+const SKIP_SLACK: Meters = Meters::new(1e-6);
+
+/// The contact search: the plain march's 5 ms sample grid and verdict,
+/// with samples that provably cannot touch stepped over without
+/// evaluating footprints (conservative advancement).
+///
+/// Exactness:
+/// - each inflated footprint lies inside the disc of radius
+///   `R = hypot(L/2 + m, W/2 + m)` around its centre;
+/// - each centre moves along its path, which is 1-Lipschitz in arc
+///   length (straight extensions included), no faster than its
+///   profile's [`max_speed`](SpeedProfile::max_speed), a bound over the
+///   whole profile — a launch accelerating through the conflict zone
+///   outruns any speed sampled at an earlier instant;
+/// - so once a sample finds the discs `gap` apart, a later sample with
+///   `(top_a + top_b)·(t − t_eval) < gap − slack` still has them more
+///   than `slack` apart. Two rectangles at distance `δ` are separated by
+///   at least `δ/√2` along one of their edge normals, so the plain
+///   march's SAT reports no contact there either. For the same reason
+///   an evaluated sample whose discs are more than `slack` apart skips
+///   its SAT test;
+/// - `t` still advances by the repeated `t += AUDIT_STEP`, so the sample
+///   grid and the first contact instant are bit-identical to
+///   [`plain_first_contact`]'s.
 fn first_contact(
     a: &BoxOccupancy,
     b: &BoxOccupancy,
-    paths: &std::collections::HashMap<Movement, MovementPath>,
+    paths: &[MovementPath; 12],
     spec: &VehicleSpec,
     margin: Meters,
     start: TimePoint,
     end: TimePoint,
 ) -> Option<TimePoint> {
-    let pa = paths.get(&a.movement).expect("all movements have paths");
-    let pb = paths.get(&b.movement).expect("all movements have paths");
+    let (pa, pb) = (&paths[a.movement.index()], &paths[b.movement.index()]);
+    let reach = a.profile.max_speed() + b.profile.max_speed();
+    let half_l = (spec.length / 2.0 + margin).value();
+    let half_w = (spec.width / 2.0 + margin).value();
+    let discs = Meters::new(half_l.hypot(half_w) * 2.0);
+    // The last evaluated sample and the disc clearance it proved.
+    let (mut t_eval, mut clear) = (start, Meters::ZERO);
     let mut t = start;
     while t <= end {
-        let ra = footprint(a, pa, spec, margin, t);
-        let rb = footprint(b, pb, spec, margin, t);
+        if reach * (t - t_eval) < clear {
+            t += AUDIT_STEP;
+            continue;
+        }
+        let pose_a = center_pose(a, pa, spec, t);
+        let pose_b = center_pose(b, pb, spec, t);
+        let gap = pose_a.0.distance_to(pose_b.0) - discs;
+        if gap <= SKIP_SLACK
+            && footprint(pose_a, spec, margin).intersects(&footprint(pose_b, spec, margin))
+        {
+            return Some(t);
+        }
+        (t_eval, clear) = (t, gap - SKIP_SLACK);
+        t += AUDIT_STEP;
+    }
+    None
+}
+
+/// The seed's plain march: every 5 ms sample's footprints are built and
+/// SAT-tested. Only the exhaustive reference audit runs it.
+fn plain_first_contact(
+    a: &BoxOccupancy,
+    b: &BoxOccupancy,
+    paths: &[MovementPath; 12],
+    spec: &VehicleSpec,
+    margin: Meters,
+    start: TimePoint,
+    end: TimePoint,
+) -> Option<TimePoint> {
+    let (pa, pb) = (&paths[a.movement.index()], &paths[b.movement.index()]);
+    let mut t = start;
+    while t <= end {
+        let ra = footprint(center_pose(a, pa, spec, t), spec, margin);
+        let rb = footprint(center_pose(b, pb, spec, t), spec, margin);
         if ra.intersects(&rb) {
             return Some(t);
         }

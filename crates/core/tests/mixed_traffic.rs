@@ -57,6 +57,27 @@ fn mixed_run(policy: PolicyKind, rate: f64, seed: u64, filter: bool) -> SimOutco
     run_simulation(&config, &w)
 }
 
+/// The run's occupancy log re-audited by the exhaustive reference (every
+/// pair, plain contact march).
+fn exhaustive_audit(out: &SimOutcome, config: &SimConfig) -> SafetyReport {
+    SafetyReport::audit_exhaustive_with_margin(
+        out.safety.occupancies().to_vec(),
+        &config.geometry,
+        &config.spec,
+        Meters::ZERO,
+    )
+}
+
+/// A report's violations with exact time bits, for bit-for-bit
+/// comparison of the run's own audit against the reference.
+fn digest(report: &SafetyReport) -> Vec<(u32, u32, u64)> {
+    report
+        .violations()
+        .iter()
+        .map(|v| (v.first.0, v.second.0, v.at.value().to_bits()))
+        .collect()
+}
+
 forall! {
     // Each case is three full closed-loop runs; keep the count CI-sized.
     config = Config::default().with_cases(12);
@@ -98,7 +119,8 @@ forall! {
 /// *executed* trajectories finding zero violations. The intervention
 /// counters must show the filter and the preemption path actually
 /// engaged somewhere on the grid, so the clean audits are evidence of
-/// protection rather than of an idle monitor.
+/// protection rather than of an idle monitor. The run's own audit must
+/// agree with the exhaustive one exactly.
 #[test]
 fn filtered_adversarial_mix_is_exhaustively_safe() {
     let mut interventions = 0u64;
@@ -113,18 +135,13 @@ fn filtered_adversarial_mix_is_exhaustively_safe() {
                 out.metrics.completed(),
                 out.spawned,
             );
-            let config = SimConfig::scale_model(policy);
-            let exhaustive = SafetyReport::audit_exhaustive_with_margin(
-                out.safety.occupancies().to_vec(),
-                &config.geometry,
-                &config.spec,
-                Meters::ZERO,
-            );
+            let exhaustive = exhaustive_audit(&out, &SimConfig::scale_model(policy));
             assert!(
                 exhaustive.is_safe(),
                 "{policy} seed {seed}: executed trajectories collided: {:?}",
                 exhaustive.violations(),
             );
+            assert_eq!(digest(&out.safety), digest(&exhaustive));
             let c = out.metrics.counters();
             interventions += c.filter_interventions;
             preemptions += c.emergency_preemptions;
@@ -150,19 +167,19 @@ fn filtered_adversarial_mix_is_exhaustively_safe() {
 /// still guides human gap acceptance, but granted downlinks go through
 /// unchecked against faulty/emergency envelopes) must produce at least
 /// one exhaustive-audit violation somewhere. If it never does, the
-/// clean audits above prove nothing about the filter.
+/// clean audits above prove nothing about the filter. The run's own
+/// audit must report the same violations at the same instants.
 #[test]
 fn unfiltered_adversarial_mix_shows_real_violations() {
     let mut violations = 0usize;
     for policy in PolicyKind::ALL {
         for seed in [3u64, 7, 11] {
             let out = mixed_run(policy, 0.5, seed, false);
-            let config = SimConfig::scale_model(policy);
-            let exhaustive = SafetyReport::audit_exhaustive_with_margin(
-                out.safety.occupancies().to_vec(),
-                &config.geometry,
-                &config.spec,
-                Meters::ZERO,
+            let exhaustive = exhaustive_audit(&out, &SimConfig::scale_model(policy));
+            assert_eq!(
+                digest(&out.safety),
+                digest(&exhaustive),
+                "{policy} seed {seed}: the run's audit disagrees with the reference"
             );
             violations += exhaustive.violations().len();
         }

@@ -4,7 +4,7 @@
 //! columns form, and must degrade to the per-vehicle protocol — never to
 //! a violation — when the IM crashes mid-platoon.
 
-use crossroads_check::{ck_assert, forall, Config};
+use crossroads_check::{ck_assert, ck_assert_eq, forall, Config};
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{
     run_corridor, run_simulation, CorridorConfig, PlatoonConfig, SafetyReport, SimConfig,
@@ -35,6 +35,27 @@ fn run_point(policy: PolicyKind, rate: f64, seed: u64, platoon: PlatoonConfig) -
     run_simulation(&config, &w)
 }
 
+/// The run's occupancy log re-audited by the exhaustive reference (every
+/// pair, plain contact march).
+fn exhaustive_audit(out: &SimOutcome, config: &SimConfig) -> SafetyReport {
+    SafetyReport::audit_exhaustive_with_margin(
+        out.safety.occupancies().to_vec(),
+        &config.geometry,
+        &config.spec,
+        Meters::ZERO,
+    )
+}
+
+/// A report's violations with exact time bits, for bit-for-bit
+/// comparison of the run's own audit against the reference.
+fn digest(report: &SafetyReport) -> Vec<(u32, u32, u64)> {
+    report
+        .violations()
+        .iter()
+        .map(|v| (v.first.0, v.second.0, v.at.value().to_bits()))
+        .collect()
+}
+
 forall! {
     // Each case is a full closed-loop run; keep the count CI-sized
     // (CROSSROADS_CHECK_CASES scales it up for soak runs).
@@ -45,7 +66,7 @@ forall! {
     /// admission never admits a follower whose inherited slot overlaps a
     /// conflicting grant — the physical occupancy log of an enabled run
     /// is violation-free under ground truth for every policy, rate, and
-    /// platoon shape.
+    /// platoon shape, and the run's own audit agrees with it exactly.
     fn follower_slots_never_overlap_conflicting_grants(
         policy_ix in 0usize..3,
         rate_centi in 10u32..90,
@@ -68,19 +89,14 @@ forall! {
             out.metrics.completed(),
             out.spawned,
         );
-        let config = SimConfig::scale_model(policy);
-        let exhaustive = SafetyReport::audit_exhaustive_with_margin(
-            out.safety.occupancies().to_vec(),
-            &config.geometry,
-            &config.spec,
-            Meters::ZERO,
-        );
+        let exhaustive = exhaustive_audit(&out, &SimConfig::scale_model(policy));
         ck_assert!(
             exhaustive.is_safe(),
             "{policy} rate {rate} seed {seed} max {max_size}: \
              inherited slot overlapped a conflicting grant: {:?}",
             exhaustive.violations(),
         );
+        ck_assert_eq!(digest(&out.safety), digest(&exhaustive));
     }
 }
 
@@ -180,13 +196,9 @@ fn im_crash_mid_platoon_degrades_to_per_vehicle_fallback() {
         out.metrics.completed(),
         out.spawned
     );
-    let exhaustive = SafetyReport::audit_exhaustive_with_margin(
-        out.safety.occupancies().to_vec(),
-        &config.geometry,
-        &config.spec,
-        Meters::ZERO,
-    );
+    let exhaustive = exhaustive_audit(&out, &config);
     assert!(exhaustive.is_safe(), "{:?}", exhaustive.violations());
+    assert_eq!(digest(&out.safety), digest(&exhaustive));
     let c = out.metrics.counters();
     assert!(
         c.platoons_formed > 0,

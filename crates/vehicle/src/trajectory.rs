@@ -189,6 +189,20 @@ impl SpeedProfile {
         &self.phases
     }
 
+    /// An upper bound on [`speed_at`](Self::speed_at) over all time: the
+    /// start speed (reported before the anchor), every phase's entry and
+    /// exit speed (speed is monotone within a constant-acceleration
+    /// phase) and the final speed the tail keeps. It is the Lipschitz
+    /// constant of [`position_at`](Self::position_at), which conservative
+    /// contact searches use to bound how far a vehicle can move between
+    /// two instants.
+    #[must_use]
+    pub fn max_speed(&self) -> MetersPerSecond {
+        self.phases
+            .iter()
+            .fold(self.v_start, |top, p| top.max(p.v0).max(p.exit_speed()))
+    }
+
     /// Appends a constant-speed phase of length `duration`.
     ///
     /// # Panics

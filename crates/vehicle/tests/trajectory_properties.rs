@@ -122,6 +122,52 @@ forall! {
         );
     }
 
+    /// `max_speed` bounds the speed everywhere on random multi-phase
+    /// profiles (hold / accel / decel / stop-and-park / relaunch): before
+    /// the anchor, at the start, middle and end of every phase, and past
+    /// the end. It therefore bounds the position increments too, which is
+    /// what the audit's conservative contact march relies on.
+    fn max_speed_bounds_every_instant(
+        v0 in 0.0f64..3.0,
+        seg1 in (0u64..3, 0.05f64..3.0),
+        seg2 in (0u64..3, 0.05f64..3.0),
+        seg3 in (0u64..3, 0.05f64..3.0),
+        seg4 in (0u64..3, 0.05f64..3.0),
+    ) {
+        let s = spec();
+        let mut p = SpeedProfile::starting_at(TimePoint::new(1.0), Meters::ZERO, MetersPerSecond::new(v0));
+        for (kind, param) in [seg1, seg2, seg3, seg4] {
+            match kind {
+                0 => p.push_hold(Seconds::new(param)),
+                1 => {
+                    let target = MetersPerSecond::new(param);
+                    let rate = if target >= p.final_speed() { s.a_max } else { s.d_max };
+                    p.push_speed_change(target, rate);
+                }
+                _ => {
+                    p.push_speed_change(MetersPerSecond::ZERO, s.d_max);
+                    p.push_hold(Seconds::new(param));
+                }
+            }
+        }
+        let top = p.max_speed();
+        let mut probes = vec![TimePoint::ZERO, p.start_time(), p.end_time() + Seconds::new(2.0)];
+        for ph in p.phases() {
+            probes.extend([ph.start, ph.start + ph.duration * 0.5, ph.start + ph.duration]);
+        }
+        for &t in &probes {
+            ck_assert!(p.speed_at(t) <= top, "speed {} at {t} exceeds max_speed {top}", p.speed_at(t));
+        }
+        probes.sort_by(|a, b| a.total_cmp(*b));
+        for w in probes.windows(2) {
+            let moved = p.position_at(w[1]) - p.position_at(w[0]);
+            ck_assert!(
+                moved <= top * (w[1] - w[0]) + Meters::new(1e-9),
+                "moved {moved} in {} at max_speed {top}", w[1] - w[0]
+            );
+        }
+    }
+
     /// The Crossroads profile arrives at the line within a millisecond of
     /// the commanded ToA whenever the IM's (ToA, V_T) pair is kinematically
     /// consistent — here generated from the profile itself.
