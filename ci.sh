@@ -125,9 +125,10 @@ cargo test -q --offline -p crossroads-core --test fault_liveness
 echo "==> DES engine + contact kernel vs seed-baseline agreement gate"
 # Quick mode: benches/des.rs replays randomized schedule/cancel/pop
 # interleavings on the rewritten queue and the seed's BinaryHeap
-# baseline (embedded in the bench), and the sweep audit against the
-# exhaustive pairwise reference, hard-asserting identical transcripts
-# and verdicts. It also gates the contact kernel: the sweep audit's
+# baseline (embedded in the bench), both from an empty queue and from a
+# start-schedule prologue that the seed queue schedules up front, and
+# the sweep audit against the exhaustive pairwise reference,
+# hard-asserting identical transcripts and verdicts. It also gates the contact kernel: the sweep audit's
 # skipping march must report the plain march's contacts at the same
 # instants on full-scale multi-phase traffic at margins 0 and e_long.
 # Timing loops are skipped.

@@ -4,9 +4,11 @@
 //! exhaustive pairwise reference with the plain march.
 //!
 //! Before any timing, the bench **hard-asserts** engine-vs-seed
-//! agreement on randomized workloads — pop transcripts, `cancel` return
-//! values, audit verdicts and contact instants (scale-model constant-speed
-//! traffic, and full-scale multi-phase traffic at margins 0 and `e_long`).
+//! agreement on randomized workloads — pop transcripts and `cancel`
+//! return values, with and without a start-schedule prologue (which the
+//! seed queue schedules up front), audit verdicts and contact instants
+//! (scale-model constant-speed traffic, and full-scale multi-phase
+//! traffic at margins 0 and `e_long`).
 //! `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`, which keeps those gates
 //! and skips the timing loops, so every CI pass re-proves the rewritten
 //! engine and contact kernel behave exactly like the seed.
@@ -132,12 +134,38 @@ fn gen_ops(seed: u64, n: usize, cancel_frac: f64) -> Vec<Op> {
     ops
 }
 
-/// Replays `ops` on the indexed queue, returning the pop transcript
-/// (time bits + payload) and every cancel verdict.
-fn run_indexed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
-    let mut q: EventQueue<usize> = EventQueue::new();
+/// `ops` with every scheduled time snapped down to a 250 s grid, so
+/// they tie with each other and with a [`gen_prologue`] start schedule.
+fn snap_to_grid(ops: &[Op]) -> Vec<Op> {
+    ops.iter()
+        .map(|&op| match op {
+            Op::Schedule(at) => Op::Schedule((at / 250.0).floor() * 250.0),
+            op => op,
+        })
+        .collect()
+}
+
+/// `n` start-event times on the same 250 s grid, in random order.
+fn gen_prologue(seed: u64, n: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| (rng.gen_range(0.0..1e4) / 250.0).floor() * 250.0)
+        .collect()
+}
+
+/// Replays `ops` on the indexed queue, built with `prologue` as its
+/// start schedule (payloads `0..prologue.len()`), returning the pop
+/// transcript (time bits + payload) and every cancel verdict. Only
+/// events scheduled by `ops` have handles to cancel.
+fn run_indexed(prologue: &[f64], ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
+    let mut q: EventQueue<usize> = EventQueue::with_prologue(
+        prologue
+            .iter()
+            .zip(0usize..)
+            .map(|(&at, e)| (TimePoint::new(at), e)),
+    );
     let mut ids = Vec::new();
-    let mut payload = 0usize;
+    let mut payload = prologue.len();
     let mut pops = Vec::new();
     let mut cancels = Vec::new();
     for &op in ops {
@@ -163,11 +191,15 @@ fn run_indexed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     (pops, cancels)
 }
 
-/// Replays `ops` on the seed queue; same transcript shape.
-fn run_seed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
+/// Replays `ops` on the seed queue after scheduling `prologue` up
+/// front; same transcript shape.
+fn run_seed(prologue: &[f64], ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     let mut q: SeedQueue<usize> = SeedQueue::new();
+    for (e, &at) in prologue.iter().enumerate() {
+        q.schedule(TimePoint::new(at), e);
+    }
     let mut ids = Vec::new();
-    let mut payload = 0usize;
+    let mut payload = prologue.len();
     let mut pops = Vec::new();
     let mut cancels = Vec::new();
     for &op in ops {
@@ -194,22 +226,141 @@ fn run_seed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
 }
 
 /// The correctness gate: on many randomized interleavings, the indexed
-/// queue's pop transcript and cancel verdicts must equal the seed's.
+/// queue's pop transcript and cancel verdicts must equal the seed's,
+/// both from an empty queue and from a start-schedule prologue whose
+/// times tie with each other and with the scheduled events.
 fn assert_queue_agreement() {
     for seed in 0..32u64 {
-        let ops = gen_ops(seed, 400, 0.25);
-        let (pops_new, cancels_new) = run_indexed(&ops);
-        let (pops_seed, cancels_seed) = run_seed(&ops);
-        assert_eq!(
-            pops_new, pops_seed,
-            "pop transcript diverged from the seed queue (seed {seed})"
-        );
-        assert_eq!(
-            cancels_new, cancels_seed,
-            "cancel verdicts diverged from the seed queue (seed {seed})"
-        );
+        #[allow(clippy::cast_possible_truncation)]
+        let cases = [
+            (Vec::new(), gen_ops(seed, 400, 0.25)),
+            (
+                gen_prologue(seed, 8 * (seed as usize + 1)),
+                snap_to_grid(&gen_ops(seed + 1000, 400, 0.25)),
+            ),
+        ];
+        for (prologue, ops) in &cases {
+            let n = prologue.len();
+            let (pops_new, cancels_new) = run_indexed(prologue, ops);
+            let (pops_seed, cancels_seed) = run_seed(prologue, ops);
+            assert_eq!(
+                pops_new, pops_seed,
+                "pop transcript diverged from the seed queue (seed {seed}, prologue {n})"
+            );
+            assert_eq!(
+                cancels_new, cancels_seed,
+                "cancel verdicts diverged from the seed queue (seed {seed}, prologue {n})"
+            );
+        }
     }
-    println!("queue agreement: indexed == seed on 32 randomized interleavings");
+    let prologue = drain_start_schedule(true);
+    let upfront = drain_start_schedule(false);
+    assert_eq!(
+        prologue, upfront,
+        "the start-schedule drain diverged between prologue and up-front scheduling"
+    );
+    println!(
+        "queue agreement: indexed == seed on 32 randomized interleavings \
+         and 32 with a prologue; start-schedule drain: {} events, \
+         at most {} follow-ups live",
+        prologue.events, prologue.max_live
+    );
+}
+
+// ---------------------------------------------------------------------
+// The simulator's start-schedule shape.
+// ---------------------------------------------------------------------
+
+/// Line crossings in perfbench's `mixed` workload (per policy run).
+const START_CROSSINGS: u32 = 16_000;
+/// IM outage windows in the same run; each is a crash and a restart.
+const START_OUTAGES: u32 = 4_053;
+/// Follow-up events each crossing chains, `CHAIN_GAP` apart.
+const CHAIN: u32 = 12;
+const CHAIN_GAP: f64 = 6.5;
+
+/// A 128-byte event, the size bound of the simulator's `Event`.
+#[derive(Clone, Copy)]
+struct Token {
+    /// Follow-ups still to chain after this event.
+    left: u32,
+    /// Whether this is a start event rather than a follow-up.
+    start: bool,
+    _body: [u64; 15],
+}
+
+/// The start schedule in schedule order: sorted line crossings about a
+/// second apart, then sorted crash/restart pairs over the same span.
+fn start_schedule() -> impl Iterator<Item = (TimePoint, Token)> {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut t = 0.0;
+    let crossings = (0..START_CROSSINGS).map(move |_| {
+        t += rng.gen_range(0.0..2.0);
+        (TimePoint::new(t), CHAIN)
+    });
+    let outages = (0..START_OUTAGES).flat_map(|j| {
+        let crash = f64::from(j) * 4.0 + 1.0;
+        [(crash, 0), (crash + 1.5, 0)].map(|(at, left)| (TimePoint::new(at), left))
+    });
+    crossings.chain(outages).map(|(at, left)| {
+        (
+            at,
+            Token {
+                left,
+                start: true,
+                _body: [0; 15],
+            },
+        )
+    })
+}
+
+/// What one drain of the start schedule saw.
+#[derive(Debug, PartialEq)]
+struct Drained {
+    events: u64,
+    /// Sum of the popped times' bit patterns: a cheap transcript digest.
+    digest: u64,
+    /// Most follow-up events queued at once.
+    max_live: u32,
+}
+
+/// Drains the start schedule, each crossing chaining [`CHAIN`]
+/// follow-ups, with the start events in a prologue or scheduled up
+/// front.
+fn drain_start_schedule(prologue: bool) -> Drained {
+    let mut q = if prologue {
+        EventQueue::with_prologue(start_schedule())
+    } else {
+        let mut q = EventQueue::new();
+        for (at, token) in start_schedule() {
+            q.schedule(at, token);
+        }
+        q
+    };
+    let mut out = Drained {
+        events: 0,
+        digest: 0,
+        max_live: 0,
+    };
+    let mut live = 0u32;
+    while let Some((at, token)) = q.pop() {
+        out.events += 1;
+        out.digest = out.digest.wrapping_add(at.value().to_bits());
+        if !token.start {
+            live -= 1;
+        }
+        if token.left > 0 {
+            let next = Token {
+                left: token.left - 1,
+                start: false,
+                ..token
+            };
+            q.schedule(at + Seconds::new(CHAIN_GAP), next);
+            live += 1;
+            out.max_live = out.max_live.max(live);
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -397,10 +548,10 @@ fn main() {
     for n in [256usize, 1024, 4096] {
         let ops = gen_ops(7, n * 2, 0.0);
         bench(&format!("schedule_drain_seed/{n}"), || {
-            run_seed(black_box(&ops)).0.len()
+            run_seed(&[], black_box(&ops)).0.len()
         });
         bench(&format!("schedule_drain_indexed/{n}"), || {
-            run_indexed(black_box(&ops)).0.len()
+            run_indexed(&[], black_box(&ops)).0.len()
         });
     }
 
@@ -411,12 +562,23 @@ fn main() {
     for n in [256usize, 1024, 4096] {
         let ops = gen_ops(11, n * 2, 0.45);
         bench(&format!("cancel_heavy_seed/{n}"), || {
-            run_seed(black_box(&ops)).0.len()
+            run_seed(&[], black_box(&ops)).0.len()
         });
         bench(&format!("cancel_heavy_indexed/{n}"), || {
-            run_indexed(black_box(&ops)).0.len()
+            run_indexed(&[], black_box(&ops)).0.len()
         });
     }
+
+    // The simulator's start schedule: 24,106 start events and about a
+    // hundred follow-ups live at once. Up front, every pop and schedule
+    // sifts through a heap of up to 24 k entries; as a prologue, the
+    // heap holds only the follow-ups.
+    bench("queue/upfront", || {
+        drain_start_schedule(black_box(false)).events
+    });
+    bench("queue/prologue", || {
+        drain_start_schedule(black_box(true)).events
+    });
 
     bench_table_header("safety_audit");
 

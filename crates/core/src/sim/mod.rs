@@ -291,7 +291,7 @@ impl SimConfig {
     }
 
     /// Installs a fault-injection configuration (validated when the run
-    /// builds its [`FaultModel`](crossroads_net::FaultModel)).
+    /// starts).
     #[must_use]
     pub fn with_faults(mut self, fault: FaultConfig) -> Self {
         self.fault = fault;
@@ -326,17 +326,21 @@ impl SimConfig {
         self
     }
 
-    /// Validates the platoon and mixed-traffic sub-configs. Both engines
-    /// call this once per run, before the first event; the fault config
-    /// is validated where each lane builds its fault injector.
+    /// Validates the platoon, mixed-traffic and (when enabled) fault
+    /// sub-configs. Both engines call this once per run, before they
+    /// build the start schedule.
     ///
     /// # Panics
     ///
     /// Panics with a message naming the bad field, as
-    /// [`PlatoonConfig::validate`] and [`MixedConfig::validate`] do.
+    /// [`PlatoonConfig::validate`], [`MixedConfig::validate`] and
+    /// [`FaultConfig::validate`] do.
     pub fn validate(&self) {
         self.platoon.validate();
         self.mixed.validate();
+        if self.fault.enabled() {
+            self.fault.validate();
+        }
     }
 
     /// The speed vehicles carry across the transmission line in the
@@ -485,32 +489,49 @@ fn run_horizon(cfg: &SimConfig, workload: &[Arrival], k: usize, link_time: Secon
         + corridor_slack
 }
 
-/// Schedules a run's initial events through `schedule(at, event)`, which
-/// must queue `event` where its intersection (`event.im()`) is served:
-/// every arrival's line crossing at its entry intersection (missing
-/// entries default to 0), then, under faults, every IM's outages up to
-/// `horizon`. Each IM crashes on the same schedule (the windows are a
-/// pure function of the config) but recovers independently: lane-local
-/// queues, epochs and fault streams.
-fn schedule_start(
+/// A run's start events in schedule order: every arrival's line crossing
+/// at its entry intersection (missing entries default to 0), then, under
+/// faults, every IM's outages up to `horizon`. Each event names the
+/// intersection that serves it (`event.im()`). Each IM crashes on the
+/// same schedule (the windows are a pure function of the config) but
+/// recovers independently: lane-local queues, epochs and fault streams.
+fn start_events<'a>(
     cfg: &SimConfig,
-    workload: &[Arrival],
-    entry_ims: &[u32],
+    workload: &'a [Arrival],
+    entry_ims: &'a [u32],
     k: usize,
     horizon: TimePoint,
-    mut schedule: impl FnMut(TimePoint, Event),
-) {
-    for (i, arr) in workload.iter().enumerate() {
+) -> impl Iterator<Item = (TimePoint, Event)> + 'a {
+    let crossings = workload.iter().enumerate().map(|(i, arr)| {
         let im = entry_ims.get(i).copied().unwrap_or(0);
-        schedule(arr.at_line, Event::LineCrossing(i, im));
-    }
-    if cfg.fault.enabled() {
-        for (crash, restart) in cfg.fault.outage_windows(horizon - TimePoint::ZERO) {
-            for im in 0..k as u32 {
-                schedule(TimePoint::ZERO + crash, Event::ImCrash(im));
-                schedule(TimePoint::ZERO + restart, Event::ImRestart(im));
-            }
-        }
+        (arr.at_line, Event::LineCrossing(i, im))
+    });
+    let windows = if cfg.fault.enabled() {
+        cfg.fault.outage_windows(horizon - TimePoint::ZERO)
+    } else {
+        Vec::new()
+    };
+    let outages = windows.into_iter().flat_map(move |(crash, restart)| {
+        (0..k as u32).flat_map(move |im| {
+            [
+                (TimePoint::ZERO + crash, Event::ImCrash(im)),
+                (TimePoint::ZERO + restart, Event::ImRestart(im)),
+            ]
+        })
+    });
+    crossings.chain(outages)
+}
+
+/// Checks that `workload` is sorted by arrival time, which the horizon
+/// (taken from the last arrival) relies on.
+///
+/// # Panics
+///
+/// Panics naming the first vehicle that arrives before its predecessor,
+/// in the words of [`crossroads_traffic::validate_workload`].
+fn assert_sorted(workload: &[Arrival]) {
+    if let Some(pair) = workload.windows(2).find(|p| p[1].at_line < p[0].at_line) {
+        panic!("{}: arrivals not sorted by time", pair[1].vehicle);
     }
 }
 
@@ -531,15 +552,13 @@ fn run_serial(
     recorder: Option<&mut Recorder>,
 ) -> CorridorOutcome {
     cfg.validate();
+    assert_sorted(workload);
     // Rebound so the borrow can shrink to the lanes' lifetime: the lanes
     // hand it back after every event.
     let mut recorder = recorder;
-    let mut sim: Simulation<Event> = Simulation::new();
     let mut lanes = World::lanes(cfg, workload, k, link_time);
     let horizon = run_horizon(cfg, workload, k, link_time);
-    schedule_start(cfg, workload, entry_ims, k, horizon, |at, ev| {
-        sim.schedule(at, ev);
-    });
+    let mut sim = Simulation::with_prologue(start_events(cfg, workload, entry_ims, k, horizon));
     let mut handoffs = Vec::new();
     let run = sim.run_until(horizon, |sim, ev| {
         let lane = &mut lanes[ev.im()];

@@ -26,9 +26,10 @@
 //! workload (K = 8, 2 workers, two policies) runs 8 586 windows of about
 //! 124 DES events each, summed over all eight lanes — so the barrier's
 //! cost decides whether the engine wins at all. On a 2-core host
-//! (`nproc` = 2) that workload's upper-quartile pass takes 565 ms,
-//! against 757 ms for the serial engine on the same inputs (the
-//! benchmark's `corridor` workload); see EXPERIMENTS.md E14.
+//! (`nproc` = 2) that workload's upper-quartile pass takes 420 ms, and a
+//! serial pass over the same inputs, timed in the same process, takes
+//! about 100 ms longer (perfbench `--trace 1`, `windowed.overhead_ms`);
+//! see EXPERIMENTS.md, "Start schedule as a prologue".
 //!
 //! Determinism: each lane is the same single-intersection [`World`] the
 //! serial engine dispatches to, built by the same [`World::lanes`], with
@@ -109,27 +110,28 @@ pub(crate) fn run_corridor_windowed(
     let cfg = &config.sim;
     let k = config.k;
     cfg.validate();
+    super::assert_sorted(workload);
     assert!(
         lookahead > Seconds::ZERO && lookahead <= config.link_time,
         "lookahead {lookahead} must be in (0, link_time] for conservative windows"
     );
+    let horizon = super::run_horizon(cfg, workload, k, config.link_time);
+    // Each lane starts with the arrivals entering at its intersection and
+    // its own outage schedule — the same absolute instants, in the same
+    // per-intersection order, as the serial engine.
     let mut lanes: Vec<Lane> = World::lanes(cfg, workload, k, config.link_time)
         .into_iter()
-        .map(|world| Lane {
-            sim: Simulation::new(),
+        .enumerate()
+        .map(|(im, world)| Lane {
+            sim: Simulation::with_prologue(
+                super::start_events(cfg, workload, entry_ims, k, horizon)
+                    .filter(|(_, ev)| ev.im() == im),
+            ),
             world,
             next: Step::Window(TimePoint::ZERO),
             safety: None,
         })
         .collect();
-
-    // Seed each lane with the arrivals entering at its intersection and
-    // its own outage schedule — the same absolute instants, in the same
-    // per-intersection order, as the serial engine.
-    let horizon = super::run_horizon(cfg, workload, k, config.link_time);
-    super::schedule_start(cfg, workload, entry_ims, k, horizon, |at, ev| {
-        lanes[ev.im()].sim.schedule(at, ev);
-    });
 
     let mut exchange: Vec<(usize, Handoff)> = Vec::new();
     let mut audited = false;

@@ -2,9 +2,11 @@
 //! radios, analytic single-vehicle timings.
 
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SimConfig};
+use crossroads_core::sim::{run_corridor, run_simulation, CorridorConfig, SimConfig};
 use crossroads_intersection::{Approach, Movement, Turn};
-use crossroads_traffic::Arrival;
+use crossroads_net::FaultConfig;
+use crossroads_prng::{SeedableRng, StdRng};
+use crossroads_traffic::{generate_poisson, Arrival, PoissonConfig};
 use crossroads_units::kinematics;
 use crossroads_units::{MetersPerSecond, Seconds, TimePoint};
 use crossroads_vehicle::{VehicleId, VehicleSpec};
@@ -167,4 +169,48 @@ fn stranded_count_matches_completion_gap() {
         &single(1.5),
     );
     assert_eq!(ok.stranded(), 0);
+}
+
+/// A 200-vehicle Poisson workload with its last arrival moved to the
+/// front: the horizon, taken from the last arrival, would be too early.
+fn unsorted_workload(config: &SimConfig) -> Vec<Arrival> {
+    let mut poisson = PoissonConfig::sweep_point(0.3, config.typical_line_speed());
+    poisson.total_vehicles = 200;
+    let mut w = generate_poisson(&poisson, &mut StdRng::seed_from_u64(3));
+    w.rotate_right(1);
+    w
+}
+
+/// The serial engine rejects a workload that is not sorted by arrival
+/// time, naming the first vehicle that arrives before its predecessor.
+#[test]
+#[should_panic(expected = "veh#0: arrivals not sorted by time")]
+fn unsorted_workload_is_rejected_by_run_simulation() {
+    let config = SimConfig::scale_model(PolicyKind::Crossroads);
+    let w = unsorted_workload(&config);
+    let _ = run_simulation(&config, &w);
+}
+
+/// The same check guards the windowed corridor engine.
+#[test]
+#[should_panic(expected = "arrivals not sorted by time")]
+fn unsorted_workload_is_rejected_by_the_windowed_corridor() {
+    let sim = SimConfig::scale_model(PolicyKind::Crossroads);
+    let w = unsorted_workload(&sim);
+    let config = CorridorConfig::new(sim, 2).with_shard_workers(2);
+    let _ = run_corridor(&config, &w, &[]);
+}
+
+/// An IM that would never come back up between outages is rejected by
+/// the config check both engines run before the first event.
+#[test]
+#[should_panic(expected = "must exceed outage duration")]
+fn outage_period_shorter_than_the_outage_is_rejected_by_validate() {
+    let config = SimConfig::scale_model(PolicyKind::Crossroads).with_faults(FaultConfig {
+        outage_start: Seconds::new(5.0),
+        outage_duration: Seconds::new(10.0),
+        outage_period: Seconds::new(8.0),
+        ..FaultConfig::disabled()
+    });
+    config.validate();
 }

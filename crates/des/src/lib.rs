@@ -13,6 +13,12 @@
 //! a fixed RNG seed always produces the identical trace. That property is
 //! what lets the integration tests assert exact protocol traces.
 //!
+//! A run's start schedule (every vehicle's line crossing, every IM
+//! outage) is handed over in one piece with [`Simulation::with_prologue`].
+//! Those events wait in a time-sorted list beside the heap instead of in
+//! it, so the heap stays as shallow as the run's near-future events;
+//! the dispatch order is the one scheduling them up front would give.
+//!
 //! # Examples
 //!
 //! ```

@@ -7,6 +7,13 @@
 //! in O(log n), so the heap never carries tombstones and `peek_time` /
 //! `is_empty` are O(1) reads on `&self` (the seed implementation reaped
 //! lazily and needed `&mut self` for both).
+//!
+//! A run's start schedule can bypass the heap: [`EventQueue::with_prologue`]
+//! writes those events into the slab and keeps their slot indices in a
+//! time-sorted list that every pop merges with the heap root. The heap
+//! then holds only the events scheduled while the run is under way —
+//! about a hundred live at once in the simulator, against tens of
+//! thousands of start events.
 
 use std::cmp::Ordering;
 
@@ -48,8 +55,9 @@ impl EventId {
 struct Slot<E> {
     /// Bumped every time the slot is vacated, invalidating old handles.
     generation: u32,
-    /// While occupied: this slot's index in `heap`. While vacant: the next
-    /// vacant slot (intrusive free list), or [`NIL`].
+    /// While occupied: this slot's index in `heap`, or [`NIL`] for a
+    /// prologue event. While vacant: the next vacant slot (intrusive free
+    /// list), or [`NIL`].
     pos: u32,
     at: TimePoint,
     /// Global schedule order; ties on `at` pop in `seq` order (FIFO).
@@ -80,6 +88,10 @@ pub struct EventQueue<E> {
     /// Slot indices, heap-ordered by the owning slot's `(at, seq)`.
     heap: Vec<u32>,
     slots: Vec<Slot<E>>,
+    /// Slot indices of the prologue's events in `(at, seq)` order; the
+    /// entries before `prologue_next` have popped.
+    prologue: Vec<u32>,
+    prologue_next: usize,
     /// Head of the vacant-slot free list threaded through `Slot::pos`.
     free_head: u32,
     next_seq: u64,
@@ -96,12 +108,53 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_prologue([])
+    }
+
+    /// Creates a queue holding `events`, as if each were passed to
+    /// [`schedule`](Self::schedule) in iteration order, but kept out of
+    /// the heap.
+    ///
+    /// The events are written straight into the slab, and a stable sort
+    /// by time puts their slot indices in pop order. Every pop compares
+    /// the head of that list with the heap root by `(time, seq)`. The
+    /// prologue holds the queue's lowest sequence numbers, so a time tie
+    /// with a later-scheduled event goes to the prologue, exactly as the
+    /// heap would order it: pop order, counters and lengths are those of
+    /// scheduling every event up front. A popped prologue slot joins the
+    /// free list for later events. Prologue events get no [`EventId`],
+    /// so they cannot be cancelled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a timestamp is NaN or infinite, as `schedule` does.
+    #[must_use]
+    pub fn with_prologue(events: impl IntoIterator<Item = (TimePoint, E)>) -> Self {
+        let slots: Vec<Slot<E>> = events
+            .into_iter()
+            .zip(0u64..)
+            .map(|((at, payload), seq)| {
+                assert!(at.is_finite(), "event timestamp must be finite, got {at}");
+                Slot {
+                    generation: 0,
+                    pos: NIL,
+                    at,
+                    seq,
+                    payload: Some(payload),
+                }
+            })
+            .collect();
+        let len = u32::try_from(slots.len()).expect("fewer than 2^32 live events");
+        let mut prologue: Vec<u32> = (0..len).collect();
+        prologue.sort_by(|&a, &b| slots[a as usize].at.total_cmp(slots[b as usize].at));
         EventQueue {
             heap: Vec::new(),
-            slots: Vec::new(),
+            slots,
+            prologue,
+            prologue_next: 0,
             free_head: NIL,
-            next_seq: 0,
-            scheduled_total: 0,
+            next_seq: u64::from(len),
+            scheduled_total: u64::from(len),
         }
     }
 
@@ -164,11 +217,8 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest live event, or `None` if the queue
     /// is empty.
     pub fn pop(&mut self) -> Option<(TimePoint, E)> {
-        let &idx = self.heap.first()?;
-        self.remove_at(0);
-        let at = self.slots[idx as usize].at;
-        let payload = self.vacate(idx).expect("heap entries are occupied");
-        Some((at, payload))
+        let (idx, in_prologue) = self.head()?;
+        Some((self.slots[idx as usize].at, self.take(idx, in_prologue)))
     }
 
     /// Pops the earliest event if it fires at or before `horizon`
@@ -176,7 +226,7 @@ impl<E> EventQueue<E> {
     /// peek-then-pop the run loop uses. A deferred event stays queued and
     /// is reported as [`Popped::Beyond`].
     pub fn pop_within(&mut self, horizon: Option<TimePoint>) -> Popped<E> {
-        let Some(&idx) = self.heap.first() else {
+        let Some((idx, in_prologue)) = self.head() else {
             return Popped::Empty;
         };
         let at = self.slots[idx as usize].at;
@@ -185,9 +235,7 @@ impl<E> EventQueue<E> {
                 return Popped::Beyond(at);
             }
         }
-        self.remove_at(0);
-        let payload = self.vacate(idx).expect("heap entries are occupied");
-        Popped::Event(at, payload)
+        Popped::Event(at, self.take(idx, in_prologue))
     }
 
     /// Pops the earliest event if it fires *strictly before* `limit`; an
@@ -199,42 +247,67 @@ impl<E> EventQueue<E> {
     /// that instant runs (contrast [`pop_within`](Self::pop_within),
     /// whose horizon is inclusive).
     pub fn pop_before(&mut self, limit: TimePoint) -> Popped<E> {
-        let Some(&idx) = self.heap.first() else {
+        let Some((idx, in_prologue)) = self.head() else {
             return Popped::Empty;
         };
         let at = self.slots[idx as usize].at;
         if at >= limit {
             return Popped::Beyond(at);
         }
-        self.remove_at(0);
-        let payload = self.vacate(idx).expect("heap entries are occupied");
-        Popped::Event(at, payload)
+        Popped::Event(at, self.take(idx, in_prologue))
     }
 
     /// Timestamp of the next live event without removing it. O(1).
     #[must_use]
     pub fn peek_time(&self) -> Option<TimePoint> {
-        self.heap.first().map(|&idx| self.slots[idx as usize].at)
+        self.head().map(|(idx, _)| self.slots[idx as usize].at)
     }
 
     /// Whether no live events remain. O(1).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.prologue_next == self.prologue.len()
     }
 
-    /// Number of live entries. Eager cancellation keeps no tombstones, so
-    /// this is exact (the seed implementation counted unreaped cancelled
-    /// entries too).
+    /// Number of live entries, in the heap and the prologue. Eager
+    /// cancellation keeps no tombstones, so this is exact (the seed
+    /// implementation counted unreaped cancelled entries too).
     #[must_use]
     pub fn raw_len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.prologue.len() - self.prologue_next
     }
 
     /// Total number of events ever scheduled on this queue.
     #[must_use]
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// The earliest live event's slot, and whether it heads the prologue
+    /// rather than the heap. The two heads compare by the heap's own
+    /// `(at, seq)` order.
+    fn head(&self) -> Option<(u32, bool)> {
+        match (self.prologue.get(self.prologue_next), self.heap.first()) {
+            (Some(&p), Some(&h)) => Some(if self.before(h, p) {
+                (h, false)
+            } else {
+                (p, true)
+            }),
+            (Some(&p), None) => Some((p, true)),
+            (None, Some(&h)) => Some((h, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// Removes the head event found by [`head`](Self::head) and returns
+    /// its payload.
+    fn take(&mut self, idx: u32, in_prologue: bool) -> E {
+        if in_prologue {
+            self.prologue_next += 1;
+        } else {
+            self.remove_at(0);
+        }
+        self.vacate(idx).expect("queued entries are occupied")
     }
 
     /// Frees a slot back to the free list, bumping its generation so any
@@ -328,7 +401,7 @@ impl<E> EventQueue<E> {
 impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.raw_len())
             .field("slots", &self.slots.len())
             .field("scheduled_total", &self.scheduled_total)
             .finish()
@@ -500,6 +573,27 @@ mod tests {
         for i in 0..8u32 {
             assert_eq!(q.pop_before(t(2.0)), Popped::Event(t(1.0), i));
         }
+    }
+
+    #[test]
+    fn popped_prologue_slots_are_reused() {
+        let mut q = EventQueue::with_prologue((0..64).map(|i| (t(f64::from(i)), i)));
+        assert_eq!(q.slots.len(), 64);
+        // Each pop frees a slot and each schedule takes one back, so while
+        // no more events are live than the prologue held, the slab does
+        // not grow.
+        for i in 0..1000 {
+            let (at, _) = q.pop().expect("the queue stays non-empty");
+            q.schedule(at + crossroads_units::Seconds::new(0.5), 64 + i);
+            if i % 3 == 0 {
+                q.pop();
+            }
+            if q.raw_len() < 64 {
+                q.schedule(at + crossroads_units::Seconds::new(2.0), 2000 + i);
+            }
+            assert_eq!(q.raw_len(), 64);
+        }
+        assert_eq!(q.slots.len(), 64);
     }
 
     #[test]

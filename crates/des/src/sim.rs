@@ -97,6 +97,33 @@ impl<E> Simulation<E> {
         }
     }
 
+    /// Creates a simulation at `t = 0` whose queue starts with `events`,
+    /// a run's start schedule: the same run as passing each event to
+    /// [`schedule`](Self::schedule) in iteration order before the first
+    /// dispatch, but the events stay out of the heap (see
+    /// [`EventQueue::with_prologue`]). The heap then holds only what the
+    /// run schedules, so every pop and every near-future schedule sifts
+    /// through a shallow heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a timestamp is negative or non-finite, as `schedule`
+    /// does.
+    #[must_use]
+    pub fn with_prologue(events: impl IntoIterator<Item = (TimePoint, E)>) -> Self {
+        let queue = EventQueue::with_prologue(events.into_iter().inspect(|&(at, _)| {
+            assert!(
+                at >= TimePoint::ZERO,
+                "cannot schedule into the past: {at} < now {}",
+                TimePoint::ZERO
+            );
+        }));
+        Simulation {
+            queue,
+            ..Self::new()
+        }
+    }
+
     /// Replaces the runaway-loop backstop (events per `run` call).
     #[must_use]
     pub fn with_max_events(mut self, max_events: u64) -> Self {
@@ -525,6 +552,37 @@ mod tests {
             true
         });
         assert_eq!(seen, vec!["other"]);
+    }
+
+    #[test]
+    fn prologue_runs_like_scheduling_up_front() {
+        let start = [(3.0, 0), (1.0, 1), (2.0, 2), (1.0, 3)];
+        let trace = |mut sim: Simulation<u32>| {
+            let mut seen = Vec::new();
+            sim.run(|sim, e| {
+                seen.push((sim.now(), e));
+                if e < 4 {
+                    // A follow-up tying with a later start event pops
+                    // after it: the start schedule holds the lower
+                    // sequence numbers.
+                    sim.schedule_in(Seconds::new(1.0), e + 10);
+                }
+                true
+            });
+            (seen, sim.scheduled_total(), sim.events_dispatched())
+        };
+        let mut upfront = Simulation::new();
+        for (at, e) in start {
+            upfront.schedule(TimePoint::new(at), e);
+        }
+        let prologue = Simulation::with_prologue(start.map(|(at, e)| (TimePoint::new(at), e)));
+        assert_eq!(trace(prologue), trace(upfront));
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn negative_prologue_time_panics() {
+        let _ = Simulation::with_prologue([(TimePoint::new(-1.0), ())]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the event queue and simulation executive.
 
 use crossroads_check::{bools, ck_assert, ck_assert_eq, forall, vec};
-use crossroads_des::{EventQueue, Simulation};
+use crossroads_des::{EventQueue, Popped, Simulation};
 use crossroads_units::TimePoint;
 
 /// The obviously-correct reference queue: a flat vector scanned for the
@@ -33,16 +33,40 @@ impl NaiveQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        let best = self
-            .entries
+    /// Index of the earliest `(time, seq)` entry.
+    fn earliest(&self) -> Option<usize> {
+        self.entries
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(i, _)| i)?;
-        let (at, _, payload) = self.entries.remove(best);
+            .map(|(i, _)| i)
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.earliest().map(|i| self.entries[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        let (at, _, payload) = self.entries.remove(self.earliest()?);
         Some((at, payload))
     }
+
+    /// Pops the earliest entry if `keep(at)` holds, else reports its time.
+    fn pop_if(&mut self, keep: impl Fn(f64) -> bool) -> Popped<usize> {
+        match self.peek_time() {
+            None => Popped::Empty,
+            Some(at) if !keep(at) => Popped::Beyond(TimePoint::new(at)),
+            Some(_) => {
+                let (at, payload) = self.pop().expect("peeked an entry");
+                Popped::Event(TimePoint::new(at), payload)
+            }
+        }
+    }
+}
+
+/// A timestamp on a coarse 0.5 s grid, so equal times are common.
+fn grid(step: u8) -> f64 {
+    f64::from(step) * 0.5
 }
 
 forall! {
@@ -145,6 +169,72 @@ forall! {
         }
     }
 
+    /// Model test for the start-schedule prologue: a queue built by
+    /// `with_prologue`, then driven by random interleavings of schedule /
+    /// cancel / pop / `pop_within` / `pop_before`, must match the naive
+    /// reference that schedules every prologue event up front. Pop
+    /// results, deferred timestamps, `peek_time`, `is_empty` and
+    /// `raw_len` are compared after every operation. Times sit on a
+    /// 0.5 s grid, so ties inside the prologue and between the prologue
+    /// and later events occur in most cases.
+    fn prologue_matches_scheduling_up_front(
+        prologue in vec(0u8..20, 0..60),
+        ops in vec((0u8..7, 0u8..20), 1..150),
+    ) {
+        let mut queue =
+            EventQueue::with_prologue(prologue.iter().zip(0usize..).map(|(&step, payload)| {
+                (TimePoint::new(grid(step)), payload)
+            }));
+        let mut naive = NaiveQueue::default();
+        for (payload, &step) in prologue.iter().enumerate() {
+            naive.schedule(grid(step), payload);
+        }
+        // Only events scheduled after the prologue have handles.
+        let mut ids = Vec::new();
+        let mut handles = Vec::new();
+        let mut payload = prologue.len();
+        for &(op, step) in &ops {
+            let at = grid(step);
+            match op {
+                0 | 1 => {
+                    ids.push(queue.schedule(TimePoint::new(at), payload));
+                    handles.push(naive.schedule(at, payload));
+                    payload += 1;
+                }
+                2 if !ids.is_empty() => {
+                    let k = usize::from(step) % ids.len();
+                    ck_assert_eq!(queue.cancel(ids[k]), naive.cancel(handles[k]));
+                }
+                3 => {
+                    let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
+                    let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
+                    ck_assert_eq!(popped, expect);
+                }
+                4 => ck_assert_eq!(
+                    queue.pop_within(Some(TimePoint::new(at))),
+                    naive.pop_if(|t| t <= at)
+                ),
+                5 => ck_assert_eq!(queue.pop_within(None), naive.pop_if(|_| true)),
+                _ => ck_assert_eq!(
+                    queue.pop_before(TimePoint::new(at)),
+                    naive.pop_if(|t| t < at)
+                ),
+            }
+            ck_assert_eq!(queue.peek_time().map(TimePoint::value), naive.peek_time());
+            ck_assert_eq!(queue.is_empty(), naive.entries.is_empty());
+            ck_assert_eq!(queue.raw_len(), naive.entries.len());
+        }
+        loop {
+            let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
+            let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
+            ck_assert_eq!(popped, expect);
+            if expect.is_none() {
+                break;
+            }
+        }
+        ck_assert_eq!(queue.scheduled_total(), naive.next_seq);
+    }
+
     /// The simulation clock never goes backwards over any run.
     fn clock_is_monotone(times in vec(0.0f64..1e4, 1..200)) {
         let mut sim: Simulation<()> = Simulation::new();
@@ -195,4 +285,36 @@ fn signed_zero_timestamps_pop_in_total_order() {
         order,
         ["neg-first", "neg-second", "pos-first", "pos-second"]
     );
+}
+
+/// A prologue timestamp must be finite, as a scheduled one must.
+#[test]
+#[should_panic(expected = "finite")]
+fn non_finite_prologue_timestamp_panics() {
+    let _ =
+        EventQueue::with_prologue([(TimePoint::new(1.0), 'a'), (TimePoint::new(f64::NAN), 'b')]);
+}
+
+/// The same check holds behind `Simulation::with_prologue`.
+#[test]
+#[should_panic(expected = "finite")]
+fn infinite_simulation_prologue_timestamp_panics() {
+    let _ = Simulation::with_prologue([(TimePoint::new(f64::INFINITY), ())]);
+}
+
+/// Prologue events count as scheduled and as live, exactly as if each
+/// had gone through `schedule`.
+#[test]
+fn counters_include_the_prologue() {
+    let mut q = EventQueue::with_prologue((0..5).map(|i| (TimePoint::new(f64::from(i)), i)));
+    assert_eq!(q.scheduled_total(), 5);
+    assert_eq!(q.raw_len(), 5);
+    assert!(!q.is_empty());
+    q.schedule(TimePoint::new(2.5), 10);
+    assert_eq!((q.scheduled_total(), q.raw_len()), (6, 6));
+    assert_eq!(q.pop(), Some((TimePoint::new(0.0), 0)));
+    assert_eq!((q.scheduled_total(), q.raw_len()), (6, 5));
+    while q.pop().is_some() {}
+    assert!(q.is_empty());
+    assert_eq!((q.scheduled_total(), q.raw_len()), (6, 0));
 }

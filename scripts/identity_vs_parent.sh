@@ -1,0 +1,85 @@
+#!/usr/bin/env sh
+# Byte-identity check against another commit, usually the parent of a
+# change that must not alter any experiment output.
+#
+# Usage: scripts/identity_vs_parent.sh <git-ref>
+#
+# Exports <git-ref> with `git archive` into a temporary directory (no
+# worktree metadata is left behind), builds it and this tree offline in
+# release mode, then runs every exp_* binary of this tree on both builds
+# in reduced mode (CROSSROADS_SWEEP_FAST=1, BENCH_sweep.json discarded).
+# Each binary runs at CROSSROADS_THREADS 1, 4 and 7 and at
+# CROSSROADS_SHARD_WORKERS 1, 2, 4 and 7, and each pair of stdouts is
+# compared with `cmp`. Exits non-zero if any run fails or any pair
+# differs; prints the first lines of each difference.
+set -eu
+
+if [ "$#" -ne 1 ]; then
+    echo "usage: $0 <git-ref>" >&2
+    exit 2
+fi
+ref=$1
+cd "$(dirname "$0")/.."
+if ! git rev-parse --verify --quiet "$ref^{commit}" >/dev/null; then
+    echo "FAIL: $ref does not name a commit" >&2
+    exit 2
+fi
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base" "$work/out"
+git archive "$ref" | tar -x -C "$work/base"
+
+echo "==> building this tree (offline, release)"
+cargo build --release --offline --workspace --bins -q
+echo "==> building $ref (offline, release)"
+(cd "$work/base" && cargo build --release --offline --workspace --bins -q)
+
+bins=$(ls crates/bench/src/bin | sed -n 's/^\(exp_.*\)\.rs$/\1/p')
+settings="CROSSROADS_THREADS=1 CROSSROADS_THREADS=4 CROSSROADS_THREADS=7
+CROSSROADS_SHARD_WORKERS=1 CROSSROADS_SHARD_WORKERS=2
+CROSSROADS_SHARD_WORKERS=4 CROSSROADS_SHARD_WORKERS=7"
+
+# run BINARY SETTING OUT: one reduced run of BINARY with only SETTING
+# among the pool and shard knobs set, stdout to OUT.
+run() {
+    env -u CROSSROADS_THREADS -u CROSSROADS_SHARD_WORKERS \
+        CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null "$2" \
+        "$1" >"$3" 2>/dev/null
+}
+
+compared=0
+failed=0
+for bin in $bins; do
+    if [ ! -x "$work/base/target/release/$bin" ]; then
+        echo "FAIL: $ref has no $bin" >&2
+        failed=$((failed + 1))
+        continue
+    fi
+    for setting in $settings; do
+        compared=$((compared + 1))
+        if ! run "target/release/$bin" "$setting" "$work/out/new"; then
+            echo "FAIL: $bin ($setting) exited non-zero on this tree" >&2
+            failed=$((failed + 1))
+            continue
+        fi
+        if ! run "$work/base/target/release/$bin" "$setting" "$work/out/base"; then
+            echo "FAIL: $bin ($setting) exited non-zero on $ref" >&2
+            failed=$((failed + 1))
+            continue
+        fi
+        if cmp -s "$work/out/base" "$work/out/new"; then
+            echo "ok   $bin ($setting)"
+        else
+            echo "DIFF $bin ($setting)" >&2
+            diff "$work/out/base" "$work/out/new" | head -20 >&2 || true
+            failed=$((failed + 1))
+        fi
+    done
+done
+
+if [ "$failed" -ne 0 ]; then
+    echo "FAIL: $failed of $compared comparisons against $ref differ or failed" >&2
+    exit 1
+fi
+echo "identical: all $compared comparisons against $ref"
