@@ -16,6 +16,14 @@ if grep -rn '^[a-z0-9_-]* *= *"' crates/*/Cargo.toml | grep -v '^\([^:]*\):[0-9]
     exit 1
 fi
 
+echo "==> configuration purity: no library crate reads the process environment"
+# The experiment knobs are read once, by crossroads_bench at the binary
+# edge; crossroads-check keeps its CROSSROADS_CHECK_CASES soak knob.
+if grep -rn 'env::var' crates/*/src | grep -v '^crates/\(bench\|check\)/'; then
+    echo "FAIL: a library crate reads the process environment" >&2
+    exit 1
+fi
+
 echo "==> offline release build (library, binary and example targets)"
 # --examples is load-bearing: a bare `cargo build` skips example targets,
 # which let the five examples/ programs rot silently across refactors.
@@ -23,6 +31,15 @@ cargo build --release --offline --workspace --examples
 
 echo "==> offline test suite"
 cargo test -q --offline --workspace
+
+echo "==> hermetic library tests (every model knob set)"
+# Library constructors ignore the environment, so golden and property
+# tests that build their own configs must pass unchanged with every
+# experiment knob flipped away from its default.
+knobs="CROSSROADS_MIXED=1 CROSSROADS_PLATOON=1 CROSSROADS_SAFETY_FILTER=1"
+knobs="$knobs CROSSROADS_AIM_ANALYTIC=0 CROSSROADS_SHARD_WORKERS=2"
+env $knobs cargo test -q --offline -p crossroads --test end_to_end --test sim_properties
+env $knobs cargo test -q --offline -p crossroads-core --test mixed_traffic
 
 echo "==> offline release build of the benchmark harness (perfbench)"
 # perfbench is its own workspace, so the builds above never compile it;
@@ -134,17 +151,6 @@ echo "==> DES engine + contact kernel vs seed-baseline agreement gate"
 # Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 
-echo "==> windowed corridor transcript agreement gate"
-# benches/grid.rs hard-asserts that the windowed-parallel corridor
-# engine reproduces the serial engine's full outcome at 2/4/8 shard
-# workers. Built first, then run under `timeout` like the smoke above.
-cargo bench --offline --bench grid -p crossroads-bench --no-run
-if ! CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
-    timeout 300 cargo bench --offline --bench grid -p crossroads-bench; then
-    echo "FAIL: windowed corridor transcript gate failed or timed out" >&2
-    exit 1
-fi
-
 echo "==> AIM analytic-vs-marched kernel agreement gate"
 # Quick mode: benches/trajectory.rs hard-asserts that the closed-form
 # analytic footprint kernel returns the stepped march's verdict and a
@@ -167,7 +173,8 @@ echo "==> platoon-admission smoke (PAIM sweep at 1/4/7 threads + disabled identi
 # message saving internally; its stdout must stay byte-identical at any
 # worker-pool width. Platooning must also be unobservable by default:
 # an existing experiment run with CROSSROADS_PLATOON=0 pinned must match
-# the flag-unset run byte for byte.
+# the flag-unset run byte for byte, which checks the knob reader at the
+# binary edge (crossroads_bench::knobs).
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_platoon_sweep >"$seq_out" 2>/dev/null
 for t in 4 7; do
@@ -187,7 +194,8 @@ echo "==> mixed-traffic smoke (filtered sweep at 1/4/7 threads + disabled identi
 # audits and a nonzero intervention count internally; its stdout must
 # stay byte-identical at any worker-pool width. Mixed traffic must also
 # be unobservable by default: an existing experiment run with
-# CROSSROADS_MIXED=0 pinned must match the flag-unset run byte for byte.
+# CROSSROADS_MIXED=0 pinned must match the flag-unset run byte for byte
+# through the same knob reader.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_mixed_sweep >"$seq_out" 2>/dev/null
 for t in 4 7; do

@@ -9,9 +9,9 @@
 //!
 //! Each ablation axis fans out over the `CROSSROADS_THREADS` worker pool.
 
-use crossroads_bench::{carried_per_lane, par_sweep, sweep_workload};
+use crossroads_bench::{carried_per_lane, knobs, par_sweep, sweep_workload};
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SimConfig};
+use crossroads_core::sim::run_simulation;
 use crossroads_net::RtdBudget;
 use crossroads_units::Seconds;
 
@@ -38,7 +38,7 @@ fn main() {
         |grid| grid.map_or_else(|| String::from("crossroads-ref"), |g| format!("grid{g}")),
         |&grid| match grid {
             Some(g) => {
-                let mut config = SimConfig::full_scale(PolicyKind::Aim).with_seed(42);
+                let mut config = knobs().full_scale(PolicyKind::Aim).with_seed(42);
                 config.aim_grid_side = g;
                 let w = sweep_workload(&config, 0.9, 1042);
                 let out = run_simulation(&config, &w);
@@ -46,7 +46,7 @@ fn main() {
                 (carried_per_lane(&out), out.metrics.average_wait().value())
             }
             None => {
-                let config = SimConfig::full_scale(PolicyKind::Crossroads).with_seed(42);
+                let config = knobs().full_scale(PolicyKind::Crossroads).with_seed(42);
                 let w = sweep_workload(&config, 0.9, 1042);
                 (carried_per_lane(&run_simulation(&config, &w)), 0.0)
             }
@@ -70,7 +70,7 @@ fn main() {
         &rtds,
         |rtd_ms| format!("rtd{rtd_ms}ms"),
         |&rtd_ms| {
-            let mut config = SimConfig::full_scale(PolicyKind::VtIm).with_seed(42);
+            let mut config = knobs().full_scale(PolicyKind::VtIm).with_seed(42);
             config.buffers.rtd = RtdBudget {
                 wc_network: Seconds::from_millis(15.0),
                 wc_computation: Seconds::from_millis(rtd_ms - 15.0),
@@ -94,7 +94,7 @@ fn main() {
         &crawls,
         |crawl| format!("crawl{crawl}"),
         |&crawl| {
-            let mut config = SimConfig::full_scale(PolicyKind::Crossroads).with_seed(42);
+            let mut config = knobs().full_scale(PolicyKind::Crossroads).with_seed(42);
             config.crawl_fraction = crawl;
             let w = sweep_workload(&config, 0.9, 1042);
             let out = run_simulation(&config, &w);

@@ -9,9 +9,9 @@
 //! point is a self-seeded simulation, so the output never depends on the
 //! thread count.
 
-use crossroads_bench::{carried_per_lane, par_sweep, run_sweep_point, SWEEP_RATES};
+use crossroads_bench::{carried_per_lane, knobs, par_sweep, run_sweep_point, SWEEP_RATES};
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SimConfig};
+use crossroads_core::sim::run_simulation;
 use crossroads_traffic::{scale_model_scenario, ScenarioId};
 
 fn scale_model_reduction() -> f64 {
@@ -26,12 +26,9 @@ fn scale_model_reduction() -> f64 {
         |&(id, repeat)| {
             let w = scale_model_scenario(id, repeat);
             let seed = repeat * 1313 + 7;
-            let a = run_simulation(
-                &SimConfig::scale_model(PolicyKind::VtIm).with_seed(seed),
-                &w,
-            );
+            let a = run_simulation(&knobs().scale_model(PolicyKind::VtIm).with_seed(seed), &w);
             let b = run_simulation(
-                &SimConfig::scale_model(PolicyKind::Crossroads).with_seed(seed),
+                &knobs().scale_model(PolicyKind::Crossroads).with_seed(seed),
                 &w,
             );
             assert!(a.all_completed() && b.all_completed());

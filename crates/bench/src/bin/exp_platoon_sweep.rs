@@ -19,10 +19,10 @@
 //! AIM, whose queues hold vehicles long enough to column up.
 
 use crossroads_bench::{
-    fast_sweep, run_point_guarded, sweep_rates, sweep_seeds, sweep_workload, table_header,
+    fast_sweep, knobs, run_point_guarded, sweep_rates, sweep_seeds, sweep_workload, table_header,
 };
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{PlatoonConfig, SimConfig, SimOutcome};
+use crossroads_core::sim::{PlatoonConfig, SimOutcome};
 use crossroads_net::{FaultConfig, GilbertElliott};
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::{generate_rush_hour, PoissonConfig, RateProfile};
@@ -36,7 +36,8 @@ fn run_point(policy: PolicyKind, rate: f64, seed: u64, platooned: bool) -> SimOu
     } else {
         PlatoonConfig::disabled()
     };
-    let config = SimConfig::full_scale(policy)
+    let config = knobs()
+        .full_scale(policy)
         .with_seed(seed)
         .with_platoons(platoon);
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
@@ -191,7 +192,8 @@ fn main() {
             } else {
                 PlatoonConfig::disabled()
             };
-            let config = SimConfig::full_scale(policy)
+            let config = knobs()
+                .full_scale(policy)
                 .with_seed(23)
                 .with_platoons(platoon);
             let mut rng = StdRng::seed_from_u64(230);
@@ -245,7 +247,8 @@ fn main() {
         &crash_points,
         |policy| format!("{policy}-crash-paim"),
         |&policy| {
-            let config = SimConfig::full_scale(policy)
+            let config = knobs()
+                .full_scale(policy)
                 .with_seed(5)
                 .with_platoons(PlatoonConfig::standard())
                 .with_faults(crash_fault());

@@ -5,7 +5,7 @@
 //! IM-scheduled entry and the actual entry across a simulated run.
 
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SimConfig};
+use crossroads_core::sim::run_simulation;
 use crossroads_traffic::{scale_model_scenario, ScenarioId};
 use crossroads_units::{Meters, MetersPerSecond, TimePoint};
 use crossroads_vehicle::{SpeedProfile, VehicleSpec};
@@ -80,7 +80,8 @@ fn closed_loop_spread() {
                 buffers.e_long = Meters::ZERO;
             }
             let w = scale_model_scenario(ScenarioId(1), seed);
-            let config = SimConfig::scale_model(PolicyKind::VtIm)
+            let config = crossroads_bench::knobs()
+                .scale_model(PolicyKind::VtIm)
                 .with_seed(seed)
                 .with_buffers(buffers);
             let out = run_simulation(&config, &w);

@@ -6,7 +6,7 @@
 //! to drain after the peak passes.
 
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SimConfig};
+use crossroads_core::sim::run_simulation;
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::{generate_rush_hour, PoissonConfig, RateProfile};
 use crossroads_units::Seconds;
@@ -32,7 +32,7 @@ fn main() {
         &PolicyKind::ALL,
         |policy| policy.to_string(),
         |&policy| {
-            let config = SimConfig::full_scale(policy).with_seed(23);
+            let config = crossroads_bench::knobs().full_scale(policy).with_seed(23);
             let mut rng = StdRng::seed_from_u64(230);
             let base = PoissonConfig::sweep_point(0.1, config.typical_line_speed());
             let workload = generate_rush_hour(&profile, &base, &mut rng);

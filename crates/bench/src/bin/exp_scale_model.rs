@@ -5,9 +5,9 @@
 //! (scenario 1), 1.08x in the best case (scenario 10), ~24% lower wait
 //! overall.
 
-use crossroads_bench::par_sweep;
+use crossroads_bench::{knobs, par_sweep};
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, SimConfig};
+use crossroads_core::sim::run_simulation;
 use crossroads_traffic::{scale_model_scenario, ScenarioId};
 
 const REPEATS: u64 = 10;
@@ -37,7 +37,7 @@ fn main() {
         |&(id, policy, repeat)| format!("{policy}/scenario{}/r{repeat}", id.0),
         |&(id, policy, repeat)| {
             let workload = scale_model_scenario(id, repeat);
-            let config = SimConfig::scale_model(policy).with_seed(repeat * 1313 + 7);
+            let config = knobs().scale_model(policy).with_seed(repeat * 1313 + 7);
             let outcome = run_simulation(&config, &workload);
             assert!(
                 outcome.all_completed(),

@@ -16,7 +16,7 @@
 //! 3. **Perturbed pair** — the same point with and without the fault
 //!    model: the report localizes the first record the faults touched.
 
-use crossroads_bench::{fast_sweep, sweep_seeds, WorkerPool};
+use crossroads_bench::{fast_sweep, knobs, sweep_seeds, WorkerPool};
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{run_simulation_traced, SimConfig};
 use crossroads_net::{FaultConfig, GilbertElliott};
@@ -40,7 +40,7 @@ fn traced(config: &SimConfig, seed: u64) -> Trace {
 }
 
 fn traced_point(policy: PolicyKind, seed: u64) -> Trace {
-    traced(&SimConfig::scale_model(policy).with_seed(seed), seed)
+    traced(&knobs().scale_model(policy).with_seed(seed), seed)
 }
 
 /// The fault model used for the perturbed pair: bursty loss on both link
@@ -110,7 +110,8 @@ fn main() {
     let (policy, seed) = points[0];
     let clean = traced_point(policy, seed);
     let faulted = traced(
-        &SimConfig::scale_model(policy)
+        &knobs()
+            .scale_model(policy)
             .with_seed(seed)
             .with_faults(perturbing_faults()),
         seed,

@@ -12,24 +12,30 @@
 pub mod timing;
 
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::available_parallelism;
 use std::time::Instant;
 
 use std::path::{Path, PathBuf};
 
 use crossroads_core::policy::PolicyKind;
-use crossroads_core::sim::{run_simulation, run_simulation_traced, SimConfig, SimOutcome};
-use crossroads_core::{run_corridor, run_corridor_traced, CorridorConfig, CorridorOutcome};
+use crossroads_core::sim::{
+    run_corridor, run_corridor_traced, run_simulation, run_simulation_traced, CorridorConfig,
+    CorridorOutcome, PlatoonConfig, SimConfig, SimOutcome, AIM_ANALYTIC_ENV, PLATOON_ENV,
+    SAFETY_FILTER_ENV, SHARD_WORKERS_ENV,
+};
 use crossroads_metrics::{bench_sweep_to_json, BenchPoint, GridPointSummary};
 use crossroads_net::{FaultConfig, GilbertElliott};
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_trace::{Recorder, Trace};
 use crossroads_traffic::{
     generate_corridor, generate_poisson, Arrival, CorridorDemand, MixedConfig, PoissonConfig,
+    MIXED_ENV,
 };
 use crossroads_units::{MetersPerSecond, Seconds};
 
-pub use crossroads_pool::{threads_from_env, WorkerPool};
+pub use crossroads_pool::{WorkerPool, THREADS_ENV};
 
 /// The input flow rates of Fig. 7.2 (cars/second/lane).
 pub const SWEEP_RATES: [f64; 9] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.25];
@@ -62,15 +68,12 @@ pub const TRACE_RING_CAPACITY: usize = 4096;
 /// `None` when post-mortem tracing is disabled.
 #[must_use]
 pub fn trace_dump_dir() -> Option<PathBuf> {
-    let v = std::env::var_os(TRACE_ENV)?;
-    if v.is_empty() || v == *"0" {
+    if flag(&env_lookup, TRACE_ENV) != Some(true) {
         return None;
     }
-    if v == *"1" {
-        Some(PathBuf::from("trace_dumps"))
-    } else {
-        Some(PathBuf::from(v))
-    }
+    let v = std::env::var_os(TRACE_ENV)?;
+    let dir = if v == *"1" { "trace_dumps".into() } else { v };
+    Some(PathBuf::from(dir))
 }
 
 /// Writes `trace` to `<dir>/<label>.xrtr` in the binary trace format
@@ -123,10 +126,103 @@ pub fn run_point_guarded(config: &SimConfig, workload: &[Arrival], label: &str) 
 }
 
 /// Whether `CROSSROADS_SWEEP_FAST` selects the reduced smoke sweep
-/// (any value but `0` enables it).
+/// (any value but empty or `0` enables it).
 #[must_use]
 pub fn fast_sweep() -> bool {
-    std::env::var_os(FAST_ENV).is_some_and(|v| v != *"0")
+    flag(&env_lookup, FAST_ENV).unwrap_or(false)
+}
+
+/// The experiment binaries' model and engine knobs, read by [`knobs`].
+/// Build each [`SimConfig`] through [`Knobs::full_scale`] or
+/// [`Knobs::scale_model`], then any explicit builder, which wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Knobs {
+    platoon: bool,
+    mixed: bool,
+    safety_filter: bool,
+    aim_analytic: bool,
+    shard_workers: usize,
+    threads: usize,
+}
+
+/// Reads [`Knobs`] from the process environment; no library crate reads
+/// it (README.md tabulates the variables). A boolean knob is off when
+/// unset, empty or `0`; a count knob ignores surrounding whitespace, and
+/// unset, blank or `0` keeps its default. The safety filter follows
+/// `CROSSROADS_MIXED` unless `CROSSROADS_SAFETY_FILTER` is set.
+///
+/// # Panics
+///
+/// Panics naming the variable and its value when `CROSSROADS_THREADS` or
+/// `CROSSROADS_SHARD_WORKERS` is not a non-negative integer.
+#[must_use]
+pub fn knobs() -> Knobs {
+    Knobs::read(&env_lookup)
+}
+
+impl Knobs {
+    /// [`knobs`] with the variables looked up through `lookup`.
+    fn read(lookup: &dyn Fn(&str) -> Option<String>) -> Knobs {
+        let mixed = flag(lookup, MIXED_ENV).unwrap_or(false);
+        Knobs {
+            platoon: flag(lookup, PLATOON_ENV).unwrap_or(false),
+            mixed,
+            safety_filter: flag(lookup, SAFETY_FILTER_ENV).unwrap_or(mixed),
+            aim_analytic: flag(lookup, AIM_ANALYTIC_ENV).unwrap_or(true),
+            shard_workers: count(lookup, SHARD_WORKERS_ENV).unwrap_or(0),
+            threads: count(lookup, THREADS_ENV)
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| available_parallelism().map_or(1, NonZeroUsize::get)),
+        }
+    }
+
+    /// [`SimConfig::full_scale`] with the model knobs applied.
+    #[must_use]
+    pub fn full_scale(&self, policy: PolicyKind) -> SimConfig {
+        self.apply(SimConfig::full_scale(policy))
+    }
+
+    /// [`SimConfig::scale_model`] with the model knobs applied.
+    #[must_use]
+    pub fn scale_model(&self, policy: PolicyKind) -> SimConfig {
+        self.apply(SimConfig::scale_model(policy))
+    }
+
+    /// Sets the platoon, mixed-traffic, safety-filter and AIM-kernel
+    /// fields of a config whose extensions are still at their defaults.
+    fn apply(&self, mut config: SimConfig) -> SimConfig {
+        if self.platoon {
+            config.platoon = PlatoonConfig::standard();
+        }
+        if self.mixed {
+            config.mixed = MixedConfig::standard();
+        }
+        config.safety_filter = self.safety_filter;
+        config.aim_analytic = self.aim_analytic;
+        config
+    }
+}
+
+fn env_lookup(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// A boolean knob: `None` when unset or empty, `Some(false)` at `0`,
+/// `Some(true)` at any other value.
+fn flag(lookup: &dyn Fn(&str) -> Option<String>, name: &str) -> Option<bool> {
+    lookup(name).filter(|v| !v.is_empty()).map(|v| v != "0")
+}
+
+/// A count knob, surrounding whitespace ignored: `None` when unset or
+/// blank. Panics naming the variable and value when it does not parse.
+fn count(lookup: &dyn Fn(&str) -> Option<String>, name: &str) -> Option<usize> {
+    let raw = lookup(name)?;
+    let value = raw.trim();
+    if value.is_empty() {
+        return None;
+    }
+    let n = value.parse();
+    Some(n.unwrap_or_else(|_| panic!("{name}={raw:?} is not a worker count")))
 }
 
 /// Flow rates for the current mode: the full Fig. 7.2 axis, or a
@@ -151,8 +247,8 @@ pub fn sweep_seeds() -> Vec<u64> {
     }
 }
 
-/// Maps `run` over `items` on the env-sized worker pool, preserving
-/// input order. The shared parallel driver behind [`par_sweep`] and the
+/// Maps `run` over `items` on a `CROSSROADS_THREADS`-wide worker pool,
+/// preserving input order. The shared parallel driver behind [`par_sweep`] and the
 /// determinism/golden end-to-end tests: results are byte-identical to a
 /// sequential loop because every item owns its PRNG stream.
 pub fn par_run<T, R>(items: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R>
@@ -160,7 +256,7 @@ where
     T: Sync,
     R: Send,
 {
-    WorkerPool::from_env().map(items, |_, item| run(item))
+    WorkerPool::new(knobs().threads).map(items, |_, item| run(item))
 }
 
 /// [`par_run`] plus the perf trajectory: times every point and the whole
@@ -183,7 +279,7 @@ where
     T: Sync,
     R: Send,
 {
-    let pool = WorkerPool::from_env();
+    let pool = WorkerPool::new(knobs().threads);
     let started = Instant::now();
     let timed = pool.map(items, |_, item| {
         let events0 = crossroads_core::sim::thread_events_processed();
@@ -274,7 +370,7 @@ pub fn sweep_workload(config: &SimConfig, rate: f64, seed: u64) -> Vec<Arrival> 
 /// figure data from a broken run would be meaningless.
 #[must_use]
 pub fn run_sweep_point(policy: PolicyKind, rate: f64, seed: u64) -> SimOutcome {
-    let config = SimConfig::full_scale(policy).with_seed(seed);
+    let config = knobs().full_scale(policy).with_seed(seed);
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
     let outcome = run_point_guarded(&config, &workload, &format!("{policy}@{rate}-s{seed}"));
     assert!(
@@ -329,7 +425,8 @@ pub fn run_fault_point(
     outage_secs: f64,
     seed: u64,
 ) -> SimOutcome {
-    let config = SimConfig::full_scale(policy)
+    let config = knobs()
+        .full_scale(policy)
         .with_seed(seed)
         .with_faults(fault_point(burst, outage_secs));
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
@@ -381,7 +478,8 @@ pub fn mixed_point(
 /// violation at any point of the compliance/fault grid.
 #[must_use]
 pub fn run_mixed_point(policy: PolicyKind, rate: f64, mixed: MixedConfig, seed: u64) -> SimOutcome {
-    let config = SimConfig::full_scale(policy)
+    let config = knobs()
+        .full_scale(policy)
         .with_seed(seed)
         .with_mixed(mixed)
         .with_safety_filter(true);
@@ -406,7 +504,7 @@ pub fn run_mixed_point(policy: PolicyKind, rate: f64, mixed: MixedConfig, seed: 
 /// geometry.
 #[must_use]
 pub fn ideal_config() -> SimConfig {
-    let mut config = SimConfig::full_scale(PolicyKind::Crossroads);
+    let mut config = knobs().full_scale(PolicyKind::Crossroads);
     config.channel = crossroads_net::ChannelConfig::ideal();
     config.computation = crossroads_net::ComputationDelayModel::instant();
     config.buffers.e_long = crossroads_units::Meters::ZERO;
@@ -528,14 +626,13 @@ pub fn run_corridor_guarded(
 
 /// Shard workers on the windowed-parallel comparison axis of
 /// `exp_grid_sweep` (the corridor's K = 8 headline width). Explicit
-/// rather than env-derived so the comparison's stdout is byte-identical
+/// rather than knob-derived so the comparison's stdout is byte-identical
 /// at any `CROSSROADS_SHARD_WORKERS` setting.
 pub const GRID_SHARD_WORKERS: usize = 8;
 
 /// Runs one grid point end to end and asserts it is sound. The engine
-/// (serial or windowed-parallel) follows the config default — i.e. the
-/// `CROSSROADS_SHARD_WORKERS` environment; the outcome is identical
-/// either way.
+/// (serial or windowed-parallel) follows the `CROSSROADS_SHARD_WORKERS`
+/// knob; the outcome is identical either way.
 ///
 /// # Panics
 ///
@@ -543,19 +640,33 @@ pub const GRID_SHARD_WORKERS: usize = 8;
 /// finds a violation.
 #[must_use]
 pub fn run_grid_point(p: &GridPoint, seed: u64) -> CorridorOutcome {
-    run_grid_point_inner(p, seed, None)
+    run_grid_point_sharded(p, seed, knobs().shard_workers)
 }
 
 /// [`run_grid_point`] with an explicit windowed-shard worker count
 /// (`0` or `1` forces the serial engine), overriding the
-/// `CROSSROADS_SHARD_WORKERS` environment default.
+/// `CROSSROADS_SHARD_WORKERS` knob.
 ///
 /// # Panics
 ///
 /// Panics on an unsound run, as [`run_grid_point`] does.
 #[must_use]
 pub fn run_grid_point_sharded(p: &GridPoint, seed: u64, shard_workers: usize) -> CorridorOutcome {
-    run_grid_point_inner(p, seed, Some(shard_workers))
+    let sim = knobs().full_scale(p.policy).with_seed(seed);
+    let demand = grid_demand(&sim, p.k, p.rate);
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2000));
+    let (workload, entry_ims) = generate_corridor(&demand, &mut rng);
+    let config = CorridorConfig::new(sim, p.k).with_shard_workers(shard_workers);
+    let label = grid_label(p);
+    let out = run_corridor_guarded(&config, &workload, &entry_ims, &label);
+    assert!(
+        out.all_completed(),
+        "{label}: {} of {} vehicles stranded",
+        out.stranded(),
+        out.spawned
+    );
+    assert!(out.is_safe(), "{label}: SAFETY VIOLATION");
+    out
 }
 
 /// Times one explicitly-sharded grid-point run on the calling thread:
@@ -574,27 +685,6 @@ pub fn time_grid_point(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let events = crossroads_core::sim::thread_events_processed() - events0;
     (out, wall_ms, events)
-}
-
-fn run_grid_point_inner(p: &GridPoint, seed: u64, shard_workers: Option<usize>) -> CorridorOutcome {
-    let sim = SimConfig::full_scale(p.policy).with_seed(seed);
-    let demand = grid_demand(&sim, p.k, p.rate);
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2000));
-    let (workload, entry_ims) = generate_corridor(&demand, &mut rng);
-    let mut config = CorridorConfig::new(sim, p.k);
-    if let Some(w) = shard_workers {
-        config = config.with_shard_workers(w);
-    }
-    let label = grid_label(p);
-    let out = run_corridor_guarded(&config, &workload, &entry_ims, &label);
-    assert!(
-        out.all_completed(),
-        "{label}: {} of {} vehicles stranded",
-        out.stranded(),
-        out.spawned
-    );
-    assert!(out.is_safe(), "{label}: SAFETY VIOLATION");
-    out
 }
 
 /// One markdown row of the grid table — pure function of the outcome,
@@ -640,6 +730,45 @@ pub fn table_header(columns: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`Knobs::read`] over `vars`, leaving the process environment alone.
+    fn knobs_of(vars: &[(&str, &str)]) -> Knobs {
+        Knobs::read(&|name| vars.iter().find(|v| v.0 == name).map(|v| v.1.into()))
+    }
+
+    #[test]
+    fn boolean_knobs_are_off_when_unset_empty_or_zero_and_the_filter_follows_mixed() {
+        let unset = knobs_of(&[]);
+        assert!(!unset.platoon && !unset.mixed && !unset.safety_filter && unset.aim_analytic);
+        for off in ["", "0"] {
+            let knobs = knobs_of(&[(PLATOON_ENV, off), (MIXED_ENV, off)]);
+            assert_eq!(knobs, unset, "{off:?}");
+            assert_ne!(flag(&|_| Some(off.into()), FAST_ENV), Some(true));
+        }
+        assert!(knobs_of(&[(MIXED_ENV, "yes")]).safety_filter);
+        assert!(!knobs_of(&[(MIXED_ENV, "1"), (SAFETY_FILTER_ENV, "0")]).safety_filter);
+        let alone = knobs_of(&[(SAFETY_FILTER_ENV, "1")]);
+        assert!(alone.safety_filter && !alone.mixed);
+        assert!(knobs_of(&[(AIM_ANALYTIC_ENV, "")]).aim_analytic);
+        let c = knobs_of(&[(PLATOON_ENV, "1"), (MIXED_ENV, "1")]).full_scale(PolicyKind::Aim);
+        assert!(c.aim_analytic && c.platoon.enabled && c.mixed.enabled && c.safety_filter);
+        let c = knobs_of(&[(AIM_ANALYTIC_ENV, "0")]).scale_model(PolicyKind::Aim);
+        assert!(!c.aim_analytic && !c.platoon.enabled && !c.mixed.enabled && !c.safety_filter);
+    }
+
+    #[test]
+    fn count_knobs_are_trimmed_and_zero_keeps_the_default() {
+        let set = knobs_of(&[(SHARD_WORKERS_ENV, " 2"), (THREADS_ENV, "3\n")]);
+        assert_eq!((set.shard_workers, set.threads), (2, 3));
+        let zero = knobs_of(&[(SHARD_WORKERS_ENV, "0"), (THREADS_ENV, "0")]);
+        assert_eq!(zero, knobs_of(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "CROSSROADS_SHARD_WORKERS=\"two\" is not a worker count")]
+    fn unparsable_count_knob_panics_naming_variable_and_value() {
+        let _ = knobs_of(&[(SHARD_WORKERS_ENV, "two")]);
+    }
 
     #[test]
     fn sweep_workload_is_deterministic() {

@@ -235,9 +235,8 @@ impl BatchPlanner {
             // Tie-break note (audited alongside the generator tie-break
             // fix): `min_by` returns the *last* of equal-delay candidates,
             // i.e. the highest batch index. That order is part of the
-            // pinned batched==serial transcripts (benches/grid.rs and the
-            // exp_* goldens), so it is kept as-is and documented here
-            // rather than flipped.
+            // pinned exp_* goldens, so it is kept as-is and documented
+            // here rather than flipped.
             let (best_idx, entry, earliest, dur) = pending
                 .iter()
                 .enumerate()

@@ -46,6 +46,6 @@ pub use policy::{IntersectionPolicy, PolicyKind};
 pub use request::{CrossingCommand, CrossingRequest};
 pub use sim::{
     run_corridor, run_corridor_traced, run_simulation, run_simulation_traced,
-    safety_filter_from_env, thread_events_processed, CorridorConfig, CorridorOutcome,
-    PlatoonConfig, SimConfig, SimOutcome, AIM_ANALYTIC_ENV, PLATOON_ENV, SAFETY_FILTER_ENV,
+    thread_events_processed, CorridorConfig, CorridorOutcome, PlatoonConfig, SimConfig, SimOutcome,
+    AIM_ANALYTIC_ENV, PLATOON_ENV, SAFETY_FILTER_ENV,
 };

@@ -30,50 +30,21 @@ use crate::policy::{AimPolicy, CrossroadsPolicy, IntersectionPolicy, PolicyKind,
 use self::event::Event;
 use self::world::World;
 
-/// Environment flag selecting AIM's footprint kernel. The closed-form
-/// analytic kernel (`propose_analytic`) is the **default**; set the flag
-/// to `"0"` to fall back to the stepped march (`propose_marched`), which
-/// stays maintained as the differential-test oracle. The two kernels
-/// always agree on accept/reject verdicts, and the analytic tile
-/// intervals cover the marched ones (see `tests/analytic_oracle.rs`), so
-/// the kernels differ only in how conservative the reservation intervals
-/// are — never in safety. The pinned experiment stdouts correspond to
-/// the analytic default.
+/// Experiment-binary knob for [`SimConfig::aim_analytic`], read by
+/// `crossroads_bench`, never by this crate.
 pub const AIM_ANALYTIC_ENV: &str = "CROSSROADS_AIM_ANALYTIC";
 
-/// Environment default for [`CorridorConfig::shard_workers`]: worker
-/// threads for the conservative time-windowed parallel corridor engine.
-/// Unset or `0`/`1` selects the serial engine; `>= 2` runs the corridor
-/// intersections concurrently in lookahead windows. The outcome is byte-
-/// identical at every setting — the knob only changes wall-clock time.
+/// Experiment-binary knob for [`CorridorConfig::shard_workers`], read by
+/// `crossroads_bench`, never by this crate.
 pub const SHARD_WORKERS_ENV: &str = "CROSSROADS_SHARD_WORKERS";
 
-/// Environment default for [`PlatoonConfig::enabled`]: platoon-based
-/// admission (PAIM). Unset or `"0"` keeps the per-vehicle request loop —
-/// the disabled path draws no extra randomness and sends no extra
-/// frames, so every pre-platoon experiment stdout stays byte-identical.
-/// Any other value turns platooning on with the default shape.
+/// Experiment-binary knob for [`SimConfig::platoon`], read by
+/// `crossroads_bench`, never by this crate.
 pub const PLATOON_ENV: &str = "CROSSROADS_PLATOON";
 
-/// Environment flag for the runtime safety filter (the policy-agnostic
-/// monitor of `sim/filter.rs`). Unset → the filter follows the mixed-
-/// traffic flag (`CROSSROADS_MIXED`): on when non-compliant vehicles can
-/// appear, off otherwise. `"0"` forces it off even under mixed traffic
-/// (the unprotected configuration the adversarial tests use to show the
-/// filter is load-bearing); any other value forces it on. With pure
-/// managed traffic the filter observes but never fires, so forcing it on
-/// leaves every pre-existing experiment stdout byte-identical.
+/// Experiment-binary knob for [`SimConfig::safety_filter`], read by
+/// `crossroads_bench`, never by this crate.
 pub const SAFETY_FILTER_ENV: &str = "CROSSROADS_SAFETY_FILTER";
-
-/// Resolves the [`SAFETY_FILTER_ENV`] default for a given mixed-traffic
-/// switch state.
-#[must_use]
-pub fn safety_filter_from_env(mixed_enabled: bool) -> bool {
-    match std::env::var_os(SAFETY_FILTER_ENV) {
-        Some(v) => v != *"0",
-        None => mixed_enabled,
-    }
-}
 
 /// Platoon formation and admission parameters (PAIM, arXiv 1809.06956):
 /// same-movement vehicles arriving within [`headway`](Self::headway) of
@@ -121,17 +92,6 @@ impl PlatoonConfig {
             headway: Seconds::new(2.5),
             gap_lengths: 2.0,
             fallback_timeout: Seconds::new(15.0),
-        }
-    }
-
-    /// Resolves the [`PLATOON_ENV`] default: disabled unless the flag is
-    /// set to something other than `"0"`.
-    #[must_use]
-    pub fn from_env() -> Self {
-        if std::env::var_os(PLATOON_ENV).is_some_and(|v| v != *"0") {
-            PlatoonConfig::standard()
-        } else {
-            PlatoonConfig::disabled()
         }
     }
 
@@ -190,8 +150,9 @@ pub struct SimConfig {
     pub aim_grid_side: usize,
     /// AIM trajectory-simulation step.
     pub aim_sim_step: Seconds,
-    /// Whether AIM uses the closed-form analytic footprint kernel instead
-    /// of the stepped march (defaults to the [`AIM_ANALYTIC_ENV`] flag).
+    /// Whether AIM uses the closed-form analytic footprint kernel (the
+    /// default) instead of the stepped march, its differential-test oracle;
+    /// the two differ only in conservatism, never in safety (DESIGN.md §5d).
     pub aim_analytic: bool,
     /// Delay before a rejected AIM vehicle re-requests.
     pub aim_retry_interval: Seconds,
@@ -206,25 +167,24 @@ pub struct SimConfig {
     /// Disabled by default; a disabled config is zero-cost — the run is
     /// byte-identical to one without the fault subsystem.
     pub fault: FaultConfig,
-    /// Platoon-based admission (PAIM). Disabled by default (see
-    /// [`PLATOON_ENV`]); a disabled config is zero-cost — the run is
-    /// byte-identical to one without the platoon subsystem.
+    /// Platoon-based admission (PAIM). Disabled by default; a disabled
+    /// config is zero-cost — the run is byte-identical to one without the
+    /// platoon subsystem.
     pub platoon: PlatoonConfig,
     /// Mixed (non-compliant) traffic: the compliance mix and error
-    /// bounds. Disabled by default (see [`crossroads_traffic::MIXED_ENV`]);
-    /// disabled draws no randomness, so the run is byte-identical to one
-    /// without the compliance model.
+    /// bounds. Disabled by default; disabled draws no randomness, so the
+    /// run is byte-identical to one without the compliance model.
     pub mixed: MixedConfig,
-    /// Whether the runtime safety filter monitors actuations (see
-    /// [`SAFETY_FILTER_ENV`]). Defaults to following `mixed.enabled`.
+    /// Whether the runtime safety filter monitors actuations. Off by
+    /// default; [`with_mixed`](Self::with_mixed) arms it with an enabled mix.
     pub safety_filter: bool,
 }
 
 impl SimConfig {
-    /// The 1/10-scale testbed configuration of Ch. 2.
+    /// The 1/10-scale testbed configuration of Ch. 2: platoons, mixed
+    /// traffic and the safety filter off, AIM on the analytic kernel.
     #[must_use]
     pub fn scale_model(policy: PolicyKind) -> Self {
-        let mixed = MixedConfig::from_env();
         SimConfig {
             policy,
             geometry: IntersectionGeometry::scale_model(),
@@ -235,15 +195,15 @@ impl SimConfig {
             seed: 0,
             aim_grid_side: 8,
             aim_sim_step: Seconds::from_millis(20.0),
-            aim_analytic: std::env::var_os(AIM_ANALYTIC_ENV).is_none_or(|v| v != *"0"),
+            aim_analytic: true,
             aim_retry_interval: Seconds::from_millis(300.0),
             aim_slowdown_factor: 0.7,
             crawl_fraction: 0.30,
             horizon_slack: Seconds::new(1200.0),
             fault: FaultConfig::disabled(),
-            platoon: PlatoonConfig::from_env(),
-            mixed,
-            safety_filter: safety_filter_from_env(mixed.enabled),
+            platoon: PlatoonConfig::disabled(),
+            mixed: MixedConfig::disabled(),
+            safety_filter: false,
         }
     }
 
@@ -298,28 +258,26 @@ impl SimConfig {
         self
     }
 
-    /// Installs a platoon-admission configuration (overriding the
-    /// [`PLATOON_ENV`] default; validated when the run starts).
+    /// Installs a platoon-admission configuration (validated when the run
+    /// starts).
     #[must_use]
     pub fn with_platoons(mut self, platoon: PlatoonConfig) -> Self {
         self.platoon = platoon;
         self
     }
 
-    /// Installs a mixed-traffic configuration (overriding the
-    /// [`crossroads_traffic::MIXED_ENV`] default; validated when the run
-    /// starts). Re-resolves the safety-filter default against the new
-    /// mixed switch — follow with [`with_safety_filter`](Self::with_safety_filter)
-    /// to pin the filter explicitly.
+    /// Installs a mixed-traffic configuration (validated when the run
+    /// starts) and arms the safety filter exactly when the mix is enabled
+    /// — follow with [`with_safety_filter`](Self::with_safety_filter) to
+    /// pin the filter explicitly.
     #[must_use]
     pub fn with_mixed(mut self, mixed: MixedConfig) -> Self {
         self.mixed = mixed;
-        self.safety_filter = safety_filter_from_env(mixed.enabled);
+        self.safety_filter = mixed.enabled;
         self
     }
 
-    /// Pins the runtime safety filter on or off (overriding the
-    /// [`SAFETY_FILTER_ENV`] default).
+    /// Pins the runtime safety filter on or off.
     #[must_use]
     pub fn with_safety_filter(mut self, on: bool) -> Self {
         self.safety_filter = on;
@@ -688,7 +646,7 @@ pub struct CorridorConfig {
     /// Below 2 (or at `k == 1`, or under a flight recorder) the corridor
     /// runs the serial engine; `>= 2` executes the intersections concurrently in
     /// lookahead windows with the identical outcome at any worker count.
-    /// Defaults to [`SHARD_WORKERS_ENV`].
+    /// Defaults to 0.
     pub shard_workers: usize,
     /// Conservative window length override for the windowed engine. Must
     /// lie in `(0, link_time]`; `None` derives `link_time` minus the
@@ -707,10 +665,7 @@ impl CorridorConfig {
             sim,
             k,
             link_time: Seconds::new(6.0),
-            shard_workers: std::env::var(SHARD_WORKERS_ENV)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            shard_workers: 0,
             lookahead: None,
         }
     }
@@ -730,8 +685,7 @@ impl CorridorConfig {
         self
     }
 
-    /// Enables the windowed parallel engine on `workers` threads
-    /// (overriding the [`SHARD_WORKERS_ENV`] default).
+    /// Enables the windowed parallel engine on `workers` threads.
     #[must_use]
     pub fn with_shard_workers(mut self, workers: usize) -> Self {
         self.shard_workers = workers;
@@ -787,7 +741,7 @@ impl CorridorConfig {
 }
 
 /// Result of one corridor run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct CorridorOutcome {
     /// Per-vehicle trip records (line crossing to final box clearance,
     /// across all legs) and aggregate load counters summed over

@@ -159,8 +159,7 @@ forall! {
                 MixedConfig::standard()
             } else {
                 MixedConfig::disabled()
-            })
-            .with_safety_filter(mixed);
+            });
         if outage_tenths > 0 {
             sim = sim.with_faults(FaultConfig {
                 uplink: GilbertElliott::bursty(0.10),
@@ -176,7 +175,7 @@ forall! {
         #[allow(clippy::cast_possible_truncation)]
         let vehicles = (30 * k) as u32;
         let (workload, entry_ims) = workload_for(&sim, k, 0.06, vehicles, seed);
-        let base = CorridorConfig::new(sim, k).with_shard_workers(0);
+        let base = CorridorConfig::new(sim, k);
         #[allow(clippy::cast_precision_loss)]
         let lookahead = base.link_time * (lookahead_tenths as f64 / 10.0);
 
@@ -196,27 +195,17 @@ forall! {
     }
 }
 
-/// `sim` with platoons and mixed traffic pinned off, so a test does not
-/// depend on the process environment.
-fn plain(sim: SimConfig) -> SimConfig {
-    sim.with_platoons(PlatoonConfig::disabled())
-        .with_mixed(MixedConfig::disabled())
-        .with_safety_filter(false)
-}
-
 /// A WC-RTD budget longer than the link leaves no positive derived
 /// lookahead. The windowed engine then runs `link_time` windows (any
 /// window in `(0, link_time]` is exact) and matches the serial engine.
 #[test]
 fn windowed_matches_serial_when_wc_rtd_exceeds_the_link() {
-    let mut sim = plain(SimConfig::full_scale(PolicyKind::Crossroads).with_seed(42));
+    let mut sim = SimConfig::full_scale(PolicyKind::Crossroads).with_seed(42);
     sim.buffers.rtd = RtdBudget {
         wc_network: Seconds::from_millis(10.0),
         wc_computation: Seconds::from_millis(2500.0),
     };
-    let base = CorridorConfig::new(sim, 2)
-        .with_link_time(Seconds::new(2.0))
-        .with_shard_workers(0);
+    let base = CorridorConfig::new(sim, 2).with_link_time(Seconds::new(2.0));
     assert_eq!(base.effective_lookahead(), base.link_time);
     let (workload, entry_ims) = workload_for(&sim, 2, 0.06, 40, 42);
 
@@ -235,7 +224,7 @@ fn windowed_matches_serial_when_wc_rtd_exceeds_the_link() {
 fn traced_corridor_matches_untraced_engines() {
     const K: usize = 3;
     for policy in PolicyKind::ALL {
-        let sim = plain(SimConfig::full_scale(policy).with_seed(42));
+        let sim = SimConfig::full_scale(policy).with_seed(42);
         let (workload, entry_ims) = workload_for(&sim, K, 0.06, 90, 42);
         let base = CorridorConfig::new(sim, K);
         let mut recorder = Recorder::fixed(1 << 20);

@@ -30,9 +30,9 @@
 //! - **Fixed workers, shared queue.** `threads` workers pull indices off
 //!   an atomic counter; tasks ≫ workers oversubscribe gracefully.
 //!
-//! Thread count comes from the `CROSSROADS_THREADS` environment variable
-//! (see [`threads_from_env`]); the default is the machine's available
-//! parallelism, and `CROSSROADS_THREADS=1` forces sequential execution.
+//! The caller picks the thread count. The experiment binaries take it
+//! from `CROSSROADS_THREADS` ([`THREADS_ENV`]), read by `crossroads_bench`,
+//! never by this crate.
 //!
 //! # Examples
 //!
@@ -52,24 +52,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::Thread;
 
-/// The environment variable overriding the worker count.
+/// The experiment binaries' worker-count knob, read by `crossroads_bench`,
+/// never by this crate.
 pub const THREADS_ENV: &str = "CROSSROADS_THREADS";
-
-/// Worker count from `CROSSROADS_THREADS`, defaulting to the machine's
-/// available parallelism (1 if that cannot be determined). Values that
-/// fail to parse, or parse to zero, fall back to the default.
-#[must_use]
-pub fn threads_from_env() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(default_threads)
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
 
 /// A fixed-size pool mapping a slice through a function in parallel.
 ///
@@ -92,12 +77,6 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a pool needs at least one worker");
         WorkerPool { threads }
-    }
-
-    /// A pool sized by [`threads_from_env`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        WorkerPool::new(threads_from_env())
     }
 
     /// Worker count.

@@ -19,11 +19,8 @@ use crossroads_prng::{Rng, SeedableRng, StdRng};
 use crossroads_units::Seconds;
 use crossroads_vehicle::VehicleId;
 
-/// Environment flag enabling mixed (non-compliant) traffic.
-///
-/// Unset or `"0"` → pure managed traffic, byte-identical to runs built
-/// before the compliance model existed. Any other value → the standard
-/// mix of [`MixedConfig::standard`].
+/// Experiment-binary knob for [`MixedConfig::standard`] traffic, read by
+/// `crossroads_bench`, never by this crate.
 pub const MIXED_ENV: &str = "CROSSROADS_MIXED";
 
 /// RNG stream id for the per-vehicle compliance assignment draw.
@@ -133,17 +130,6 @@ impl MixedConfig {
             timing_error: Seconds::from_millis(300.0),
             gap_poll: Seconds::new(0.5),
             gap_margin: Seconds::new(1.0),
-        }
-    }
-
-    /// Reads [`MIXED_ENV`]: unset or `"0"` → [`disabled`](Self::disabled),
-    /// anything else → [`standard`](Self::standard).
-    #[must_use]
-    pub fn from_env() -> Self {
-        if std::env::var_os(MIXED_ENV).is_some_and(|v| v != *"0") {
-            MixedConfig::standard()
-        } else {
-            MixedConfig::disabled()
         }
     }
 

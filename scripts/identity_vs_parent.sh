@@ -8,10 +8,12 @@
 # worktree metadata is left behind), builds it and this tree offline in
 # release mode, then runs every exp_* binary of this tree on both builds
 # in reduced mode (CROSSROADS_SWEEP_FAST=1, BENCH_sweep.json discarded).
-# Each binary runs at CROSSROADS_THREADS 1, 4 and 7 and at
-# CROSSROADS_SHARD_WORKERS 1, 2, 4 and 7, and each pair of stdouts is
-# compared with `cmp`. Exits non-zero if any run fails or any pair
-# differs; prints the first lines of each difference.
+# Each binary runs at CROSSROADS_THREADS 1, 4 and 7, at
+# CROSSROADS_SHARD_WORKERS 1, 2, 4 and 7, and with each model knob
+# flipped alone (CROSSROADS_PLATOON=1, CROSSROADS_MIXED=1,
+# CROSSROADS_SAFETY_FILTER=1, CROSSROADS_AIM_ANALYTIC=0), and each pair
+# of stdouts is compared with `cmp`. Exits non-zero if any run fails or
+# any pair differs; prints the first lines of each difference.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -38,12 +40,16 @@ echo "==> building $ref (offline, release)"
 bins=$(ls crates/bench/src/bin | sed -n 's/^\(exp_.*\)\.rs$/\1/p')
 settings="CROSSROADS_THREADS=1 CROSSROADS_THREADS=4 CROSSROADS_THREADS=7
 CROSSROADS_SHARD_WORKERS=1 CROSSROADS_SHARD_WORKERS=2
-CROSSROADS_SHARD_WORKERS=4 CROSSROADS_SHARD_WORKERS=7"
+CROSSROADS_SHARD_WORKERS=4 CROSSROADS_SHARD_WORKERS=7
+CROSSROADS_PLATOON=1 CROSSROADS_MIXED=1 CROSSROADS_SAFETY_FILTER=1
+CROSSROADS_AIM_ANALYTIC=0"
 
 # run BINARY SETTING OUT: one reduced run of BINARY with only SETTING
-# among the pool and shard knobs set, stdout to OUT.
+# among the pool, shard and model knobs set, stdout to OUT.
 run() {
     env -u CROSSROADS_THREADS -u CROSSROADS_SHARD_WORKERS \
+        -u CROSSROADS_PLATOON -u CROSSROADS_MIXED \
+        -u CROSSROADS_SAFETY_FILTER -u CROSSROADS_AIM_ANALYTIC \
         CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null "$2" \
         "$1" >"$3" 2>/dev/null
 }
