@@ -155,7 +155,10 @@ echo "==> AIM analytic-vs-marched kernel agreement gate"
 # Quick mode: benches/trajectory.rs hard-asserts that the closed-form
 # analytic footprint kernel returns the stepped march's verdict and a
 # superset of its tile intervals for every movement and entry mode on
-# both testbed geometries. Timing loops are skipped.
+# both testbed geometries, and that its band-table cache is invisible:
+# over a spread of cruise speeds on every movement, a reused (warm)
+# policy returns the footprints of a fresh (cold) one bit for bit.
+# Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     cargo bench --offline --bench trajectory -p crossroads-bench
 

@@ -1,5 +1,7 @@
 //! Measured per-decision cost of the three IM policies — the "computation
-//! time" series of Fig. 7.2 / Ch. 7.2, in wall-clock nanoseconds.
+//! time" series of Fig. 7.2 / Ch. 7.2, in wall-clock nanoseconds. The
+//! `aim` row runs the analytic footprint kernel, as the simulator does;
+//! `aim_marched` runs the stepped trajectory march it replaced.
 //!
 //! Self-timed (`harness = false`); run with
 //! `cargo bench --bench im_decision`.
@@ -43,7 +45,7 @@ fn table() -> ReservationTable {
 fn bench_policy(name: &str, mut policy: impl IntersectionPolicy) {
     let mut v = 0u32;
     let mut t = 0.0f64;
-    let aim = name == "aim";
+    let aim = name.starts_with("aim");
     bench(name, move || {
         let req = request(v, Approach::ALL[(v % 4) as usize], t, aim);
         let cmd = policy.decide(black_box(&req), TimePoint::new(t + 0.05));
@@ -64,13 +66,14 @@ fn main() {
         "crossroads",
         CrossroadsPolicy::new(geometry(), table(), BufferModel::full_scale(), 0.15),
     );
-    bench_policy(
-        "aim",
+    let aim = || {
         AimPolicy::new(
             geometry(),
             BufferModel::full_scale(),
             3,
             Seconds::from_millis(50.0),
-        ),
-    );
+        )
+    };
+    bench_policy("aim", aim().with_analytic(true));
+    bench_policy("aim_marched", aim());
 }

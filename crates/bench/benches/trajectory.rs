@@ -6,10 +6,14 @@
 //! Before any timing, the bench **hard-asserts** kernel agreement on
 //! every movement, entry mode and both testbed geometries: identical
 //! accept/reject verdicts, and every marched tile interval covered by
-//! the analytic footprint. `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`,
-//! which keeps that gate and skips the timing loops, so every CI pass
-//! re-proves the analytic kernel stands in for the march. (The full
-//! randomized contract lives in `crates/core/tests/analytic_oracle.rs`.)
+//! the analytic footprint. It also asserts that the analytic kernel's
+//! band-table cache is unobservable: over a spread of cruise speeds, a
+//! policy reused across proposals returns the footprints of a fresh
+//! policy per proposal, bit for bit. `ci.sh` runs it with
+//! `CROSSROADS_SWEEP_FAST=1`, which keeps both gates and skips the timing
+//! loops, so every CI pass re-proves the analytic kernel stands in for
+//! the march. (The full randomized contracts live in
+//! `crates/core/tests/analytic_oracle.rs`.)
 //!
 //! Self-timed (`harness = false`); run with
 //! `cargo bench --bench trajectory`. Timed runs append the AIM
@@ -107,6 +111,53 @@ fn assert_footprint_agreement() {
     }
 }
 
+/// The `i`-th cruise speed of the closed-loop spread: a golden-ratio
+/// sequence over `[v_max / 4, v_max]` that never repeats a speed. In the
+/// simulator a constant-speed proposal carries the vehicle's speed at
+/// transmit time, so consecutive AIM proposals almost never share one.
+fn spread_speed(spec: &VehicleSpec, i: u32) -> MetersPerSecond {
+    let frac = (f64::from(i) * 0.618_033_988_749_894_9).fract();
+    spec.v_max * (0.25 + 0.75 * frac)
+}
+
+/// Hard gate: the band-table cache is unobservable. For every movement
+/// on both testbeds, a policy reused over a spread of cruise speeds
+/// returns the verdict and footprint, bit for bit, of a fresh policy
+/// (empty cache) per proposal. Panics on the first difference.
+fn assert_warm_cache_matches_cold() {
+    let bits = |policy: &AimPolicy| -> Vec<(usize, u64, u64)> {
+        policy
+            .footprint()
+            .iter()
+            .map(|iv| {
+                (
+                    iv.tile,
+                    iv.from.value().to_bits(),
+                    iv.until.value().to_bits(),
+                )
+            })
+            .collect()
+    };
+    for setup in [AimSetup::scale(), AimSetup::full()] {
+        let mut warm = setup.policy(true);
+        for movement in Movement::all() {
+            for i in 0..64 {
+                let entry = EntryMode::Constant(spread_speed(&setup.spec, i));
+                let toa = TimePoint::new(5.0);
+                let mut cold = setup.policy(true);
+                let vw = warm.propose_analytic(movement, &setup.spec, toa, entry);
+                let vc = cold.propose_analytic(movement, &setup.spec, toa, entry);
+                assert_eq!(vw, vc, "cached verdict differs: {movement:?} {entry:?}");
+                assert_eq!(
+                    bits(&warm),
+                    bits(&cold),
+                    "cached footprint differs: {movement:?} {entry:?}"
+                );
+            }
+        }
+    }
+}
+
 /// A standing AIM request for the decide-latency benches (constant-speed
 /// proposal far enough out that the response margin never rejects it).
 fn aim_request(setup: &AimSetup) -> CrossingRequest {
@@ -177,6 +228,26 @@ fn aim_kernel_benches() -> Vec<BenchPoint> {
     });
     points.push(point(&a_decide));
 
+    // The closed-loop shape: every proposal brings a new cruise speed.
+    // These rows time the cache as the simulator uses it.
+    let mut analytic = setup.policy(true);
+    let mut i = 0u32;
+    let spread_footprint = bench("aim_footprint_analytic_spread", || {
+        i = i.wrapping_add(1);
+        let entry = EntryMode::Constant(spread_speed(&setup.spec, i));
+        black_box(analytic.propose_analytic(movement, &setup.spec, toa, black_box(entry)))
+    });
+    points.push(point(&spread_footprint));
+
+    let mut analytic = setup.policy(true);
+    let mut request = aim_request(&setup);
+    let spread_decide = bench("aim_decide_analytic_spread", || {
+        i = i.wrapping_add(1);
+        request.speed = spread_speed(&setup.spec, i);
+        black_box(analytic.decide(black_box(&request), TimePoint::ZERO))
+    });
+    points.push(point(&spread_decide));
+
     let speedup = m_footprint.median_ns / a_footprint.median_ns;
     let decide_speedup = m_decide.median_ns / a_decide.median_ns;
     println!();
@@ -194,8 +265,12 @@ fn aim_kernel_benches() -> Vec<BenchPoint> {
 
 fn main() {
     assert_footprint_agreement();
+    assert_warm_cache_matches_cold();
     if fast_sweep() {
-        println!("trajectory quick gate: analytic/marched footprint agreement OK");
+        println!(
+            "trajectory quick gate: analytic/marched footprint agreement and \
+             warm/cold band-cache identity OK"
+        );
         return;
     }
 

@@ -19,6 +19,7 @@ use crossroads_vehicle::{EntryProgress, VehicleId, VehicleSpec};
 use crate::buffer::BufferModel;
 use crate::policy::{IntersectionPolicy, PolicyKind};
 use crate::request::{CrossingCommand, CrossingRequest};
+use crate::sim::safety::movement_paths;
 
 /// How a proposed crossing enters the box.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,16 +45,19 @@ struct TileBand {
     f_until: f64,
 }
 
-/// Cache key for a movement's band table. The geometry depends on the
-/// movement path, the buffered footprint dimensions, and the sweep
-/// margin past the exit (which absorbs the march's final-step
-/// overshoot); all enter the key bit-exactly.
+/// Cache key for a movement's band table: every input of
+/// [`build_tile_bands`] besides the policy's own grid. The table depends
+/// on the movement path, the buffered footprint dimensions (bit-exact),
+/// and how many progress samples the sweep takes, a count that reaches
+/// past the exit to absorb the march's final-step overshoot. The
+/// overshoot margin enters the sweep only through that count, so
+/// proposals at nearby speeds share a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BandKey {
     movement: Movement,
     eff_bits: u64,
     width_bits: u64,
-    margin_bits: u64,
+    samples: usize,
 }
 
 /// The AIM baseline.
@@ -61,7 +65,8 @@ pub struct AimPolicy {
     geometry: IntersectionGeometry,
     buffers: BufferModel,
     tiles: TileSchedule,
-    paths: HashMap<Movement, MovementPath>,
+    /// One path per movement, indexed by [`Movement::index`].
+    paths: [MovementPath; 12],
     reserved: HashSet<VehicleId>,
     /// Trajectory-simulation time step.
     sim_step: Seconds,
@@ -93,15 +98,11 @@ impl AimPolicy {
     ) -> Self {
         assert!(sim_step.value() > 0.0, "simulation step must be positive");
         let grid = TileGrid::new(geometry.box_size, grid_side);
-        let paths = Movement::all()
-            .into_iter()
-            .map(|m| (m, MovementPath::new(&geometry, m)))
-            .collect();
         AimPolicy {
             geometry,
             buffers,
             tiles: TileSchedule::new(grid),
-            paths,
+            paths: movement_paths(&geometry),
             reserved: HashSet::new(),
             sim_step,
             response_margin: Seconds::from_millis(20.0),
@@ -188,7 +189,7 @@ impl AimPolicy {
         entry: EntryMode,
     ) -> bool {
         let eff = self.buffers.effective_length(PolicyKind::Aim, spec);
-        let path = self.paths.get(&movement).expect("all movements have paths");
+        let path = &self.paths[movement.index()];
         let total = self.geometry.path_length(movement) + eff;
 
         // Front-bumper progress as a function of time since entry.
@@ -310,42 +311,58 @@ impl AimPolicy {
 
         // Geometry: the movement's tile ↔ progress-band table, cached.
         // The sweep margin covers the march's final-step overshoot
-        // (progress per step never exceeds top speed × dt).
+        // (progress per step never exceeds top speed × dt); it reaches
+        // the table only through the sample count, which keys it.
+        let path = &self.paths[movement.index()];
+        let grid = self.tiles.grid();
         let margin = prog.top_speed().value() * dt;
+        let samples = band_samples(path, grid, eff, margin);
         let key = BandKey {
             movement,
             eff_bits: eff.value().to_bits(),
             width_bits: spec.width.value().to_bits(),
-            margin_bits: margin.to_bits(),
+            samples,
         };
-        if !self.bands.contains_key(&key) {
-            let path = self.paths.get(&movement).expect("all movements have paths");
-            let table = build_tile_bands(path, self.tiles.grid(), eff, spec.width, margin);
-            self.bands.insert(key, table);
-        }
+        let bands = self
+            .bands
+            .entry(key)
+            .or_insert_with(|| build_tile_bands(path, grid, eff, spec.width, samples));
 
         // Time: one closed-form window per band.
-        let mut intervals = std::mem::take(&mut self.intervals);
-        intervals.clear();
-        let bands = self.bands.get(&key).expect("band table just ensured");
-        for band in bands {
+        self.intervals.clear();
+        for band in bands.iter() {
             let (t_enter, t_exit) =
                 prog.window(Meters::new(band.f_from), Meters::new(band.f_until));
-            intervals.push(TileInterval {
+            self.intervals.push(TileInterval {
                 tile: band.tile,
                 from: toa + Seconds::new(t_enter.value() - dt),
                 until: toa + Seconds::new(t_exit.value() + 2.0 * dt),
             });
         }
         self.ops += bands.len() as u64 + 1;
-        self.intervals = intervals;
         true
     }
 }
 
+/// Progress between two band-sweep samples: an eighth of a tile side.
+fn band_step(grid: &TileGrid) -> f64 {
+    grid.tile_size().value() / 8.0
+}
+
+/// How many sample steps [`build_tile_bands`] takes to sweep front-bumper
+/// progress over `[0, path + eff + margin]`. This count is the only way
+/// the overshoot margin reaches the sweep.
+fn band_samples(path: &MovementPath, grid: &TileGrid, eff: Meters, margin: f64) -> usize {
+    let f_max = path.length().value() + eff.value() + margin;
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let samples = (f_max / band_step(grid)).ceil() as usize;
+    samples
+}
+
 /// Builds a movement's tile ↔ progress-band table: for each tile, the
 /// (possibly several) runs of front-bumper progress `f` over which the
-/// buffered footprint covers it, swept over `f ∈ [0, path + eff + margin]`.
+/// buffered footprint covers it, swept at `f = i·ds` for `i ∈ [0,
+/// samples]` (see [`band_samples`]).
 ///
 /// The sweep samples every `ds = tile_size / 8` of progress and inflates
 /// the footprint so that the discrete samples *over*-cover the
@@ -363,9 +380,9 @@ fn build_tile_bands(
     grid: &TileGrid,
     eff: Meters,
     width: Meters,
-    margin: f64,
+    samples: usize,
 ) -> Vec<TileBand> {
-    let ds = grid.tile_size().value() / 8.0;
+    let ds = band_step(grid);
     // Inflation pad: fixed-point on the (pad-dependent) half diagonal,
     // starting from the translation-only bound.
     let kappa = path.max_curvature();
@@ -377,9 +394,6 @@ fn build_tile_bands(
     let len_inflated = Meters::new(eff.value() + 2.0 * pad);
     let width_inflated = Meters::new(width.value() + 2.0 * pad);
 
-    let f_max = path.length().value() + eff.value() + margin;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let samples = (f_max / ds).ceil() as usize;
     let mut bands: Vec<TileBand> = Vec::new();
     let mut band_last: Vec<u32> = vec![u32::MAX; grid.tile_count()];
     let mut covered: Vec<usize> = Vec::new();
@@ -639,6 +653,28 @@ mod tests {
         assert!(after_one > 10, "trajectory simulation is tile-heavy");
         let _ = p.decide(&request(2, Approach::East, 2.0), TimePoint::ZERO);
         assert!(p.ops() > after_one);
+    }
+
+    #[test]
+    fn distinct_cruise_speeds_share_a_few_band_tables() {
+        // The sweep margin is the proposal's top speed × dt, so only
+        // ⌈v_max·dt / ds⌉ + 1 distinct sample counts can key a cruise.
+        let mut p = policy().with_analytic(true);
+        let spec = VehicleSpec::scale_model();
+        let movement = Movement::new(Approach::North, Turn::Left);
+        for i in 0..1000 {
+            let v = spec.v_max * (0.1 + 0.9 * f64::from(i + 1) / 1000.0);
+            let entry = EntryMode::Constant(v);
+            assert!(p.propose_analytic(movement, &spec, TimePoint::new(5.0), entry));
+        }
+        let ds = band_step(p.tiles.grid());
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let bound = (spec.v_max.value() * p.sim_step.value() / ds).ceil() as usize + 1;
+        assert!(
+            p.bands.len() <= bound,
+            "{} cruise tables cached, bound {bound}",
+            p.bands.len()
+        );
     }
 
     #[test]

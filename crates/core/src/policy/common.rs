@@ -7,8 +7,6 @@
 //! lands", absorbed by buffer; Crossroads: the exact actuation time `T_E`)
 //! and in the buffer the occupancy windows carry.
 
-use std::collections::HashMap;
-
 use crossroads_intersection::{
     Approach, IntersectionGeometry, Movement, Reservation, ReservationTable,
 };
@@ -45,10 +43,10 @@ pub enum SlotDecision {
 pub struct IntervalScheduler {
     geometry: IntersectionGeometry,
     table: ReservationTable,
-    /// Entry instant most recently granted per approach lane — prevents a
-    /// follower from being scheduled ahead of its leader after message
-    /// loss reorders requests.
-    lane_gate: HashMap<Approach, TimePoint>,
+    /// Entry instant most recently granted per approach lane, indexed by
+    /// [`Approach::index`] — prevents a follower from being scheduled
+    /// ahead of its leader after message loss reorders requests.
+    lane_gate: [Option<TimePoint>; 4],
     /// Fraction of `v_max` below which a commanded crawl is replaced by a
     /// stop (crawling holds the box far too long).
     crawl_fraction: f64,
@@ -70,7 +68,7 @@ impl IntervalScheduler {
         IntervalScheduler {
             geometry,
             table,
-            lane_gate: HashMap::new(),
+            lane_gate: [None; 4],
             crawl_fraction,
             ops: 0,
         }
@@ -416,10 +414,7 @@ impl IntervalScheduler {
     }
 
     fn gate(&self, approach: Approach) -> TimePoint {
-        self.lane_gate
-            .get(&approach)
-            .copied()
-            .map_or(TimePoint::ZERO, |t| t + Seconds::new(1e-3))
+        self.lane_gate[approach.index()].map_or(TimePoint::ZERO, |t| t + Seconds::new(1e-3))
     }
 
     fn admit(
@@ -441,7 +436,7 @@ impl IntervalScheduler {
         // The lane gate must cover the *last follower's* entry, not just
         // the leader's, or the next same-approach grant could be slotted
         // into the middle of the column.
-        self.lane_gate.insert(movement.approach, toa + platoon_span);
+        self.lane_gate[movement.approach.index()] = Some(toa + platoon_span);
         debug_assert!(self.table.is_conflict_free());
     }
 }

@@ -196,10 +196,10 @@ impl SafetyReport {
     }
 }
 
-/// One replayable path per movement, indexed by [`Movement::index`] and
-/// shared by both audit variants (and cached by the runtime safety
-/// filter, which runs the same pair test online, before actuation,
-/// instead of post-hoc).
+/// One replayable path per movement, indexed by [`Movement::index`],
+/// shared by both audit variants and cached by the runtime safety filter
+/// (which runs the same pair test online, before actuation, instead of
+/// post-hoc) and by AIM's footprint kernels.
 pub(crate) fn movement_paths(geometry: &IntersectionGeometry) -> [MovementPath; 12] {
     let all = Movement::all();
     std::array::from_fn(|i| {

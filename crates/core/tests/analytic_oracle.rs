@@ -19,12 +19,15 @@
 //!    capped by a closed-form traversal bound, so the speedup never
 //!    silently costs throughput).
 //!
+//! A third property pins the analytic kernel's band-table cache: reusing
+//! one policy across proposals must be unobservable.
+//!
 //! Case counts follow `CROSSROADS_CHECK_CASES` (ci.sh's quick gate sets
 //! a small count; soak runs can raise it without a recompile).
 
 use std::collections::HashMap;
 
-use crossroads_check::{ck_assert, ck_assume, forall, CaseError};
+use crossroads_check::{bools, ck_assert, ck_assert_eq, ck_assume, forall, vec, CaseError};
 use crossroads_core::policy::{AimPolicy, EntryMode};
 use crossroads_core::BufferModel;
 use crossroads_intersection::tiles::TileInterval;
@@ -331,6 +334,78 @@ forall! {
         // scale box in well under the 120 s bail-out), so the property
         // exercises the footprint path, not just the reject path.
         ck_assert!(accepted, "generated proposal unexpectedly rejected");
+    }
+}
+
+/// A footprint as exact bit patterns, for bit-for-bit comparison.
+fn footprint_bits(intervals: &[TileInterval]) -> Vec<(usize, u64, u64)> {
+    intervals
+        .iter()
+        .map(|iv| {
+            (
+                iv.tile,
+                iv.from.value().to_bits(),
+                iv.until.value().to_bits(),
+            )
+        })
+        .collect()
+}
+
+forall! {
+    /// The analytic kernel caches one band table per (movement,
+    /// footprint, sweep sample count). Reusing one policy over a stream of
+    /// proposals — distinct constant speeds and standstill-to-cruise
+    /// launches across all twelve movements, on either testbed at its
+    /// simulation settings — returns the same verdict and the same
+    /// footprint, bit for bit, as a fresh policy (empty cache) per
+    /// proposal. A key that let two sample counts share a table would
+    /// hand a later proposal a sweep of the wrong length.
+    fn band_cache_reuse_matches_a_fresh_policy(
+        full_scale in bools(),
+        stream in vec((0usize..12, bools(), 0.0f64..1.0, 0.0f64..50.0), 1..32),
+    ) {
+        let (geometry, buffers, spec, grid_side, sim_step) = if full_scale {
+            (
+                IntersectionGeometry::full_scale(),
+                BufferModel::full_scale(),
+                VehicleSpec::full_scale(),
+                3,
+                Seconds::from_millis(50.0),
+            )
+        } else {
+            (
+                IntersectionGeometry::scale_model(),
+                BufferModel::scale_model(),
+                VehicleSpec::scale_model(),
+                8,
+                Seconds::from_millis(20.0),
+            )
+        };
+        let policy = || AimPolicy::new(geometry, buffers, grid_side, sim_step).with_analytic(true);
+        let mut reused = policy();
+        for (movement_idx, launch, frac, toa_s) in stream {
+            let movement = Movement::all()[movement_idx];
+            let entry = if launch {
+                EntryMode::Launch { entry_speed: spec.v_max * frac }
+            } else {
+                EntryMode::Constant(spec.v_max * (0.05 + 0.95 * frac))
+            };
+            let toa = TimePoint::new(toa_s);
+            let mut fresh = policy();
+            let verdict = reused.propose_analytic(movement, &spec, toa, entry);
+            ck_assert_eq!(
+                verdict,
+                fresh.propose_analytic(movement, &spec, toa, entry),
+                "verdicts differ for {movement:?} {entry:?}"
+            );
+            if verdict {
+                ck_assert_eq!(
+                    footprint_bits(reused.footprint()),
+                    footprint_bits(fresh.footprint()),
+                    "cached footprint differs for {movement:?} {entry:?}"
+                );
+            }
+        }
     }
 }
 

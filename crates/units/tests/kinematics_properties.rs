@@ -1,6 +1,6 @@
 //! Property tests over the closed-form kinematics and planar geometry.
 
-use crossroads_check::{ck_assert, ck_assert_eq, forall};
+use crossroads_check::{bools, ck_assert, ck_assert_eq, forall};
 use crossroads_units::kinematics::{
     accel_cruise, distance_covered, solve_cruise_speed, stopping_distance, time_to_reach_speed,
 };
@@ -8,7 +8,115 @@ use crossroads_units::{
     Meters, MetersPerSecond, MetersPerSecondSquared, OrientedRect, Point2, Radians, Seconds,
 };
 
+/// The cruise-speed solver as first written, kept verbatim as the
+/// reference for `solve_cruise_speed`: the same bisection run for a fixed
+/// 200 halvings, with no early stop.
+fn fixed_200_step_solve_cruise_speed(
+    v_init: MetersPerSecond,
+    v_max: MetersPerSecond,
+    a_max: MetersPerSecondSquared,
+    d_max: MetersPerSecondSquared,
+    distance: Meters,
+    total_time: Seconds,
+) -> Option<MetersPerSecond> {
+    if total_time.value() <= 0.0 || distance.value() < 0.0 {
+        return None;
+    }
+    // Bisect on the target speed: arrival time is monotonically decreasing
+    // in v_target over (0, v_max].
+    let arrival = |v_t: MetersPerSecond| -> Option<Seconds> {
+        let accel = if v_t >= v_init { a_max } else { -d_max };
+        accel_cruise(v_init, v_t, accel, distance)
+            .ok()
+            .map(|p| p.total_time)
+    };
+    let fastest = arrival(v_max)?;
+    if total_time < fastest - Seconds::new(1e-9) {
+        return None; // deadline earlier than EToA
+    }
+    let mut lo = MetersPerSecond::new(1e-6);
+    let mut hi = v_max;
+    // If even the slowest representable cruise arrives too early the caller
+    // wants a stop phase, not a crawl; signal with None.
+    match arrival(lo) {
+        Some(t_slow) if t_slow < total_time - Seconds::new(1e-9) => return None,
+        None => return None,
+        _ => {}
+    }
+    for _ in 0..200 {
+        let mid = (lo + hi) / 2.0;
+        match arrival(mid) {
+            Some(t) if t > total_time => lo = mid,
+            Some(_) => hi = mid,
+            None => lo = mid,
+        }
+    }
+    Some(hi)
+}
+
 forall! {
+    /// `solve_cruise_speed` stops its bisection at the fixed point and
+    /// still returns the fixed 200-halving answer bit for bit. Cases span
+    /// both testbeds' limits; `v_init` anywhere, within a millionth of
+    /// `v_max`, or at it; ordinary, short and tiny distances; and
+    /// deadlines within 1e-9 s of EToA, anywhere later (the decelerate
+    /// branch), within 1e-9 s of the 1 µm/s floor's arrival (the deepest
+    /// bisections), or around holding `v_init` (where the branch flips).
+    fn cruise_solver_matches_fixed_200_step_bisection(
+        full_scale in bools(),
+        v_pick in (0u64..3, 0.0f64..1.0),
+        d_pick in (0u64..3, 0.0f64..1.0),
+        t_pick in (0u64..4, 0.0f64..1.0),
+    ) {
+        let (v_max, a_max, d_max) = if full_scale { (15.0, 3.0, 4.5) } else { (3.0, 2.0, 3.0) };
+        let v0 = match v_pick {
+            (0, f) => f * v_max,
+            (1, f) => v_max * (1.0 - f * 1e-6),
+            _ => v_max,
+        };
+        let d = match d_pick {
+            (0, f) => 0.5 + 200.0 * f,
+            (1, f) => 1e-3 + 0.5 * f,
+            (_, f) => 1e-9 + 1e-3 * f,
+        };
+        // Arrival at cruise speed `v`; 1 s where the distance is too short
+        // for the speed change (both solvers then return None).
+        let arrival = |v: f64| {
+            let accel = if v >= v0 { a_max } else { -d_max };
+            accel_cruise(
+                MetersPerSecond::new(v0),
+                MetersPerSecond::new(v),
+                MetersPerSecondSquared::new(accel),
+                Meters::new(d),
+            )
+            .map_or(1.0, |p| p.total_time.value())
+        };
+        let (t_mode, f) = t_pick;
+        let jitter = (2.0 * f - 1.0) * 1e-9;
+        let deadline = match t_mode {
+            0 => arrival(v_max) + jitter,
+            1 => arrival(v_max) + 20.0 * f,
+            2 => arrival(1e-6) + jitter,
+            _ if v0 > 0.0 => d / v0 * (0.9 + 0.2 * f),
+            _ => arrival(v_max) + f,
+        };
+        let args = (
+            MetersPerSecond::new(v0),
+            MetersPerSecond::new(v_max),
+            MetersPerSecondSquared::new(a_max),
+            MetersPerSecondSquared::new(d_max),
+            Meters::new(d),
+            Seconds::new(deadline),
+        );
+        let early = solve_cruise_speed(args.0, args.1, args.2, args.3, args.4, args.5);
+        let fixed = fixed_200_step_solve_cruise_speed(args.0, args.1, args.2, args.3, args.4, args.5);
+        ck_assert_eq!(
+            early.map(|v| v.value().to_bits()),
+            fixed.map(|v| v.value().to_bits()),
+            "v0 {v0} d {d} deadline {deadline}: early stop {early:?}, 200 halvings {fixed:?}"
+        );
+    }
+
     /// The accel-cruise profile's pieces always recompose to the given
     /// distance and its total time to the sum of its phases.
     fn accel_cruise_pieces_recompose(
