@@ -21,9 +21,10 @@
 //!   (reservation windows / tiles), so re-checking it could only disagree
 //!   with the policy through margin differences — and a filter that
 //!   second-guesses the policy it protects would perturb fully-compliant
-//!   runs. Consequence: with pure managed traffic the filter observes but
-//!   never fires, which is the byte-identity contract of
-//!   [`SAFETY_FILTER_ENV`](crate::sim::SAFETY_FILTER_ENV).
+//!   runs. Consequence: with pure managed traffic no check can fail, so
+//!   a world builds the filter only with mixed traffic on, and arming it
+//!   alone ([`SAFETY_FILTER_ENV`](crate::sim::SAFETY_FILTER_ENV)) leaves
+//!   every output byte-identical.
 //! - A **non-compliant** candidate (a human or emergency vehicle picking
 //!   its crossing instant) is checked against *every* envelope — nobody
 //!   vouches for it, so it must prove its window clear against all

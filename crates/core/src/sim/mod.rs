@@ -175,8 +175,10 @@ pub struct SimConfig {
     /// bounds. Disabled by default; disabled draws no randomness, so the
     /// run is byte-identical to one without the compliance model.
     pub mixed: MixedConfig,
-    /// Whether the runtime safety filter monitors actuations. Off by
-    /// default; [`with_mixed`](Self::with_mixed) arms it with an enabled mix.
+    /// Whether the runtime safety filter may veto actuations. Off by
+    /// default; [`with_mixed`](Self::with_mixed) arms it with an enabled
+    /// mix. It acts only with mixed traffic on: without non-compliant
+    /// vehicles no check can fail, so no filter is built.
     pub safety_filter: bool,
 }
 

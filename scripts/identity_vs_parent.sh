@@ -9,11 +9,14 @@
 # release mode, then runs every exp_* binary of this tree on both builds
 # in reduced mode (CROSSROADS_SWEEP_FAST=1, BENCH_sweep.json discarded).
 # Each binary runs at CROSSROADS_THREADS 1, 4 and 7, at
-# CROSSROADS_SHARD_WORKERS 1, 2, 4 and 7, and with each model knob
-# flipped alone (CROSSROADS_PLATOON=1, CROSSROADS_MIXED=1,
-# CROSSROADS_SAFETY_FILTER=1, CROSSROADS_AIM_ANALYTIC=0), and each pair
-# of stdouts is compared with `cmp`. Exits non-zero if any run fails or
-# any pair differs; prints the first lines of each difference.
+# CROSSROADS_SHARD_WORKERS 1, 2, 4 and 7, with each model knob flipped
+# alone (CROSSROADS_PLATOON=1, CROSSROADS_MIXED=1,
+# CROSSROADS_SAFETY_FILTER=1, CROSSROADS_AIM_ANALYTIC=0), and with
+# platoons and mixed traffic together (CROSSROADS_PLATOON=1 and
+# CROSSROADS_MIXED=1: followers, humans and the filter interact only
+# there), and each pair of stdouts is compared with `cmp`. Exits
+# non-zero if any run fails or any pair differs; prints the first lines
+# of each difference.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -42,16 +45,18 @@ settings="CROSSROADS_THREADS=1 CROSSROADS_THREADS=4 CROSSROADS_THREADS=7
 CROSSROADS_SHARD_WORKERS=1 CROSSROADS_SHARD_WORKERS=2
 CROSSROADS_SHARD_WORKERS=4 CROSSROADS_SHARD_WORKERS=7
 CROSSROADS_PLATOON=1 CROSSROADS_MIXED=1 CROSSROADS_SAFETY_FILTER=1
-CROSSROADS_AIM_ANALYTIC=0"
+CROSSROADS_AIM_ANALYTIC=0 CROSSROADS_PLATOON=1+CROSSROADS_MIXED=1"
 
 # run BINARY SETTING OUT: one reduced run of BINARY with only SETTING
-# among the pool, shard and model knobs set, stdout to OUT.
+# (one assignment, or several joined by '+') among the pool, shard and
+# model knobs set, stdout to OUT.
 run() {
+    # shellcheck disable=SC2046 # split SETTING into its assignments
     env -u CROSSROADS_THREADS -u CROSSROADS_SHARD_WORKERS \
         -u CROSSROADS_PLATOON -u CROSSROADS_MIXED \
         -u CROSSROADS_SAFETY_FILTER -u CROSSROADS_AIM_ANALYTIC \
-        CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null "$2" \
-        "$1" >"$3" 2>/dev/null
+        CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+        $(echo "$2" | tr + ' ') "$1" >"$3" 2>/dev/null
 }
 
 compared=0
