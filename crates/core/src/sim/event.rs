@@ -21,7 +21,10 @@ pub(crate) enum Event {
     /// Clock synchronization with the tagged IM finished.
     SyncComplete(VehicleId, u32),
     /// The vehicle should (re)transmit its crossing request to the tagged
-    /// IM; `attempt` guards against stale firings.
+    /// IM; `attempt` guards against stale firings. A request the lane
+    /// ahead holds is parked, not re-polled: the change that frees it
+    /// schedules this event again on the first 200 ms tick of the
+    /// vehicle's poll chain at or after the change.
     SendRequest(VehicleId, u32, u32),
     /// An uplink frame reached the tagged IM's radio. The IM is bound
     /// at send time: a frame in flight when its vehicle hands off still
@@ -61,6 +64,10 @@ pub(crate) enum Event {
     /// Mixed traffic: a non-V2I vehicle (human or emergency) waiting at
     /// the tagged intersection's line re-checks whether it can commit its
     /// gap-acceptance crossing (humans) or preempt the box (emergency).
+    /// One still braking or behind an unentered predecessor is parked:
+    /// its own stop or the predecessor's box entry schedules the next
+    /// check on its `gap_poll` tick. A gap found unsafe and an emergency
+    /// hard conflict re-check on their timers.
     ComplianceCheck(VehicleId, u32),
     /// Fault injection: the tagged IM process crashes. Uplinks arriving
     /// until the matching restart are dropped, queued requests and

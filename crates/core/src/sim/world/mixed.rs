@@ -13,7 +13,7 @@ use crossroads_units::kinematics;
 use crossroads_units::{MetersPerSecond, MetersPerSecondSquared, Seconds, TimePoint};
 use crossroads_vehicle::{ProtocolState, SpeedProfile, VehicleId};
 
-use super::{World, GUARD_MARGIN};
+use super::{Wait, World, GUARD_MARGIN};
 use crate::sim::event::Event;
 use crate::sim::safety::BoxOccupancy;
 
@@ -149,16 +149,17 @@ impl World<'_> {
         if agent.committed() {
             return;
         }
-        let (compliance, stopped) = (agent.compliance, agent.stopped);
+        let compliance = agent.compliance;
         let (lane, s_now) = (
             agent.movement.approach.index(),
             agent.profile.position_at(now),
         );
-        // Still braking toward the line, or — queue discipline: even a
-        // human waits out the cars ahead of it — not yet at its front.
+        // Still braking toward the line, or not yet at its queue's front:
+        // park until the lane wakes it on the gap-poll tick after the
+        // change that frees it.
         self.advance_lane_cursor(lane);
-        if !stopped || self.unentered_predecessors(v, lane).next().is_some() {
-            sim.schedule_in(poll, Event::ComplianceCheck(v, im));
+        if self.gap_blocked(v, lane) {
+            self.park(now, v, lane, Wait::Gap);
             return;
         }
         // The crossing it would commit to: a standstill launch from the
