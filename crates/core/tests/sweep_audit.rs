@@ -118,6 +118,29 @@ fn full_scale_occ(v: u32, crossing: &Crossing) -> BoxOccupancy {
     }
 }
 
+/// A constant-speed crossing of `movement` on geometry `g` entering the
+/// box at `enter`, in the simulator's coordinates (the box entry at path
+/// position `line_offset`).
+fn cruise_occ(
+    g: &IntersectionGeometry,
+    s: &VehicleSpec,
+    v: u32,
+    movement: Movement,
+    enter: f64,
+    speed: MetersPerSecond,
+) -> BoxOccupancy {
+    let line = g.transmission_line_distance;
+    let crossing = (g.path_length(movement) + s.length) / speed;
+    BoxOccupancy {
+        vehicle: VehicleId(v),
+        movement,
+        entered: TimePoint::new(enter),
+        exited: TimePoint::new(enter) + crossing,
+        profile: SpeedProfile::starting_at(TimePoint::new(enter), line, speed),
+        line_offset: line,
+    }
+}
+
 forall! {
     /// Random traffic: the sweep audit and the exhaustive audit agree on
     /// the violation list exactly.
@@ -205,6 +228,45 @@ forall! {
             .enumerate()
             .map(|(i, c)| full_scale_occ(i as u32, c))
             .collect();
+        let sweep = SafetyReport::audit_with_margin(occs.clone(), &g, &s, m);
+        let exhaustive = SafetyReport::audit_exhaustive_with_margin(occs, &g, &s, m);
+        ck_assert_eq!(digest(&sweep), digest(&exhaustive));
+    }
+
+    /// Opposite through lanes on both geometries, at margins on both
+    /// sides of the clearance threshold `(lane_width − width)/2` (and on
+    /// it, and a hair either side): the skipping march clears these pairs
+    /// without marching when the lanes are provably apart, and must still
+    /// report the plain march's verdicts and contact instants.
+    fn parallel_lanes_match_plain_march(
+        full in bools(),
+        east_west in bools(),
+        enters in (0.0f64..1.5, 0.0f64..1.5),
+        speeds in (0.2f64..1.0, 0.2f64..1.0),
+        snap in 0usize..4,
+        spread in -0.5f64..0.5,
+    ) {
+        let (g, s) = if full {
+            (IntersectionGeometry::full_scale(), VehicleSpec::full_scale())
+        } else {
+            (geometry(), spec())
+        };
+        let threshold = (g.lane_width - s.width) / 2.0;
+        let m = match snap {
+            0 => threshold,
+            1 => threshold + Meters::new(1e-7),
+            2 => threshold - Meters::new(1e-7),
+            _ => threshold * (1.0 + spread),
+        };
+        let (a, b) = if east_west {
+            (Approach::East, Approach::West)
+        } else {
+            (Approach::North, Approach::South)
+        };
+        let occs = vec![
+            cruise_occ(&g, &s, 0, Movement::new(a, Turn::Straight), enters.0, s.v_max * speeds.0),
+            cruise_occ(&g, &s, 1, Movement::new(b, Turn::Straight), enters.1, s.v_max * speeds.1),
+        ];
         let sweep = SafetyReport::audit_with_margin(occs.clone(), &g, &s, m);
         let exhaustive = SafetyReport::audit_exhaustive_with_margin(occs, &g, &s, m);
         ck_assert_eq!(digest(&sweep), digest(&exhaustive));

@@ -149,6 +149,18 @@ impl MovementPath {
         }
     }
 
+    /// The line a straight crossing runs on, as its box-entry point and
+    /// heading; `None` for a turn. Every pose of a straight path, its
+    /// approach and exit extensions included, lies on this line and
+    /// carries this heading.
+    #[must_use]
+    pub fn straight_line(&self) -> Option<(Point2, Radians)> {
+        match self.kind {
+            PathKind::Straight { entry, heading } => Some((entry, heading)),
+            PathKind::Arc { .. } => None,
+        }
+    }
+
     /// Pose (position, heading) at distance `s` from box entry. `s < 0`
     /// extends along the approach arm; `s > length` along the exit arm.
     #[must_use]
