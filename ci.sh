@@ -145,10 +145,11 @@ echo "==> DES engine + contact kernel vs seed-baseline agreement gate"
 # baseline (embedded in the bench), both from an empty queue and from a
 # start-schedule prologue that the seed queue schedules up front, and
 # the sweep audit against the exhaustive pairwise reference,
-# hard-asserting identical transcripts and verdicts. It also gates the contact kernel: the sweep audit's
-# skipping march must report the plain march's contacts at the same
-# instants on full-scale multi-phase traffic at margins 0 and e_long.
-# Timing loops are skipped.
+# hard-asserting identical transcripts and verdicts. It also gates the
+# contact kernel: the sweep audit's skipping march, which clears pairs
+# on parallel lanes without marching, must report the plain march's
+# contacts at the same instants on full-scale multi-phase traffic over
+# all movement pairs at margins 0 and e_long. Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 
 echo "==> AIM analytic-vs-marched kernel agreement gate"
