@@ -1,12 +1,12 @@
-//! DES engine hot paths: the slab-indexed cancellable event queue
-//! against the seed's `BinaryHeap` + tombstone-set queue, and the
-//! sweep-pruned safety audit with its skipping contact march against the
-//! exhaustive pairwise reference with the plain march.
+//! DES engine hot paths: the event queue against the seed's
+//! `BinaryHeap` queue, and the sweep-pruned safety audit with its
+//! skipping contact march against the exhaustive pairwise reference with
+//! the plain march.
 //!
 //! Before any timing, the bench **hard-asserts** engine-vs-seed
-//! agreement on randomized workloads — pop transcripts and `cancel`
-//! return values, with and without a start-schedule prologue (which the
-//! seed queue schedules up front), audit verdicts and contact instants
+//! agreement on randomized workloads — pop transcripts, with and
+//! without a start-schedule prologue (which the seed queue schedules up
+//! front), audit verdicts and contact instants
 //! (scale-model constant-speed traffic, and full-scale multi-phase
 //! traffic at margins 0 and `e_long`).
 //! `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`, which keeps those gates
@@ -16,7 +16,7 @@
 //! Self-timed (`harness = false`); run with `cargo bench --bench des`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 use crossroads_bench::fast_sweep;
@@ -30,10 +30,9 @@ use crossroads_units::{Meters, MetersPerSecond, Seconds, TimePoint};
 use crossroads_vehicle::{SpeedProfile, VehicleId, VehicleSpec};
 
 // ---------------------------------------------------------------------
-// The seed's event queue, embedded verbatim as the bench baseline: a
-// max-heap of inverted (time, seq) entries plus a `live` tombstone set.
-// Cancellation is O(1) but leaves the entry in the heap; `pop` reaps
-// cancelled entries as they surface.
+// The seed's event queue as the bench baseline: a max-heap of inverted
+// (time, seq) entries holding the payloads. The seed also kept a `live`
+// tombstone set for cancellation; nothing cancels, so it is left out.
 // ---------------------------------------------------------------------
 
 struct SeedEntry<E> {
@@ -66,7 +65,6 @@ impl<E> PartialOrd for SeedEntry<E> {
 
 struct SeedQueue<E> {
     heap: BinaryHeap<SeedEntry<E>>,
-    live: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -74,32 +72,19 @@ impl<E> SeedQueue<E> {
     fn new() -> Self {
         SeedQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
             next_seq: 0,
         }
     }
 
-    fn schedule(&mut self, at: TimePoint, payload: E) -> u64 {
+    fn schedule(&mut self, at: TimePoint, payload: E) {
         assert!(at.is_finite(), "event timestamp must be finite, got {at}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(SeedEntry { at, seq, payload });
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.live.remove(&seq)
     }
 
     fn pop(&mut self) -> Option<(TimePoint, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.live.remove(&entry.seq) {
-                return Some((entry.at, entry.payload));
-            }
-            // Cancelled: drop and keep reaping.
-        }
-        None
+        self.heap.pop().map(|entry| (entry.at, entry.payload))
     }
 }
 
@@ -107,31 +92,25 @@ impl<E> SeedQueue<E> {
 // Randomized queue workloads, replayed identically on both queues.
 // ---------------------------------------------------------------------
 
-/// One queue operation; `Cancel` picks among the handles issued so far.
+/// One queue operation.
 #[derive(Clone, Copy)]
 enum Op {
     Schedule(f64),
-    Cancel(usize),
     Pop,
 }
 
-/// A reproducible interleaving with roughly `cancel_frac` of the issued
-/// events cancelled, biased toward scheduling so queues stay populated.
-fn gen_ops(seed: u64, n: usize, cancel_frac: f64) -> Vec<Op> {
+/// A reproducible interleaving, half schedules and half pops.
+fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        let roll = rng.gen_range(0.0..1.0);
-        if roll < 0.5 {
-            ops.push(Op::Schedule(rng.gen_range(0.0..1e4)));
-        } else if roll < 0.5 + cancel_frac {
-            #[allow(clippy::cast_possible_truncation)]
-            ops.push(Op::Cancel((rng.next_u64() % (1 << 32)) as usize));
-        } else {
-            ops.push(Op::Pop);
-        }
-    }
-    ops
+    (0..n)
+        .map(|_| {
+            if rng.gen_range(0.0..1.0) < 0.5 {
+                Op::Schedule(rng.gen_range(0.0..1e4))
+            } else {
+                Op::Pop
+            }
+        })
+        .collect()
 }
 
 /// `ops` with every scheduled time snapped down to a 250 s grid, so
@@ -140,7 +119,7 @@ fn snap_to_grid(ops: &[Op]) -> Vec<Op> {
     ops.iter()
         .map(|&op| match op {
             Op::Schedule(at) => Op::Schedule((at / 250.0).floor() * 250.0),
-            op => op,
+            Op::Pop => Op::Pop,
         })
         .collect()
 }
@@ -153,31 +132,24 @@ fn gen_prologue(seed: u64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Replays `ops` on the indexed queue, built with `prologue` as its
-/// start schedule (payloads `0..prologue.len()`), returning the pop
-/// transcript (time bits + payload) and every cancel verdict. Only
-/// events scheduled by `ops` have handles to cancel.
-fn run_indexed(prologue: &[f64], ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
+/// Replays `ops` on the queue, built with `prologue` as its start
+/// schedule (payloads `0..prologue.len()`), returning the pop transcript
+/// (time bits + payload).
+fn run_queue(prologue: &[f64], ops: &[Op]) -> Vec<(u64, usize)> {
     let mut q: EventQueue<usize> = EventQueue::with_prologue(
         prologue
             .iter()
             .zip(0usize..)
             .map(|(&at, e)| (TimePoint::new(at), e)),
     );
-    let mut ids = Vec::new();
     let mut payload = prologue.len();
     let mut pops = Vec::new();
-    let mut cancels = Vec::new();
     for &op in ops {
         match op {
             Op::Schedule(at) => {
-                ids.push(q.schedule(TimePoint::new(at), payload));
+                q.schedule(TimePoint::new(at), payload);
                 payload += 1;
             }
-            Op::Cancel(pick) if !ids.is_empty() => {
-                cancels.push(q.cancel(ids[pick % ids.len()]));
-            }
-            Op::Cancel(_) => {}
             Op::Pop => {
                 if let Some((at, e)) = q.pop() {
                     pops.push((at.value().to_bits(), e));
@@ -188,30 +160,24 @@ fn run_indexed(prologue: &[f64], ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     while let Some((at, e)) = q.pop() {
         pops.push((at.value().to_bits(), e));
     }
-    (pops, cancels)
+    pops
 }
 
 /// Replays `ops` on the seed queue after scheduling `prologue` up
 /// front; same transcript shape.
-fn run_seed(prologue: &[f64], ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
+fn run_seed(prologue: &[f64], ops: &[Op]) -> Vec<(u64, usize)> {
     let mut q: SeedQueue<usize> = SeedQueue::new();
     for (e, &at) in prologue.iter().enumerate() {
         q.schedule(TimePoint::new(at), e);
     }
-    let mut ids = Vec::new();
     let mut payload = prologue.len();
     let mut pops = Vec::new();
-    let mut cancels = Vec::new();
     for &op in ops {
         match op {
             Op::Schedule(at) => {
-                ids.push(q.schedule(TimePoint::new(at), payload));
+                q.schedule(TimePoint::new(at), payload);
                 payload += 1;
             }
-            Op::Cancel(pick) if !ids.is_empty() => {
-                cancels.push(q.cancel(ids[pick % ids.len()]));
-            }
-            Op::Cancel(_) => {}
             Op::Pop => {
                 if let Some((at, e)) = q.pop() {
                     pops.push((at.value().to_bits(), e));
@@ -222,34 +188,29 @@ fn run_seed(prologue: &[f64], ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     while let Some((at, e)) = q.pop() {
         pops.push((at.value().to_bits(), e));
     }
-    (pops, cancels)
+    pops
 }
 
-/// The correctness gate: on many randomized interleavings, the indexed
-/// queue's pop transcript and cancel verdicts must equal the seed's,
-/// both from an empty queue and from a start-schedule prologue whose
-/// times tie with each other and with the scheduled events.
+/// The correctness gate: on many randomized schedule/pop interleavings,
+/// the queue's pop transcript must equal the seed's, both from an empty
+/// queue and from a start-schedule prologue whose times tie with each
+/// other and with the scheduled events.
 fn assert_queue_agreement() {
     for seed in 0..32u64 {
         #[allow(clippy::cast_possible_truncation)]
         let cases = [
-            (Vec::new(), gen_ops(seed, 400, 0.25)),
+            (Vec::new(), gen_ops(seed, 400)),
             (
                 gen_prologue(seed, 8 * (seed as usize + 1)),
-                snap_to_grid(&gen_ops(seed + 1000, 400, 0.25)),
+                snap_to_grid(&gen_ops(seed + 1000, 400)),
             ),
         ];
         for (prologue, ops) in &cases {
             let n = prologue.len();
-            let (pops_new, cancels_new) = run_indexed(prologue, ops);
-            let (pops_seed, cancels_seed) = run_seed(prologue, ops);
             assert_eq!(
-                pops_new, pops_seed,
+                run_queue(prologue, ops),
+                run_seed(prologue, ops),
                 "pop transcript diverged from the seed queue (seed {seed}, prologue {n})"
-            );
-            assert_eq!(
-                cancels_new, cancels_seed,
-                "cancel verdicts diverged from the seed queue (seed {seed}, prologue {n})"
             );
         }
     }
@@ -260,7 +221,7 @@ fn assert_queue_agreement() {
         "the start-schedule drain diverged between prologue and up-front scheduling"
     );
     println!(
-        "queue agreement: indexed == seed on 32 randomized interleavings \
+        "queue agreement: queue == seed on 32 randomized interleavings \
          and 32 with a prologue; start-schedule drain: {} events, \
          at most {} follow-ups live",
         prologue.events, prologue.max_live
@@ -544,28 +505,14 @@ fn main() {
 
     bench_table_header("des_queue");
 
-    // Pure schedule-then-drain: no cancellations, the common case.
+    // Interleaved schedules and pops, then a drain.
     for n in [256usize, 1024, 4096] {
-        let ops = gen_ops(7, n * 2, 0.0);
+        let ops = gen_ops(7, n * 2);
         bench(&format!("schedule_drain_seed/{n}"), || {
-            run_seed(&[], black_box(&ops)).0.len()
+            run_seed(&[], black_box(&ops)).len()
         });
-        bench(&format!("schedule_drain_indexed/{n}"), || {
-            run_indexed(&[], black_box(&ops)).0.len()
-        });
-    }
-
-    // Cancel-heavy interleavings: the protocol's retransmission-timer
-    // pattern (nearly every scheduled timeout is cancelled). The seed
-    // queue carries every tombstone to the top of the heap before
-    // reaping; the indexed queue evicts on the spot.
-    for n in [256usize, 1024, 4096] {
-        let ops = gen_ops(11, n * 2, 0.45);
-        bench(&format!("cancel_heavy_seed/{n}"), || {
-            run_seed(&[], black_box(&ops)).0.len()
-        });
-        bench(&format!("cancel_heavy_indexed/{n}"), || {
-            run_indexed(&[], black_box(&ops)).0.len()
+        bench(&format!("schedule_drain_queue/{n}"), || {
+            run_queue(&[], black_box(&ops)).len()
         });
     }
 

@@ -94,7 +94,7 @@ impl IntervalScheduler {
 
     /// Drops expired windows.
     pub fn prune(&mut self, now: TimePoint) {
-        self.table.prune_before(now);
+        self.table.retire_before(now);
     }
 
     /// Time to traverse the box (path + effective length) entering at
@@ -156,41 +156,14 @@ impl IntervalScheduler {
     /// much *closer* than reported (stale `D_T`), so the occupancy window
     /// opens `lead_length / v` before the scheduled entry.
     /// `effective_length` contains the sensing buffers only.
+    ///
+    /// For a platoon leader (`platoon` is `Some`) the booked occupancy is
+    /// widened by the follower span (PAIM — one reservation covers the
+    /// whole column), using the *cruise* offset at each candidate speed
+    /// for the cruise outcome and the *launch* offset for the stop-and-go
+    /// fallback. `None` is the per-vehicle path.
     #[allow(clippy::too_many_arguments)]
     pub fn schedule_moving(
-        &mut self,
-        vehicle: VehicleId,
-        movement: Movement,
-        spec: &VehicleSpec,
-        t_base: TimePoint,
-        d: Meters,
-        v0: MetersPerSecond,
-        effective_length: Meters,
-        lead_length: Meters,
-        allow_stop_and_go: bool,
-    ) -> SlotDecision {
-        self.schedule_moving_platooned(
-            vehicle,
-            movement,
-            spec,
-            t_base,
-            d,
-            v0,
-            effective_length,
-            lead_length,
-            allow_stop_and_go,
-            None,
-        )
-    }
-
-    /// [`schedule_moving`](Self::schedule_moving) for a platoon leader:
-    /// the booked occupancy is widened by the follower span (PAIM — one
-    /// reservation covers the whole column), using the *cruise* offset at
-    /// each candidate speed for the cruise outcome and the *launch*
-    /// offset for the stop-and-go fallback. `None` is exactly the
-    /// per-vehicle path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_moving_platooned(
         &mut self,
         vehicle: VehicleId,
         movement: Movement,
@@ -288,35 +261,13 @@ impl IntervalScheduler {
     /// behind the line, with the launch no earlier than `earliest_launch`.
     /// Returns `(entry, cover)`: the granted box-entry instant and the
     /// launch-to-entry travel time (launch = entry − cover).
+    ///
+    /// For a platoon leader (`platoon` is `Some`) the booked occupancy is
+    /// widened by the follower *launch* span — the column launches from
+    /// standstill one `launch_offset` apart. `None` is the per-vehicle
+    /// path.
     #[allow(clippy::too_many_arguments)]
     pub fn schedule_stopped(
-        &mut self,
-        vehicle: VehicleId,
-        movement: Movement,
-        spec: &VehicleSpec,
-        earliest_launch: TimePoint,
-        setback: Meters,
-        effective_length: Meters,
-        pad: Seconds,
-    ) -> (TimePoint, Seconds) {
-        self.schedule_stopped_platooned(
-            vehicle,
-            movement,
-            spec,
-            earliest_launch,
-            setback,
-            effective_length,
-            pad,
-            None,
-        )
-    }
-
-    /// [`schedule_stopped`](Self::schedule_stopped) for a platoon leader:
-    /// widens the booked occupancy by the follower *launch* span — the
-    /// column launches from standstill one `launch_offset` apart. `None`
-    /// is exactly the per-vehicle path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_stopped_platooned(
         &mut self,
         vehicle: VehicleId,
         movement: Movement,
@@ -340,8 +291,7 @@ impl IntervalScheduler {
         (toa, cover)
     }
 
-    /// [`schedule_stopped_platooned`](Self::schedule_stopped_platooned)
-    /// restricted to an *immediate* launch — the only grant VT-IM can
+    /// [`schedule_stopped`](Self::schedule_stopped) restricted to an *immediate* launch — the only grant VT-IM can
     /// express for a standstill vehicle. Admits (and moves the lane
     /// gate) only when the earliest admissible slot is exactly
     /// `earliest_launch + cover`; a non-immediate answer mutates
@@ -400,7 +350,7 @@ impl IntervalScheduler {
         // the same instant with more speed and clears sooner.
         let probe = SpeedProfile::stop_at(t_base, Meters::ZERO, v0, d, spec);
         let stopped_at = probe.end_time();
-        let (toa, _cover) = self.schedule_stopped_platooned(
+        let (toa, _cover) = self.schedule_stopped(
             vehicle,
             movement,
             spec,
@@ -500,6 +450,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         let SlotDecision::Cruise { toa, speed } = out else {
             panic!("expected cruise, got {out:?}");
@@ -526,6 +477,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         let SlotDecision::Cruise { toa: toa1, .. } = first else {
             panic!()
@@ -540,6 +492,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         match second {
             SlotDecision::Cruise { toa: toa2, speed } => {
@@ -567,6 +520,7 @@ mod tests {
                 Meters::ZERO,
                 Meters::new(3.0), // grossly oversized to jam the schedule
                 Seconds::new(2.0),
+                None,
             );
         }
         let out = sched.schedule_moving(
@@ -579,6 +533,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         assert!(
             matches!(out, SlotDecision::StopAndGo { .. }),
@@ -599,6 +554,7 @@ mod tests {
                 Meters::ZERO,
                 Meters::new(3.0),
                 Seconds::new(2.0),
+                None,
             );
         }
         let out = sched.schedule_moving(
@@ -611,6 +567,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             false,
+            None,
         );
         assert_eq!(out, SlotDecision::Deny);
     }
@@ -630,6 +587,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         assert_eq!(sched.table().reservations().len(), 1);
         let _ = sched.schedule_moving(
@@ -642,6 +600,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         assert_eq!(
             sched.table().reservations().len(),
@@ -663,6 +622,7 @@ mod tests {
             Meters::ZERO,
             Meters::new(0.724),
             Seconds::ZERO,
+            None,
         );
         // Follower with an earlier physical EToA must still enter after.
         let out = sched.schedule_moving(
@@ -675,6 +635,7 @@ mod tests {
             Meters::new(0.724),
             Meters::ZERO,
             true,
+            None,
         );
         let entry = match out {
             SlotDecision::Cruise { toa, .. } | SlotDecision::StopAndGo { toa } => toa,
@@ -734,6 +695,7 @@ mod tests {
             Meters::ZERO,
             Meters::new(0.724),
             Seconds::ZERO,
+            None,
         );
         assert!(sched.ops() > 0);
     }

@@ -78,7 +78,7 @@ impl IntersectionPolicy for CrossroadsPolicy {
             // reports its queue setback as D_T and covers it during the
             // launch run-up.
             let earliest_launch = now + self.buffers.rtd.wc_network + self.response_margin;
-            let (toa, cover) = self.scheduler.schedule_stopped_platooned(
+            let (toa, cover) = self.scheduler.schedule_stopped(
                 request.vehicle,
                 request.movement,
                 &request.spec,
@@ -101,7 +101,7 @@ impl IntersectionPolicy for CrossroadsPolicy {
         let travelled = request.speed * (t_e - request.transmitted_at);
         let d_e = (request.distance_to_intersection - travelled).max(Meters::new(0.05));
 
-        match self.scheduler.schedule_moving_platooned(
+        match self.scheduler.schedule_moving(
             request.vehicle,
             request.movement,
             &request.spec,

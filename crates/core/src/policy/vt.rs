@@ -67,7 +67,7 @@ impl IntersectionPolicy for VtPolicy {
                 // A denied column must not ratchet its own lane gate by
                 // the abandoned window each retry (see
                 // `schedule_stopped_immediate`): probe without mutating.
-                let (toa, cover, immediate) = self.scheduler.schedule_stopped_immediate(
+                let (toa, _, immediate) = self.scheduler.schedule_stopped_immediate(
                     request.vehicle,
                     request.movement,
                     &request.spec,
@@ -77,7 +77,6 @@ impl IntersectionPolicy for VtPolicy {
                     self.buffers.rtd.wc_rtd(),
                     Some(shape),
                 );
-                let _ = cover;
                 return CrossingCommand::VtTarget {
                     target_speed: if immediate {
                         request.spec.v_max
@@ -87,7 +86,7 @@ impl IntersectionPolicy for VtPolicy {
                     scheduled_entry: toa,
                 };
             }
-            let (toa, cover) = self.scheduler.schedule_stopped_platooned(
+            let (toa, cover) = self.scheduler.schedule_stopped(
                 request.vehicle,
                 request.movement,
                 &request.spec,
@@ -119,7 +118,7 @@ impl IntersectionPolicy for VtPolicy {
             .buffers
             .effective_length(PolicyKind::Crossroads, &request.spec);
         let lead = self.buffers.rtd_extra(PolicyKind::VtIm, request.spec.v_max);
-        match self.scheduler.schedule_moving_platooned(
+        match self.scheduler.schedule_moving(
             request.vehicle,
             request.movement,
             &request.spec,

@@ -5,7 +5,10 @@
 //! Everything that happens in the world — a vehicle crossing the
 //! transmission line, a radio packet arriving, the IM finishing a
 //! computation, a retransmission timer firing — is an *event* with a
-//! timestamp, processed in nondecreasing time order.
+//! timestamp, processed in nondecreasing time order. Events are never
+//! withdrawn: one that a later decision supersedes still fires, and its
+//! handler discards it on a guard (a plan version, a request attempt, an
+//! IM epoch).
 //!
 //! Determinism is a design requirement (DESIGN.md §5.3): events scheduled
 //! for the same instant are processed in the order they were scheduled
@@ -38,5 +41,5 @@
 mod queue;
 mod sim;
 
-pub use queue::{EventId, EventQueue, Popped};
+pub use queue::{Bound, EventQueue, Popped};
 pub use sim::{RunOutcome, Simulation, StopReason};

@@ -1,9 +1,14 @@
-//! The simulation executive: a clock plus the event queue and a run loop.
+//! The simulation executive: a clock plus the event queue and one run
+//! loop.
+//!
+//! [`Simulation::run`], [`run_until`](Simulation::run_until) and
+//! [`run_window`](Simulation::run_window) differ only in the [`Bound`]
+//! they hand that loop, and in one clock rule: a horizon the run reaches
+//! moves the clock to it, a window end does not.
 
 use crossroads_units::{Seconds, TimePoint};
 
-use crate::queue::Popped;
-use crate::{EventId, EventQueue};
+use crate::{Bound, EventQueue, Popped};
 
 /// Why a [`Simulation::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +73,8 @@ pub struct Simulation<E> {
     queue: EventQueue<E>,
     now: TimePoint,
     max_events: u64,
-    /// Cumulative events dispatched across every `step`/`run` call — the
-    /// stamp the flight-recorder trace uses to pin a record to an exact
+    /// Cumulative events dispatched across every run call — the stamp
+    /// the flight-recorder trace uses to pin a record to an exact
     /// event-loop iteration (unlike `RunOutcome::events_processed`, which
     /// resets per run call).
     dispatched: u64,
@@ -144,38 +149,21 @@ impl<E> Simulation<E> {
     /// Panics if `at` is in the past (`at < now`) or non-finite. Scheduling
     /// into the past would silently violate causality, so it is rejected
     /// loudly instead.
-    pub fn schedule(&mut self, at: TimePoint, event: E) -> EventId {
+    pub fn schedule(&mut self, at: TimePoint, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
     /// Schedules an event `delay` after the current time. Negative delays
     /// are clamped to zero (events fire "now", after already-queued events
     /// at the same instant).
-    pub fn schedule_in(&mut self, delay: Seconds, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: Seconds, event: E) {
         self.queue
-            .schedule(self.now + delay.max(Seconds::ZERO), event)
-    }
-
-    /// Cancels a scheduled event; see [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    ///
-    /// Exposed for callers that need manual stepping (e.g. interleaving two
-    /// simulations); most users want [`run`](Simulation::run).
-    pub fn step(&mut self) -> Option<(TimePoint, E)> {
-        let (at, event) = self.queue.pop()?;
-        debug_assert!(at >= self.now, "event queue violated time order");
-        self.now = at;
-        self.dispatched += 1;
-        Some((at, event))
+            .schedule(self.now + delay.max(Seconds::ZERO), event);
     }
 
     /// Time of the next pending event, if any. O(1).
@@ -190,14 +178,8 @@ impl<E> Simulation<E> {
         self.queue.is_empty()
     }
 
-    /// Total number of events ever scheduled.
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
     /// Cumulative events dispatched over the simulation's whole lifetime
-    /// (all `step` and `run` calls). Monotone; never resets.
+    /// (all run calls). Monotone; never resets.
     #[must_use]
     pub fn events_dispatched(&self) -> u64 {
         self.dispatched
@@ -212,17 +194,18 @@ impl<E> Simulation<E> {
     where
         F: FnMut(&mut Simulation<E>, E) -> bool,
     {
-        self.run_inner(None, handler)
+        self.run_bounded(Bound::Unbounded, handler)
     }
 
-    /// Runs until `horizon` (exclusive), the queue drains, or the handler
-    /// returns `false`. Events strictly after the horizon remain queued; the
-    /// clock is advanced to the horizon when it is the stopping cause.
+    /// Runs every event at or before `horizon`, until the queue drains or
+    /// the handler returns `false`. The horizon is **inclusive**: an event
+    /// exactly at it is dispatched. Later events remain queued, and when
+    /// they are what stops the run the clock advances to the horizon.
     pub fn run_until<F>(&mut self, horizon: TimePoint, handler: F) -> RunOutcome
     where
         F: FnMut(&mut Simulation<E>, E) -> bool,
     {
-        self.run_inner(Some(horizon), handler)
+        self.run_bounded(Bound::Through(horizon), handler)
     }
 
     /// Runs every event scheduled *strictly before* `end`, leaving events
@@ -239,92 +222,45 @@ impl<E> Simulation<E> {
     ///   `now()` still reports when this queue's last event actually
     ///   fired (and a handoff scheduled at `>= end` can never be "in the
     ///   past").
-    pub fn run_window<F>(&mut self, end: TimePoint, mut handler: F) -> RunOutcome
+    pub fn run_window<F>(&mut self, end: TimePoint, handler: F) -> RunOutcome
     where
         F: FnMut(&mut Simulation<E>, E) -> bool,
     {
-        let mut processed = 0u64;
-        loop {
-            if processed >= self.max_events {
-                return RunOutcome {
-                    reason: StopReason::EventLimit,
-                    events_processed: processed,
-                    end_time: self.now,
-                };
-            }
-            let (at, event) = match self.queue.pop_before(end) {
-                Popped::Empty => {
-                    return RunOutcome {
-                        reason: StopReason::QueueExhausted,
-                        events_processed: processed,
-                        end_time: self.now,
-                    };
-                }
-                Popped::Beyond(_) => {
-                    return RunOutcome {
-                        reason: StopReason::HorizonReached,
-                        events_processed: processed,
-                        end_time: self.now,
-                    };
-                }
-                Popped::Event(at, event) => (at, event),
-            };
-            self.now = at;
-            processed += 1;
-            self.dispatched += 1;
-            if !handler(self, event) {
-                return RunOutcome {
-                    reason: StopReason::HandlerStopped,
-                    events_processed: processed,
-                    end_time: self.now,
-                };
-            }
-        }
+        self.run_bounded(Bound::Before(end), handler)
     }
 
-    fn run_inner<F>(&mut self, horizon: Option<TimePoint>, mut handler: F) -> RunOutcome
+    /// The run loop: one bounded pop per event.
+    fn run_bounded<F>(&mut self, bound: Bound, mut handler: F) -> RunOutcome
     where
         F: FnMut(&mut Simulation<E>, E) -> bool,
     {
         let mut processed = 0u64;
-        loop {
+        let reason = loop {
             if processed >= self.max_events {
-                return RunOutcome {
-                    reason: StopReason::EventLimit,
-                    events_processed: processed,
-                    end_time: self.now,
-                };
+                break StopReason::EventLimit;
             }
-            // One queue operation per event: the pop itself checks the
-            // horizon and pushes back (leaves queued) anything beyond it.
-            let (at, event) = match self.queue.pop_within(horizon) {
-                Popped::Empty => {
-                    return RunOutcome {
-                        reason: StopReason::QueueExhausted,
-                        events_processed: processed,
-                        end_time: self.now,
-                    };
-                }
+            match self.queue.pop_within(bound) {
+                Popped::Empty => break StopReason::QueueExhausted,
                 Popped::Beyond(_) => {
-                    self.now = horizon.expect("Beyond implies a horizon");
-                    return RunOutcome {
-                        reason: StopReason::HorizonReached,
-                        events_processed: processed,
-                        end_time: self.now,
-                    };
+                    if let Bound::Through(horizon) = bound {
+                        self.now = horizon;
+                    }
+                    break StopReason::HorizonReached;
                 }
-                Popped::Event(at, event) => (at, event),
-            };
-            self.now = at;
-            processed += 1;
-            self.dispatched += 1;
-            if !handler(self, event) {
-                return RunOutcome {
-                    reason: StopReason::HandlerStopped,
-                    events_processed: processed,
-                    end_time: self.now,
-                };
+                Popped::Event(at, event) => {
+                    self.now = at;
+                    processed += 1;
+                    self.dispatched += 1;
+                    if !handler(self, event) {
+                        break StopReason::HandlerStopped;
+                    }
+                }
             }
+        };
+        RunOutcome {
+            reason,
+            events_processed: processed,
+            end_time: self.now,
         }
     }
 }
@@ -347,11 +283,16 @@ mod tests {
         let mut sim: Simulation<&str> = Simulation::new();
         sim.schedule(TimePoint::new(1.5), "a");
         sim.schedule(TimePoint::new(0.5), "b");
-        assert_eq!(sim.step(), Some((TimePoint::new(0.5), "b")));
-        assert_eq!(sim.now(), TimePoint::new(0.5));
-        assert_eq!(sim.step(), Some((TimePoint::new(1.5), "a")));
+        let mut seen = Vec::new();
+        sim.run(|sim, e| {
+            seen.push((sim.now(), e));
+            true
+        });
+        assert_eq!(
+            seen,
+            vec![(TimePoint::new(0.5), "b"), (TimePoint::new(1.5), "a")]
+        );
         assert_eq!(sim.now(), TimePoint::new(1.5));
-        assert_eq!(sim.step(), None);
     }
 
     #[test]
@@ -359,7 +300,7 @@ mod tests {
     fn scheduling_into_past_panics() {
         let mut sim: Simulation<()> = Simulation::new();
         sim.schedule(TimePoint::new(1.0), ());
-        sim.step();
+        sim.run(|_, ()| true);
         sim.schedule(TimePoint::new(0.5), ());
     }
 
@@ -367,7 +308,7 @@ mod tests {
     fn schedule_in_clamps_negative_delay() {
         let mut sim: Simulation<()> = Simulation::new();
         sim.schedule(TimePoint::new(1.0), ());
-        sim.step();
+        sim.run(|_, ()| true);
         sim.schedule_in(Seconds::new(-5.0), ());
         assert_eq!(sim.peek_time(), Some(TimePoint::new(1.0)));
     }
@@ -461,40 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn run_window_then_run_until_matches_one_run_until() {
-        // Chopping a run into windows must process the same events in the
-        // same order as one inclusive run to the horizon.
-        let schedule = |sim: &mut Simulation<u32>| {
-            for i in 0..10 {
-                sim.schedule(TimePoint::new(f64::from(i) * 0.5), i);
-            }
-        };
-        let mut whole: Simulation<u32> = Simulation::new();
-        schedule(&mut whole);
-        let mut a = Vec::new();
-        whole.run_until(TimePoint::new(4.5), |_, e| {
-            a.push(e);
-            true
-        });
-        let mut windowed: Simulation<u32> = Simulation::new();
-        schedule(&mut windowed);
-        let mut b = Vec::new();
-        for w in [1.0, 2.0, 3.0, 4.5] {
-            windowed.run_window(TimePoint::new(w), |_, e| {
-                b.push(e);
-                true
-            });
-        }
-        // The exclusive windows leave the event exactly at 4.5 queued;
-        // the final inclusive stretch picks it up.
-        windowed.run_until(TimePoint::new(4.5), |_, e| {
-            b.push(e);
-            true
-        });
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn event_limit_backstop() {
         let mut sim: Simulation<()> = Simulation::new().with_max_events(100);
         sim.schedule(TimePoint::ZERO, ());
@@ -526,32 +433,18 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_counter_is_cumulative_across_runs_and_steps() {
+    fn dispatch_counter_is_cumulative_across_runs() {
         let mut sim: Simulation<u32> = Simulation::new();
         for i in 0..5 {
             sim.schedule(TimePoint::new(f64::from(i)), i);
         }
         assert_eq!(sim.events_dispatched(), 0);
-        sim.step();
+        sim.run_window(TimePoint::new(1.0), |_, _| true);
         assert_eq!(sim.events_dispatched(), 1);
         sim.run_until(TimePoint::new(2.5), |_, _| true);
         assert_eq!(sim.events_dispatched(), 3);
         sim.run(|_, _| true);
         assert_eq!(sim.events_dispatched(), 5);
-    }
-
-    #[test]
-    fn cancel_through_simulation() {
-        let mut sim: Simulation<&str> = Simulation::new();
-        let id = sim.schedule(TimePoint::new(1.0), "timer");
-        sim.schedule(TimePoint::new(2.0), "other");
-        assert!(sim.cancel(id));
-        let mut seen = Vec::new();
-        sim.run(|_, e| {
-            seen.push(e);
-            true
-        });
-        assert_eq!(seen, vec!["other"]);
     }
 
     #[test]
@@ -569,7 +462,7 @@ mod tests {
                 }
                 true
             });
-            (seen, sim.scheduled_total(), sim.events_dispatched())
+            (seen, sim.events_dispatched())
         };
         let mut upfront = Simulation::new();
         for (at, e) in start {

@@ -1,36 +1,23 @@
 //! Property tests for the event queue and simulation executive.
 
-use crossroads_check::{bools, ck_assert, ck_assert_eq, forall, vec};
-use crossroads_des::{EventQueue, Popped, Simulation};
-use crossroads_units::TimePoint;
+use crossroads_check::{ck_assert, ck_assert_eq, forall, vec};
+use crossroads_des::{Bound, EventQueue, Popped, Simulation};
+use crossroads_units::{Seconds, TimePoint};
 
 /// The obviously-correct reference queue: a flat vector scanned for the
-/// minimum `(time, seq)` on every pop, with cancellation by removal. The
-/// model test below drives it in lockstep with the indexed heap.
+/// minimum `(time, seq)` on every pop. The model tests below drive it in
+/// lockstep with the heap.
 #[derive(Default)]
 struct NaiveQueue {
-    /// `(at, seq, payload)` for every live event.
+    /// `(at, seq, payload)` for every queued event.
     entries: Vec<(f64, u64, usize)>,
     next_seq: u64,
 }
 
 impl NaiveQueue {
-    /// Returns the sequence number as the cancellation handle.
-    fn schedule(&mut self, at: f64, payload: usize) -> u64 {
-        let seq = self.next_seq;
+    fn schedule(&mut self, at: f64, payload: usize) {
+        self.entries.push((at, self.next_seq, payload));
         self.next_seq += 1;
-        self.entries.push((at, seq, payload));
-        seq
-    }
-
-    fn cancel(&mut self, handle: u64) -> bool {
-        match self.entries.iter().position(|&(_, seq, _)| seq == handle) {
-            Some(i) => {
-                self.entries.remove(i);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Index of the earliest `(time, seq)` entry.
@@ -69,6 +56,19 @@ fn grid(step: u8) -> f64 {
     f64::from(step) * 0.5
 }
 
+/// A handler that records each dispatch as `(time bits, payload)` and
+/// chains follow-ups `4i + 1`, `4i + 2` and `4i + 3` after a start event
+/// `4i`, spaced 0, 0.5, 1 or 1.5 s by `i`.
+fn chain(out: &mut Vec<(u64, u32)>) -> impl FnMut(&mut Simulation<u32>, u32) -> bool + '_ {
+    move |sim, e| {
+        out.push((sim.now().value().to_bits(), e));
+        if e % 4 != 3 {
+            sim.schedule_in(Seconds::new(f64::from(e / 4 % 4) * 0.5), e + 1);
+        }
+        true
+    }
+}
+
 forall! {
     /// Popping always yields nondecreasing timestamps, whatever the
     /// insertion order.
@@ -95,68 +95,27 @@ forall! {
         ck_assert_eq!(popped, (0..n).collect::<Vec<_>>());
     }
 
-    /// Cancelled events never surface; everything else does, exactly once.
-    fn cancellation_is_exact(
-        times in vec(0.0f64..1e3, 1..100),
-        cancel_mask in vec(bools(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(TimePoint::new(t), i)))
-            .collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            if cancel_mask.get(*i).copied().unwrap_or(false) {
-                ck_assert!(q.cancel(*id));
-            } else {
-                expect.push(*i);
-            }
-        }
-        let mut popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        popped.sort_unstable();
-        expect.sort_unstable();
-        ck_assert_eq!(popped, expect);
-    }
-
-    /// Model test: random interleavings of schedule / cancel / pop drive
-    /// the indexed heap and the naive reference queue in lockstep — pop
-    /// transcripts (time bits + payload) and every `cancel` return value
-    /// must agree exactly.
-    fn indexed_heap_matches_naive_reference(
-        ops in vec((0u8..4, 0.0f64..100.0, 0usize..64), 1..150),
+    /// Model test: random interleavings of schedule / pop drive the heap
+    /// and the naive reference queue in lockstep — pop transcripts (time
+    /// bits + payload) must agree exactly.
+    fn queue_matches_naive_reference(
+        ops in vec((0u8..3, 0.0f64..100.0), 1..150),
     ) {
         let mut queue = EventQueue::new();
         let mut naive = NaiveQueue::default();
-        // Parallel handle lists: entry k of each is the same logical event.
-        let mut ids = Vec::new();
-        let mut handles = Vec::new();
         let mut payload = 0usize;
-        for &(op, time, pick) in &ops {
-            match op {
-                // Two schedule arms to one each of cancel/pop keeps the
-                // queues populated enough for cancels to land on live ids.
-                0 | 1 => {
-                    ids.push(queue.schedule(TimePoint::new(time), payload));
-                    handles.push(naive.schedule(time, payload));
-                    payload += 1;
-                }
-                2 if !ids.is_empty() => {
-                    let k = pick % ids.len();
-                    ck_assert_eq!(
-                        queue.cancel(ids[k]),
-                        naive.cancel(handles[k]),
-                        "cancel of event {k} disagreed"
-                    );
-                }
-                _ => {
-                    let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
-                    let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
-                    ck_assert_eq!(popped, expect);
-                }
+        for &(op, time) in &ops {
+            // Two schedule arms to one pop arm keep the queues populated.
+            if op < 2 {
+                queue.schedule(TimePoint::new(time), payload);
+                naive.schedule(time, payload);
+                payload += 1;
+            } else {
+                let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
+                let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
+                ck_assert_eq!(popped, expect);
             }
-            ck_assert_eq!(queue.raw_len(), naive.entries.len());
+            ck_assert_eq!(queue.len(), naive.entries.len());
         }
         // Drain both: the tails must agree event for event.
         loop {
@@ -171,15 +130,15 @@ forall! {
 
     /// Model test for the start-schedule prologue: a queue built by
     /// `with_prologue`, then driven by random interleavings of schedule /
-    /// cancel / pop / `pop_within` / `pop_before`, must match the naive
+    /// pop / `pop_within` under each kind of bound, must match the naive
     /// reference that schedules every prologue event up front. Pop
-    /// results, deferred timestamps, `peek_time`, `is_empty` and
-    /// `raw_len` are compared after every operation. Times sit on a
-    /// 0.5 s grid, so ties inside the prologue and between the prologue
-    /// and later events occur in most cases.
+    /// results, deferred timestamps, `peek_time`, `is_empty` and `len`
+    /// are compared after every operation. Times sit on a 0.5 s grid, so
+    /// ties inside the prologue and between the prologue and later
+    /// events occur in most cases.
     fn prologue_matches_scheduling_up_front(
         prologue in vec(0u8..20, 0..60),
-        ops in vec((0u8..7, 0u8..20), 1..150),
+        ops in vec((0u8..6, 0u8..20), 1..150),
     ) {
         let mut queue =
             EventQueue::with_prologue(prologue.iter().zip(0usize..).map(|(&step, payload)| {
@@ -189,40 +148,36 @@ forall! {
         for (payload, &step) in prologue.iter().enumerate() {
             naive.schedule(grid(step), payload);
         }
-        // Only events scheduled after the prologue have handles.
-        let mut ids = Vec::new();
-        let mut handles = Vec::new();
         let mut payload = prologue.len();
         for &(op, step) in &ops {
             let at = grid(step);
             match op {
                 0 | 1 => {
-                    ids.push(queue.schedule(TimePoint::new(at), payload));
-                    handles.push(naive.schedule(at, payload));
+                    queue.schedule(TimePoint::new(at), payload);
+                    naive.schedule(at, payload);
                     payload += 1;
                 }
-                2 if !ids.is_empty() => {
-                    let k = usize::from(step) % ids.len();
-                    ck_assert_eq!(queue.cancel(ids[k]), naive.cancel(handles[k]));
-                }
-                3 => {
+                2 => {
                     let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
                     let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
                     ck_assert_eq!(popped, expect);
                 }
-                4 => ck_assert_eq!(
-                    queue.pop_within(Some(TimePoint::new(at))),
+                3 => ck_assert_eq!(
+                    queue.pop_within(Bound::Through(TimePoint::new(at))),
                     naive.pop_if(|t| t <= at)
                 ),
-                5 => ck_assert_eq!(queue.pop_within(None), naive.pop_if(|_| true)),
+                4 => ck_assert_eq!(
+                    queue.pop_within(Bound::Unbounded),
+                    naive.pop_if(|_| true)
+                ),
                 _ => ck_assert_eq!(
-                    queue.pop_before(TimePoint::new(at)),
+                    queue.pop_within(Bound::Before(TimePoint::new(at))),
                     naive.pop_if(|t| t < at)
                 ),
             }
             ck_assert_eq!(queue.peek_time().map(TimePoint::value), naive.peek_time());
             ck_assert_eq!(queue.is_empty(), naive.entries.is_empty());
-            ck_assert_eq!(queue.raw_len(), naive.entries.len());
+            ck_assert_eq!(queue.len(), naive.entries.len());
         }
         loop {
             let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
@@ -232,7 +187,44 @@ forall! {
                 break;
             }
         }
-        ck_assert_eq!(queue.scheduled_total(), naive.next_seq);
+    }
+
+    /// Chopping a run into windows dispatches exactly what one inclusive
+    /// run does. Start events and their handler follow-ups sit on the
+    /// 0.5 s grid, as do the barriers, so events land exactly on barriers
+    /// and on the horizon; follow-ups 0 s later land on the instant being
+    /// drained. A random ascending sequence of `run_window` barriers at
+    /// or before the horizon, then `run_until` the horizon, must give the
+    /// `(time bits, payload)` transcript, `events_dispatched()` and final
+    /// `now()` of one `run_until`.
+    fn windows_then_run_until_match_one_run_until(
+        start in vec(0u8..20, 0..40),
+        barriers in vec(0u8..24, 0..12),
+        horizon in 0u8..24,
+    ) {
+        let sim = || {
+            Simulation::with_prologue(start.iter().zip(0u32..).map(|(&step, i)| {
+                (TimePoint::new(grid(step)), 4 * i)
+            }))
+        };
+        let horizon_at = TimePoint::new(grid(horizon));
+
+        let mut whole = sim();
+        let mut expect = Vec::new();
+        whole.run_until(horizon_at, chain(&mut expect));
+
+        let mut barriers: Vec<u8> = barriers.into_iter().filter(|&b| b <= horizon).collect();
+        barriers.sort_unstable();
+        let mut windowed = sim();
+        let mut got = Vec::new();
+        for &b in &barriers {
+            windowed.run_window(TimePoint::new(grid(b)), chain(&mut got));
+        }
+        windowed.run_until(horizon_at, chain(&mut got));
+
+        ck_assert_eq!(got, expect);
+        ck_assert_eq!(windowed.events_dispatched(), whole.events_dispatched());
+        ck_assert_eq!(windowed.now().value().to_bits(), whole.now().value().to_bits());
     }
 
     /// The simulation clock never goes backwards over any run.
@@ -302,19 +294,18 @@ fn infinite_simulation_prologue_timestamp_panics() {
     let _ = Simulation::with_prologue([(TimePoint::new(f64::INFINITY), ())]);
 }
 
-/// Prologue events count as scheduled and as live, exactly as if each
-/// had gone through `schedule`.
+/// Prologue events count as queued, exactly as if each had gone through
+/// `schedule`.
 #[test]
 fn counters_include_the_prologue() {
     let mut q = EventQueue::with_prologue((0..5).map(|i| (TimePoint::new(f64::from(i)), i)));
-    assert_eq!(q.scheduled_total(), 5);
-    assert_eq!(q.raw_len(), 5);
+    assert_eq!(q.len(), 5);
     assert!(!q.is_empty());
     q.schedule(TimePoint::new(2.5), 10);
-    assert_eq!((q.scheduled_total(), q.raw_len()), (6, 6));
+    assert_eq!(q.len(), 6);
     assert_eq!(q.pop(), Some((TimePoint::new(0.0), 0)));
-    assert_eq!((q.scheduled_total(), q.raw_len()), (6, 5));
+    assert_eq!(q.len(), 5);
     while q.pop().is_some() {}
     assert!(q.is_empty());
-    assert_eq!((q.scheduled_total(), q.raw_len()), (6, 0));
+    assert_eq!(q.len(), 0);
 }

@@ -373,12 +373,6 @@ impl ReservationTable {
         }
     }
 
-    /// Drops reservations whose windows ended before `now` (housekeeping
-    /// alias for [`retire_before`](Self::retire_before)).
-    pub fn prune_before(&mut self, now: TimePoint) {
-        self.retire_before(now);
-    }
-
     /// Verifies the core safety invariant: no two conflicting reservations
     /// overlap. Intended for tests and debug assertions.
     #[must_use]
@@ -527,7 +521,7 @@ mod tests {
         let mut t = sched();
         t.insert(res(1, S, 1.0, 2.0)).unwrap();
         t.insert(res(2, N, 5.0, 6.0)).unwrap();
-        t.prune_before(TimePoint::new(3.0));
+        t.retire_before(TimePoint::new(3.0));
         assert_eq!(t.reservations().len(), 1);
         assert_eq!(t.reservations()[0].vehicle, VehicleId(2));
     }
