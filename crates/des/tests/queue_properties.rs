@@ -196,7 +196,8 @@ forall! {
     /// drained. A random ascending sequence of `run_window` barriers at
     /// or before the horizon, then `run_until` the horizon, must give the
     /// `(time bits, payload)` transcript, `events_dispatched()` and final
-    /// `now()` of one `run_until`.
+    /// `now()` of one `run_until`, and each window must leave the clock at
+    /// the last event it dispatched.
     fn windows_then_run_until_match_one_run_until(
         start in vec(0u8..20, 0..40),
         barriers in vec(0u8..24, 0..12),
@@ -219,6 +220,9 @@ forall! {
         let mut got = Vec::new();
         for &b in &barriers {
             windowed.run_window(TimePoint::new(grid(b)), chain(&mut got));
+            // A window end leaves the clock at the last dispatched event.
+            let last = got.last().map_or(0.0f64.to_bits(), |&(at, _)| at);
+            ck_assert_eq!(windowed.now().value().to_bits(), last);
         }
         windowed.run_until(horizon_at, chain(&mut got));
 
