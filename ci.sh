@@ -140,7 +140,7 @@ echo "==> no-deadlock liveness under faults (pinned regression seeds)"
 cargo test -q --offline -p crossroads-core --test fault_liveness
 
 echo "==> DES engine + contact kernel vs seed-baseline agreement gate"
-# Quick mode: benches/des.rs replays randomized schedule/cancel/pop
+# Quick mode: benches/des.rs replays randomized schedule/pop
 # interleavings on the rewritten queue and the seed's BinaryHeap
 # baseline (embedded in the bench), both from an empty queue and from a
 # start-schedule prologue that the seed queue schedules up front, and

@@ -291,16 +291,17 @@ impl IntervalScheduler {
         (toa, cover)
     }
 
-    /// [`schedule_stopped`](Self::schedule_stopped) restricted to an *immediate* launch — the only grant VT-IM can
-    /// express for a standstill vehicle. Admits (and moves the lane
-    /// gate) only when the earliest admissible slot is exactly
-    /// `earliest_launch + cover`; a non-immediate answer mutates
-    /// nothing. The plain stopped path instead admits-then-releases on
-    /// denial, which leaves the lane gate at the abandoned `toa`; with a
-    /// follower span widening every abandoned window that gate ratchets
-    /// ahead of the clock faster than the retry loop advances it, and
-    /// the column starves its own lane (re-request livelock). Platooned
-    /// stopped requests therefore go through this non-mutating probe.
+    /// [`schedule_stopped`](Self::schedule_stopped) restricted to an
+    /// *immediate* launch — the only grant VT-IM can express for a
+    /// standstill vehicle. Admits (and moves the lane gate) only when the
+    /// earliest admissible slot is exactly `earliest_launch + cover`; a
+    /// non-immediate answer mutates nothing. The plain stopped path
+    /// instead admits-then-releases on denial, which leaves the lane gate
+    /// at the abandoned `toa`; with a follower span widening every
+    /// abandoned window that gate ratchets ahead of the clock faster than
+    /// the retry loop advances it, and the column starves its own lane
+    /// (re-request livelock). Platooned stopped requests therefore go
+    /// through this non-mutating probe.
     #[allow(clippy::too_many_arguments)]
     pub fn schedule_stopped_immediate(
         &mut self,
