@@ -34,19 +34,25 @@ struct Key {
     slot: u32,
 }
 
+// The heap's sift loops are compiled in the crate that names the payload
+// type; `#[inline]` lets them inline these comparisons there instead of
+// calling across the crate boundary on every step.
 impl Ord for Key {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.at.total_cmp(other.at).then(self.seq.cmp(&other.seq))
     }
 }
 
 impl PartialOrd for Key {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl PartialEq for Key {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
