@@ -5,6 +5,10 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Experiment binaries and benches write timing records to
+# BENCH_sweep.json unless told otherwise; no CI step keeps them.
+export CROSSROADS_BENCH_OUT=/dev/null
+
 echo "==> manifest audit: no registry dependencies allowed"
 if grep -rn "^rand\|^proptest\|^criterion\|^serde" crates/*/Cargo.toml Cargo.toml; then
     echo "FAIL: registry dependency found in a manifest" >&2
@@ -61,9 +65,9 @@ same_stdout() {
         exit 1
     fi
 }
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
     ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+CROSSROADS_SWEEP_FAST=1 \
     ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
 same_stdout "parallel sweep output diverges from the sequential run"
 
@@ -72,9 +76,9 @@ echo "==> fault-injection smoke (reduced grid, 1 thread vs default)"
 # sweep (burst x outage grid, all policies) must be byte-identical at
 # any pool width, and every point hard-asserts the zero-safety-violation
 # invariant internally.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
     ./target/release/exp_fault_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+CROSSROADS_SWEEP_FAST=1 \
     ./target/release/exp_fault_sweep >"$par_out" 2>/dev/null
 same_stdout "fault sweep output diverges from the sequential run"
 
@@ -82,12 +86,12 @@ echo "==> corridor grid smoke (reduced grid, 1 thread vs default vs 7)"
 # The E13 corridor sweep (chained intersections) must route every
 # vehicle with clean audits and print byte-identical tables at any
 # worker-pool width — each point is a pure function of its config.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
     ./target/release/exp_grid_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+CROSSROADS_SWEEP_FAST=1 \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
 same_stdout "grid sweep output diverges from the sequential run"
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=7 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=7 \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
 same_stdout "grid sweep output diverges on a 7-thread pool"
 
@@ -99,7 +103,7 @@ echo "==> windowed-parallel corridor smoke (1 vs 2 vs 4 vs 7 shard workers)"
 # `timeout` (it takes well under a second), so a deadlocked barrier
 # fails CI instead of hanging it.
 for w in 1 2 4 7; do
-    if ! CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_SHARD_WORKERS=$w \
+    if ! CROSSROADS_SWEEP_FAST=1 CROSSROADS_SHARD_WORKERS=$w \
         timeout 120 ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null; then
         echo "FAIL: grid sweep on $w shard workers failed or timed out" >&2
         exit 1
@@ -160,7 +164,7 @@ echo "==> AIM analytic-vs-marched kernel agreement gate"
 # over a spread of cruise speeds on every movement, a reused (warm)
 # policy returns the footprints of a fresh (cold) one bit for bit.
 # Timing loops are skipped.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+CROSSROADS_SWEEP_FAST=1 \
     cargo bench --offline --bench trajectory -p crossroads-bench
 
 echo "==> marched-oracle differential suite (bounded cases)"
@@ -179,16 +183,16 @@ echo "==> platoon-admission smoke (PAIM sweep at 1/4/7 threads + disabled identi
 # an existing experiment run with CROSSROADS_PLATOON=0 pinned must match
 # the flag-unset run byte for byte, which checks the knob reader at the
 # binary edge (crossroads_bench::knobs).
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
     ./target/release/exp_platoon_sweep >"$seq_out" 2>/dev/null
 for t in 4 7; do
-    CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=$t \
+    CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=$t \
         ./target/release/exp_platoon_sweep >"$par_out" 2>/dev/null
     same_stdout "platoon sweep output diverges on a $t-thread pool"
 done
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+CROSSROADS_SWEEP_FAST=1 \
     ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_PLATOON=0 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_PLATOON=0 \
     ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
 same_stdout "flow sweep output depends on the unset platoon flag"
 
@@ -200,16 +204,16 @@ echo "==> mixed-traffic smoke (filtered sweep at 1/4/7 threads + disabled identi
 # be unobservable by default: an existing experiment run with
 # CROSSROADS_MIXED=0 pinned must match the flag-unset run byte for byte
 # through the same knob reader.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
     ./target/release/exp_mixed_sweep >"$seq_out" 2>/dev/null
 for t in 4 7; do
-    CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=$t \
+    CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=$t \
         ./target/release/exp_mixed_sweep >"$par_out" 2>/dev/null
     same_stdout "mixed sweep output diverges on a $t-thread pool"
 done
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
+CROSSROADS_SWEEP_FAST=1 \
     ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_MIXED=0 \
+CROSSROADS_SWEEP_FAST=1 CROSSROADS_MIXED=0 \
     ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
 same_stdout "flow sweep output depends on the unset mixed-traffic flag"
 

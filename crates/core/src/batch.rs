@@ -29,7 +29,7 @@ use crossroads_traffic::Arrival;
 use crossroads_units::{Meters, Seconds, TimePoint};
 use crossroads_vehicle::{VehicleId, VehicleSpec};
 
-use crate::policy::common::reachable_speed;
+use crate::policy::common::fastest_run;
 
 /// One vehicle's planned crossing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,13 +113,11 @@ impl BatchPlanner {
     /// over the approach) and its crossing occupancy at that speed.
     fn earliest_and_duration(&self, arrival: &Arrival) -> (TimePoint, Seconds) {
         let d = self.geometry.transmission_line_distance;
-        let v_reach = reachable_speed(arrival.speed, &self.spec, d);
-        let fastest =
-            crossroads_units::kinematics::accel_cruise(arrival.speed, v_reach, self.spec.a_max, d)
-                .expect("approach profile is feasible");
+        let (v_reach, fastest) =
+            fastest_run(arrival.speed, &self.spec, d).expect("approach profile is feasible");
         let occupancy =
             (self.geometry.path_length(arrival.movement) + self.effective_length) / v_reach;
-        (arrival.at_line + fastest.total_time, occupancy)
+        (arrival.at_line + fastest, occupancy)
     }
 
     /// FIFO assignment: vehicles take the earliest window in arrival

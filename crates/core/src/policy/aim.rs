@@ -128,12 +128,6 @@ impl AimPolicy {
         self
     }
 
-    /// Which footprint kernel [`decide`](IntersectionPolicy::decide) uses.
-    #[must_use]
-    pub fn analytic(&self) -> bool {
-        self.analytic
-    }
-
     /// Read access to the tile ledger (audits).
     #[must_use]
     pub fn tiles(&self) -> &TileSchedule {
@@ -193,25 +187,8 @@ impl AimPolicy {
         let total = self.geometry.path_length(movement) + eff;
 
         // Front-bumper progress as a function of time since entry.
-        let progress: Box<dyn Fn(f64) -> f64> = match entry {
-            EntryMode::Constant(v) if v.value() > 1e-6 => {
-                let v = v.value();
-                Box::new(move |t: f64| v * t)
-            }
-            EntryMode::Constant(_) => return false, // crawling proposal: not schedulable
-            EntryMode::Launch { entry_speed } => {
-                let (a, vm) = (spec.a_max.value(), spec.v_max.value());
-                let v0 = entry_speed.value().clamp(0.0, vm);
-                let t_acc = (vm - v0) / a;
-                let d_acc = v0 * t_acc + 0.5 * a * t_acc * t_acc;
-                Box::new(move |t: f64| {
-                    if t < t_acc {
-                        v0 * t + 0.5 * a * t * t
-                    } else {
-                        d_acc + vm * (t - t_acc)
-                    }
-                })
-            }
+        let Some(progress) = entry_progress(entry, spec) else {
+            return false; // crawling proposal: not schedulable
         };
 
         let dt = self.sim_step.value();
@@ -222,7 +199,7 @@ impl AimPolicy {
         let mut t = 0.0;
         // March until the rear (plus buffers) clears the box.
         loop {
-            let f = progress(t);
+            let f = progress.distance_at(Seconds::new(t)).value();
             let center_s = Meters::new(f - eff.value() / 2.0);
             let (pose, heading) = path.pose_at(center_s);
             self.tiles.grid().tiles_for_footprint_into(
@@ -292,12 +269,8 @@ impl AimPolicy {
         let total = self.geometry.path_length(movement) + eff;
         let dt = self.sim_step.value();
 
-        let prog = match entry {
-            EntryMode::Constant(v) => match EntryProgress::constant(v) {
-                Some(p) => p,
-                None => return false, // crawling proposal: not schedulable
-            },
-            EntryMode::Launch { entry_speed } => EntryProgress::launch(entry_speed, spec),
+        let Some(prog) = entry_progress(entry, spec) else {
+            return false; // crawling proposal: not schedulable
         };
         // The march succeeds at its first sample with f ≥ total and
         // bails out once t exceeds 120 s; mirror that verdict on the
@@ -341,6 +314,15 @@ impl AimPolicy {
         }
         self.ops += bands.len() as u64 + 1;
         true
+    }
+}
+
+/// The closed-form progress curve of a proposal's box entry, or `None`
+/// for a crawling constant-speed proposal (never schedulable).
+fn entry_progress(entry: EntryMode, spec: &VehicleSpec) -> Option<EntryProgress> {
+    match entry {
+        EntryMode::Constant(v) => EntryProgress::constant(v),
+        EntryMode::Launch { entry_speed } => Some(EntryProgress::launch(entry_speed, spec)),
     }
 }
 

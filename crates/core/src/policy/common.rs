@@ -5,37 +5,34 @@
 //! time `t_base`, when may it enter, and at what cruise speed?* They
 //! differ only in what `t_base` means (VT-IM: "whenever the response
 //! lands", absorbed by buffer; Crossroads: the exact actuation time `T_E`)
-//! and in the buffer the occupancy windows carry.
+//! and in the buffer the occupancy windows carry. The scheduler holds one
+//! cruise search, which books what it finds, and one standstill-launch
+//! search, whose slot the caller books with [`IntervalScheduler::admit`]
+//! or refuses. What to do when no cruise fits is the policy's: VT-IM
+//! commands a stop, Crossroads a timed stop-and-go.
 
 use crossroads_intersection::{
     Approach, IntersectionGeometry, Movement, Reservation, ReservationTable,
 };
 use crossroads_units::kinematics;
 use crossroads_units::{Meters, MetersPerSecond, Seconds, TimePoint};
-use crossroads_vehicle::{SpeedProfile, VehicleId, VehicleSpec};
+use crossroads_vehicle::{VehicleId, VehicleSpec};
 
 use super::PlatoonShape;
 
-/// Outcome of a scheduling attempt.
+/// A box-occupancy window for one grant: what [`IntervalScheduler::admit`]
+/// books.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SlotDecision {
-    /// Enter at `toa` cruising at `speed` ("accelerate to V_T and maintain
-    /// until exit").
-    Cruise {
-        /// Scheduled box-entry instant.
-        toa: TimePoint,
-        /// Commanded cruise speed.
-        speed: MetersPerSecond,
-    },
-    /// Stop at the line, then launch from standstill entering at `toa`.
-    StopAndGo {
-        /// Scheduled box-entry (launch) instant.
-        toa: TimePoint,
-    },
-    /// No admissible window close enough; the vehicle must stop and
-    /// re-request (VT-IM's only recourse, since its command cannot carry
-    /// a future start time).
-    Deny,
+pub struct Slot {
+    /// Box-entry instant.
+    pub entry: TimePoint,
+    /// Launch-to-entry travel time of a standstill launch (launch =
+    /// `entry − cover`); zero for a cruise.
+    pub cover: Seconds,
+    /// Occupancy booked from `entry`, the follower span included.
+    pub dur: Seconds,
+    /// Follower span: the last column member enters at `entry + span`.
+    pub span: Seconds,
 }
 
 /// FIFO earliest-fit scheduler over a [`ReservationTable`].
@@ -132,25 +129,17 @@ impl IntervalScheduler {
     ) -> (Seconds, Seconds) {
         let setback = setback.max(Meters::ZERO);
         let total = setback + self.geometry.path_length(movement) + effective_length;
-        let v_top = reachable_speed(MetersPerSecond::ZERO, spec, total);
-        let t_total = kinematics::accel_cruise(MetersPerSecond::ZERO, v_top, spec.a_max, total)
-            .expect("standstill crossing profile is always feasible")
-            .total_time;
-        let cover = if setback.value() > 0.0 {
-            let v_cover = reachable_speed(MetersPerSecond::ZERO, spec, setback);
-            kinematics::accel_cruise(MetersPerSecond::ZERO, v_cover, spec.a_max, setback)
-                .expect("approach run is feasible")
-                .total_time
-        } else {
-            Seconds::ZERO
-        };
+        let (_, t_total) = fastest_run(MetersPerSecond::ZERO, spec, total)
+            .expect("standstill crossing profile is always feasible");
+        let cover = launch_cover_time(spec, setback);
         (cover, t_total - cover)
     }
 
-    /// Schedules a *moving* vehicle: at `t_base` it will be `d` from the
-    /// box entry doing `v0`. Returns the admitted slot, inserting the
-    /// reservation, or a stop/deny decision (no reservation inserted for
-    /// [`SlotDecision::Deny`]).
+    /// Searches a cruise for a *moving* vehicle: at `t_base` it will be
+    /// `d` from the box entry doing `v0`. Books the cruise and returns its
+    /// entry instant and speed, or returns `None`, booking nothing, when
+    /// no cruise at or above the crawl floor fits. Either way the
+    /// vehicle's previous booking is released first.
     ///
     /// `lead_length` is VT-IM's RTD buffer: the vehicle may be up to this
     /// much *closer* than reported (stale `D_T`), so the occupancy window
@@ -158,10 +147,9 @@ impl IntervalScheduler {
     /// `effective_length` contains the sensing buffers only.
     ///
     /// For a platoon leader (`platoon` is `Some`) the booked occupancy is
-    /// widened by the follower span (PAIM — one reservation covers the
-    /// whole column), using the *cruise* offset at each candidate speed
-    /// for the cruise outcome and the *launch* offset for the stop-and-go
-    /// fallback. `None` is the per-vehicle path.
+    /// widened by the follower span at the *cruise* offset of each
+    /// candidate speed (PAIM — one reservation covers the whole column).
+    /// `None` is the per-vehicle path.
     #[allow(clippy::too_many_arguments)]
     pub fn schedule_moving(
         &mut self,
@@ -173,26 +161,12 @@ impl IntervalScheduler {
         v0: MetersPerSecond,
         effective_length: Meters,
         lead_length: Meters,
-        allow_stop_and_go: bool,
         platoon: Option<PlatoonShape>,
-    ) -> SlotDecision {
+    ) -> Option<(TimePoint, MetersPerSecond)> {
         self.release(vehicle);
         let v_crawl = spec.v_max * self.crawl_fraction;
-        let v_reach = reachable_speed(v0, spec, d);
-        let Ok(fastest) = kinematics::accel_cruise(v0, v_reach, spec.a_max, d) else {
-            return self.fall_back_to_stop(
-                vehicle,
-                movement,
-                spec,
-                t_base,
-                d,
-                v0,
-                effective_length,
-                allow_stop_and_go,
-                platoon,
-            );
-        };
-        let etoa = t_base + fastest.total_time;
+        let (v_reach, fastest) = fastest_run(v0, spec, d)?;
+        let etoa = t_base + fastest;
         let gate = self.gate(movement.approach);
         let mut toa = etoa.max(gate);
         let eps = Seconds::new(1e-6);
@@ -202,29 +176,15 @@ impl IntervalScheduler {
             let speed = if (toa - etoa).abs() <= eps {
                 v_reach
             } else {
-                match kinematics::solve_cruise_speed(
+                kinematics::solve_cruise_speed(
                     v0,
                     spec.v_max,
                     spec.a_max,
                     spec.d_max,
                     d,
                     toa - t_base,
-                ) {
-                    Some(v) if v >= v_crawl => v,
-                    _ => {
-                        return self.fall_back_to_stop(
-                            vehicle,
-                            movement,
-                            spec,
-                            t_base,
-                            d,
-                            v0,
-                            effective_length,
-                            allow_stop_and_go,
-                            platoon,
-                        );
-                    }
-                }
+                )
+                .filter(|&v| v >= v_crawl)?
             };
             // Window opens early by the lead (stale-position cover) and
             // lasts the buffered crossing — plus the follower span when a
@@ -234,40 +194,36 @@ impl IntervalScheduler {
             let dur = self.cruise_occupancy(movement, effective_length, speed) + lead + span;
             let window_start = (toa - lead).max(TimePoint::ZERO);
             self.ops += self.table.len() as u64 + 1;
-            let slot = self.table.earliest_slot(movement, window_start, dur);
-            if (slot - window_start).abs() <= eps {
+            let entry = self.table.earliest_slot(movement, window_start, dur);
+            if (entry - window_start).abs() <= eps {
                 // Admit at the exact slot the table returned: a sub-epsilon
                 // difference from `window_start` would fail the insert's
                 // overlap re-check.
-                self.admit(vehicle, movement, slot, dur, span);
-                return SlotDecision::Cruise { toa, speed };
+                let cruise = Slot {
+                    entry,
+                    cover: Seconds::ZERO,
+                    dur,
+                    span,
+                };
+                self.admit(vehicle, movement, cruise);
+                return Some((toa, speed));
             }
-            toa = slot + lead;
+            toa = entry + lead;
         }
-        self.fall_back_to_stop(
-            vehicle,
-            movement,
-            spec,
-            t_base,
-            d,
-            v0,
-            effective_length,
-            allow_stop_and_go,
-            platoon,
-        )
+        None
     }
 
-    /// Schedules a vehicle launching from standstill `setback` meters
-    /// behind the line, with the launch no earlier than `earliest_launch`.
-    /// Returns `(entry, cover)`: the granted box-entry instant and the
-    /// launch-to-entry travel time (launch = entry − cover).
+    /// Searches a launch from standstill `setback` meters behind the line,
+    /// no earlier than `earliest_launch`, after releasing the vehicle's
+    /// previous booking. Returns the slot *without* booking it: the caller
+    /// books it with [`admit`](Self::admit) or refuses it.
     ///
-    /// For a platoon leader (`platoon` is `Some`) the booked occupancy is
-    /// widened by the follower *launch* span — the column launches from
-    /// standstill one `launch_offset` apart. `None` is the per-vehicle
-    /// path.
+    /// `pad` lengthens the booked occupancy. For a platoon leader
+    /// (`platoon` is `Some`) it is also widened by the follower *launch*
+    /// span — the column launches from standstill one `launch_offset`
+    /// apart. `None` is the per-vehicle path.
     #[allow(clippy::too_many_arguments)]
-    pub fn schedule_stopped(
+    pub fn stopped_slot(
         &mut self,
         vehicle: VehicleId,
         movement: Movement,
@@ -277,117 +233,48 @@ impl IntervalScheduler {
         effective_length: Meters,
         pad: Seconds,
         platoon: Option<PlatoonShape>,
-    ) -> (TimePoint, Seconds) {
+    ) -> Slot {
         self.release(vehicle);
         let (cover, occupancy) = self.launch_occupancy(movement, effective_length, spec, setback);
         let span = platoon.map_or(Seconds::ZERO, |p| p.span(p.launch_offset(spec)));
         let dur = occupancy + pad + span;
         let gate = self.gate(movement.approach);
         self.ops += self.table.len() as u64 + 1;
-        let toa = self
+        let entry = self
             .table
             .earliest_slot(movement, (earliest_launch + cover).max(gate), dur);
-        self.admit(vehicle, movement, toa, dur, span);
-        (toa, cover)
-    }
-
-    /// [`schedule_stopped`](Self::schedule_stopped) restricted to an
-    /// *immediate* launch — the only grant VT-IM can express for a
-    /// standstill vehicle. Admits (and moves the lane gate) only when the
-    /// earliest admissible slot is exactly `earliest_launch + cover`; a
-    /// non-immediate answer mutates nothing. The plain stopped path
-    /// instead admits-then-releases on denial, which leaves the lane gate
-    /// at the abandoned `toa`; with a follower span widening every
-    /// abandoned window that gate ratchets ahead of the clock faster than
-    /// the retry loop advances it, and the column starves its own lane
-    /// (re-request livelock). Platooned stopped requests therefore go
-    /// through this non-mutating probe.
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_stopped_immediate(
-        &mut self,
-        vehicle: VehicleId,
-        movement: Movement,
-        spec: &VehicleSpec,
-        earliest_launch: TimePoint,
-        setback: Meters,
-        effective_length: Meters,
-        pad: Seconds,
-        platoon: Option<PlatoonShape>,
-    ) -> (TimePoint, Seconds, bool) {
-        self.release(vehicle);
-        let (cover, occupancy) = self.launch_occupancy(movement, effective_length, spec, setback);
-        let span = platoon.map_or(Seconds::ZERO, |p| p.span(p.launch_offset(spec)));
-        let dur = occupancy + pad + span;
-        let gate = self.gate(movement.approach);
-        self.ops += self.table.len() as u64 + 1;
-        let start = (earliest_launch + cover).max(gate);
-        let toa = self.table.earliest_slot(movement, start, dur);
-        let immediate = (toa - (earliest_launch + cover)).abs() <= Seconds::new(1e-6);
-        if immediate {
-            self.admit(vehicle, movement, toa, dur, span);
+        Slot {
+            entry,
+            cover,
+            dur,
+            span,
         }
-        (toa, cover, immediate)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fall_back_to_stop(
-        &mut self,
-        vehicle: VehicleId,
-        movement: Movement,
-        spec: &VehicleSpec,
-        t_base: TimePoint,
-        d: Meters,
-        v0: MetersPerSecond,
-        effective_length: Meters,
-        allow_stop_and_go: bool,
-        platoon: Option<PlatoonShape>,
-    ) -> SlotDecision {
-        if !allow_stop_and_go {
-            return SlotDecision::Deny;
-        }
-        // Time to come to rest at the line from (t_base, d, v0). The IM
-        // conservatively schedules the launch from the line itself (zero
-        // setback): a vehicle that actually queues further back enters at
-        // the same instant with more speed and clears sooner.
-        let probe = SpeedProfile::stop_at(t_base, Meters::ZERO, v0, d, spec);
-        let stopped_at = probe.end_time();
-        let (toa, _cover) = self.schedule_stopped(
-            vehicle,
-            movement,
-            spec,
-            stopped_at,
-            Meters::ZERO,
-            effective_length,
-            Seconds::ZERO,
-            platoon,
-        );
-        SlotDecision::StopAndGo { toa }
     }
 
     fn gate(&self, approach: Approach) -> TimePoint {
         self.lane_gate[approach.index()].map_or(TimePoint::ZERO, |t| t + Seconds::new(1e-3))
     }
 
-    fn admit(
-        &mut self,
-        vehicle: VehicleId,
-        movement: Movement,
-        toa: TimePoint,
-        dur: Seconds,
-        platoon_span: Seconds,
-    ) {
+    /// Books `slot` for `vehicle` and moves its approach's lane gate to
+    /// the slot's last column entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` overlaps a conflicting booking, i.e. it is not the
+    /// latest search's answer over an unchanged ledger.
+    pub fn admit(&mut self, vehicle: VehicleId, movement: Movement, slot: Slot) {
         self.table
             .insert(Reservation {
                 vehicle,
                 movement,
-                enter: toa,
-                exit: toa + dur,
+                enter: slot.entry,
+                exit: slot.entry + slot.dur,
             })
             .expect("earliest_slot result must insert cleanly");
         // The lane gate must cover the *last follower's* entry, not just
         // the leader's, or the next same-approach grant could be slotted
         // into the middle of the column.
-        self.lane_gate[movement.approach.index()] = Some(toa + platoon_span);
+        self.lane_gate[movement.approach.index()] = Some(slot.entry + slot.span);
         debug_assert!(self.table.is_conflict_free());
     }
 }
@@ -398,6 +285,36 @@ impl IntervalScheduler {
 pub fn reachable_speed(v0: MetersPerSecond, spec: &VehicleSpec, d: Meters) -> MetersPerSecond {
     let v2 = v0.value() * v0.value() + 2.0 * spec.a_max.value() * d.value();
     MetersPerSecond::new(v2.sqrt()).min(spec.v_max)
+}
+
+/// The fastest run over `d` from `v0`: accelerate at `a_max` to the
+/// [`reachable_speed`], then hold it. Returns that speed and the run's
+/// duration, or `None` for inputs [`kinematics::accel_cruise`] rejects.
+#[must_use]
+pub(crate) fn fastest_run(
+    v0: MetersPerSecond,
+    spec: &VehicleSpec,
+    d: Meters,
+) -> Option<(MetersPerSecond, Seconds)> {
+    let v = reachable_speed(v0, spec, d);
+    let run = kinematics::accel_cruise(v0, v, spec.a_max, d).ok()?;
+    Some((v, run.total_time))
+}
+
+/// Time for a standstill launch to cover `d` (zero for `d <= 0`).
+///
+/// # Panics
+///
+/// Panics only on an inconsistent spec, which [`VehicleSpec::validate`]
+/// prevents.
+#[must_use]
+pub(crate) fn launch_cover_time(spec: &VehicleSpec, d: Meters) -> Seconds {
+    if d.value() <= 0.0 {
+        return Seconds::ZERO;
+    }
+    fastest_run(MetersPerSecond::ZERO, spec, d)
+        .expect("launch run-up is feasible")
+        .1
 }
 
 #[cfg(test)]
@@ -424,6 +341,52 @@ mod tests {
         turn: Turn::Straight,
     };
 
+    /// [`IntervalScheduler::schedule_moving`] for a solo vehicle 3 m out
+    /// at `v0`, unbuffered by RTD.
+    fn cruise(
+        sched: &mut IntervalScheduler,
+        v: u32,
+        movement: Movement,
+        t_base: f64,
+        v0: f64,
+    ) -> Option<(TimePoint, MetersPerSecond)> {
+        sched.schedule_moving(
+            VehicleId(v),
+            movement,
+            &spec(),
+            TimePoint::new(t_base),
+            Meters::new(3.0),
+            MetersPerSecond::new(v0),
+            Meters::new(0.724),
+            Meters::ZERO,
+            None,
+        )
+    }
+
+    /// Books a solo standstill launch from the line no earlier than
+    /// `earliest`, holding the box for an `eff`-long vehicle plus `pad`.
+    fn launch(
+        sched: &mut IntervalScheduler,
+        v: u32,
+        movement: Movement,
+        earliest: f64,
+        eff: f64,
+        pad: f64,
+    ) -> TimePoint {
+        let slot = sched.stopped_slot(
+            VehicleId(v),
+            movement,
+            &spec(),
+            TimePoint::new(earliest),
+            Meters::ZERO,
+            Meters::new(eff),
+            Seconds::new(pad),
+            None,
+        );
+        sched.admit(VehicleId(v), movement, slot);
+        slot.entry
+    }
+
     #[test]
     fn reachable_speed_caps_at_vmax() {
         let s = spec();
@@ -440,169 +403,52 @@ mod tests {
         let mut sched = scheduler();
         let s = spec();
         // 3 m out at 1.5 m/s: EToA = accel to 3 then cruise.
-        let d = Meters::new(3.0);
-        let out = sched.schedule_moving(
-            VehicleId(1),
-            S,
-            &s,
-            TimePoint::ZERO,
-            d,
-            MetersPerSecond::new(1.5),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
-        );
-        let SlotDecision::Cruise { toa, speed } = out else {
-            panic!("expected cruise, got {out:?}");
-        };
+        let (toa, speed) = cruise(&mut sched, 1, S, 0.0, 1.5).expect("a cruise fits");
         assert!((speed.value() - 3.0).abs() < 1e-9);
-        let expect = kinematics::accel_cruise(MetersPerSecond::new(1.5), s.v_max, s.a_max, d)
-            .unwrap()
-            .total_time;
+        let expect = kinematics::accel_cruise(
+            MetersPerSecond::new(1.5),
+            s.v_max,
+            s.a_max,
+            Meters::new(3.0),
+        )
+        .unwrap()
+        .total_time;
         assert!((toa.value() - expect.value()).abs() < 1e-9);
     }
 
     #[test]
     fn conflicting_grant_slows_the_second_vehicle() {
         let mut sched = scheduler();
-        let s = spec();
-        let d = Meters::new(3.0);
-        let first = sched.schedule_moving(
-            VehicleId(1),
-            S,
-            &s,
-            TimePoint::ZERO,
-            d,
-            MetersPerSecond::new(1.5),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
-        );
-        let SlotDecision::Cruise { toa: toa1, .. } = first else {
-            panic!()
-        };
-        let second = sched.schedule_moving(
-            VehicleId(2),
-            E,
-            &s,
-            TimePoint::ZERO,
-            d,
-            MetersPerSecond::new(1.5),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
-        );
-        match second {
-            SlotDecision::Cruise { toa: toa2, speed } => {
-                assert!(toa2 > toa1);
-                assert!(speed < s.v_max);
-            }
-            SlotDecision::StopAndGo { toa } => assert!(toa > toa1),
-            SlotDecision::Deny => panic!("stop-and-go was allowed"),
-        }
+        let (toa1, _) = cruise(&mut sched, 1, S, 0.0, 1.5).expect("a cruise fits");
+        let (toa2, speed) = cruise(&mut sched, 2, E, 0.0, 1.5).expect("a slower cruise fits");
+        assert!(toa2 > toa1);
+        assert!(speed < spec().v_max);
         assert!(sched.table().is_conflict_free());
     }
 
     #[test]
-    fn heavily_loaded_intersection_forces_stop_and_go() {
+    fn heavily_loaded_intersection_refuses_a_cruise() {
         let mut sched = scheduler();
-        let s = spec();
-        let d = Meters::new(3.0);
-        // Fill the box for a long while.
+        // Fill the box for a long while (grossly oversized vehicles).
         for i in 0..6 {
-            let _ = sched.schedule_stopped(
-                VehicleId(100 + i),
-                if i % 2 == 0 { S } else { E },
-                &s,
-                TimePoint::new(f64::from(i) * 3.0),
-                Meters::ZERO,
-                Meters::new(3.0), // grossly oversized to jam the schedule
-                Seconds::new(2.0),
-                None,
-            );
+            let m = if i % 2 == 0 { S } else { E };
+            let _ = launch(&mut sched, 100 + i, m, f64::from(i) * 3.0, 3.0, 2.0);
         }
-        let out = sched.schedule_moving(
-            VehicleId(1),
-            E,
-            &s,
-            TimePoint::ZERO,
-            d,
-            MetersPerSecond::new(3.0),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
+        let booked = sched.table().reservations();
+        assert_eq!(cruise(&mut sched, 1, E, 0.0, 3.0), None);
+        assert_eq!(
+            sched.table().reservations(),
+            booked,
+            "a refusal books nothing"
         );
-        assert!(
-            matches!(out, SlotDecision::StopAndGo { .. }),
-            "expected stop-and-go under load, got {out:?}"
-        );
-    }
-
-    #[test]
-    fn deny_when_stop_and_go_disallowed() {
-        let mut sched = scheduler();
-        let s = spec();
-        for i in 0..6 {
-            let _ = sched.schedule_stopped(
-                VehicleId(100 + i),
-                S,
-                &s,
-                TimePoint::new(f64::from(i) * 3.0),
-                Meters::ZERO,
-                Meters::new(3.0),
-                Seconds::new(2.0),
-                None,
-            );
-        }
-        let out = sched.schedule_moving(
-            VehicleId(1),
-            S,
-            &s,
-            TimePoint::ZERO,
-            Meters::new(3.0),
-            MetersPerSecond::new(3.0),
-            Meters::new(0.724),
-            Meters::ZERO,
-            false,
-            None,
-        );
-        assert_eq!(out, SlotDecision::Deny);
     }
 
     #[test]
     fn re_request_replaces_previous_reservation() {
         let mut sched = scheduler();
-        let s = spec();
-        let d = Meters::new(3.0);
-        let _ = sched.schedule_moving(
-            VehicleId(1),
-            S,
-            &s,
-            TimePoint::ZERO,
-            d,
-            MetersPerSecond::new(1.5),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
-        );
+        let _ = cruise(&mut sched, 1, S, 0.0, 1.5);
         assert_eq!(sched.table().reservations().len(), 1);
-        let _ = sched.schedule_moving(
-            VehicleId(1),
-            S,
-            &s,
-            TimePoint::new(0.5),
-            d,
-            MetersPerSecond::new(1.5),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
-        );
+        let _ = cruise(&mut sched, 1, S, 0.5, 1.5);
         assert_eq!(
             sched.table().reservations().len(),
             1,
@@ -613,35 +459,12 @@ mod tests {
     #[test]
     fn lane_gate_prevents_follower_overtake() {
         let mut sched = scheduler();
-        let s = spec();
-        // Leader scheduled far out (slow crawl).
-        let (lead, _) = sched.schedule_stopped(
-            VehicleId(1),
-            S,
-            &s,
-            TimePoint::new(10.0),
-            Meters::ZERO,
-            Meters::new(0.724),
-            Seconds::ZERO,
-            None,
-        );
-        // Follower with an earlier physical EToA must still enter after.
-        let out = sched.schedule_moving(
-            VehicleId(2),
-            S,
-            &s,
-            TimePoint::ZERO,
-            Meters::new(3.0),
-            MetersPerSecond::new(3.0),
-            Meters::new(0.724),
-            Meters::ZERO,
-            true,
-            None,
-        );
-        let entry = match out {
-            SlotDecision::Cruise { toa, .. } | SlotDecision::StopAndGo { toa } => toa,
-            SlotDecision::Deny => panic!(),
-        };
+        // Leader booked far out.
+        let lead = launch(&mut sched, 1, S, 10.0, 0.724, 0.0);
+        // A follower with an earlier physical EToA must still enter after
+        // it: no cruise can wait that long, and its launch comes later.
+        assert_eq!(cruise(&mut sched, 2, S, 0.0, 3.0), None);
+        let entry = launch(&mut sched, 2, S, 0.0, 0.724, 0.0);
         assert!(
             entry > lead,
             "follower {entry} must enter after leader {lead}"
@@ -676,6 +499,7 @@ mod tests {
         let (cover1, occ1) = sched.launch_occupancy(S, Meters::new(0.724), &s, Meters::new(0.8));
         assert_eq!(cover0, Seconds::ZERO);
         assert!(cover1 > Seconds::ZERO);
+        assert_eq!(cover1, launch_cover_time(&s, Meters::new(0.8)));
         // Entering with momentum shortens the in-box occupancy.
         assert!(
             occ1 < occ0,
@@ -684,14 +508,13 @@ mod tests {
     }
 
     #[test]
-    fn ops_accumulate() {
+    fn stopped_search_counts_ops_and_books_nothing() {
         let mut sched = scheduler();
-        let s = spec();
         assert_eq!(sched.ops(), 0);
-        let _ = sched.schedule_stopped(
+        let _ = sched.stopped_slot(
             VehicleId(1),
             S,
-            &s,
+            &spec(),
             TimePoint::ZERO,
             Meters::ZERO,
             Meters::new(0.724),
@@ -699,5 +522,6 @@ mod tests {
             None,
         );
         assert!(sched.ops() > 0);
+        assert!(sched.table().reservations().is_empty());
     }
 }

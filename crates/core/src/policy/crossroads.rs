@@ -11,10 +11,10 @@
 
 use crossroads_intersection::{IntersectionGeometry, ReservationTable};
 use crossroads_units::{Meters, Seconds, TimePoint};
-use crossroads_vehicle::VehicleId;
+use crossroads_vehicle::{SpeedProfile, VehicleId};
 
 use crate::buffer::BufferModel;
-use crate::policy::common::{IntervalScheduler, SlotDecision};
+use crate::policy::common::{IntervalScheduler, Slot};
 use crate::policy::{IntersectionPolicy, PolicyKind};
 use crate::request::{CrossingCommand, CrossingRequest};
 
@@ -61,6 +61,31 @@ impl CrossroadsPolicy {
         let floor = now + self.buffers.rtd.wc_network + self.response_margin;
         nominal.max(floor)
     }
+
+    /// Searches and books the earliest standstill launch for `request`
+    /// from `setback` behind the line, no earlier than `earliest_launch`,
+    /// for a vehicle of effective length `eff`.
+    fn book_launch(
+        &mut self,
+        request: &CrossingRequest,
+        earliest_launch: TimePoint,
+        setback: Meters,
+        eff: Meters,
+    ) -> Slot {
+        let slot = self.scheduler.stopped_slot(
+            request.vehicle,
+            request.movement,
+            &request.spec,
+            earliest_launch,
+            setback,
+            eff,
+            Seconds::ZERO,
+            request.platoon_shape(),
+        );
+        self.scheduler
+            .admit(request.vehicle, request.movement, slot);
+        slot
+    }
 }
 
 impl IntersectionPolicy for CrossroadsPolicy {
@@ -78,19 +103,11 @@ impl IntersectionPolicy for CrossroadsPolicy {
             // reports its queue setback as D_T and covers it during the
             // launch run-up.
             let earliest_launch = now + self.buffers.rtd.wc_network + self.response_margin;
-            let (toa, cover) = self.scheduler.schedule_stopped(
-                request.vehicle,
-                request.movement,
-                &request.spec,
-                earliest_launch,
-                request.distance_to_intersection,
-                eff,
-                Seconds::ZERO,
-                request.platoon_shape(),
-            );
+            let setback = request.distance_to_intersection;
+            let slot = self.book_launch(request, earliest_launch, setback, eff);
             return CrossingCommand::Crossroads {
-                execute_at: toa - cover,
-                arrival: toa,
+                execute_at: slot.entry - slot.cover,
+                arrival: slot.entry,
                 target_speed: request.spec.v_max,
                 stop_first: true,
             };
@@ -101,7 +118,7 @@ impl IntersectionPolicy for CrossroadsPolicy {
         let travelled = request.speed * (t_e - request.transmitted_at);
         let d_e = (request.distance_to_intersection - travelled).max(Meters::new(0.05));
 
-        match self.scheduler.schedule_moving(
+        if let Some((arrival, target_speed)) = self.scheduler.schedule_moving(
             request.vehicle,
             request.movement,
             &request.spec,
@@ -110,22 +127,28 @@ impl IntersectionPolicy for CrossroadsPolicy {
             request.speed,
             eff,
             Meters::ZERO,
-            true, // a fixed T_E lets the IM command stop-and-go
             request.platoon_shape(),
         ) {
-            SlotDecision::Cruise { toa, speed } => CrossingCommand::Crossroads {
+            return CrossingCommand::Crossroads {
                 execute_at: t_e,
-                arrival: toa,
-                target_speed: speed,
+                arrival,
+                target_speed,
                 stop_first: false,
-            },
-            SlotDecision::StopAndGo { toa } => CrossingCommand::Crossroads {
-                execute_at: t_e,
-                arrival: toa,
-                target_speed: request.spec.v_max,
-                stop_first: true,
-            },
-            SlotDecision::Deny => unreachable!("stop-and-go always available to Crossroads"),
+            };
+        }
+        // No cruise fits, but a fixed T_E lets the IM command stop-and-go:
+        // come to rest at the line, then launch. The launch is scheduled
+        // from the line itself (zero setback): a vehicle that actually
+        // queues further back enters at the same instant with more speed
+        // and clears sooner.
+        let stopped_at =
+            SpeedProfile::stop_at(t_e, Meters::ZERO, request.speed, d_e, &request.spec).end_time();
+        let slot = self.book_launch(request, stopped_at, Meters::ZERO, eff);
+        CrossingCommand::Crossroads {
+            execute_at: t_e,
+            arrival: slot.entry,
+            target_speed: request.spec.v_max,
+            stop_first: true,
         }
     }
 
@@ -146,7 +169,7 @@ impl IntersectionPolicy for CrossroadsPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossroads_intersection::{Approach, ConflictTable, Movement, Turn};
+    use crossroads_intersection::{Approach, ConflictTable, Movement, Reservation, Turn};
     use crossroads_units::MetersPerSecond;
     use crossroads_vehicle::VehicleSpec;
 
@@ -277,6 +300,40 @@ mod tests {
         // plan, not a rejection.
         let cmd = p.decide(&request(9, Approach::South, 0.05), TimePoint::new(0.15));
         assert!(cmd.is_acceptance());
+    }
+
+    #[test]
+    fn uncruisable_request_stops_then_launches_from_its_stop_instant() {
+        // South-straight bookings leave the box free in [0.25, 1.75) s:
+        // long enough for a launch, too early for any cruise, and closed
+        // before the vehicle can come to rest at the line (2.25 s).
+        let g = IntersectionGeometry::scale_model();
+        let mut table = ReservationTable::new(ConflictTable::compute(&g, Meters::new(0.296)));
+        for (v, enter, exit) in [(100, 0.0, 0.25), (101, 1.75, 100.0)] {
+            table
+                .insert(Reservation {
+                    vehicle: VehicleId(v),
+                    movement: Movement::new(Approach::South, Turn::Straight),
+                    enter: TimePoint::new(enter),
+                    exit: TimePoint::new(exit),
+                })
+                .unwrap();
+        }
+        let mut p = CrossroadsPolicy::new(g, table, BufferModel::scale_model(), 0.15);
+        let now = TimePoint::new(0.05);
+        let t_e = p.execute_time(TimePoint::ZERO, now);
+        let cmd = p.decide(&request(1, Approach::East, 0.0), now);
+        // The first window from the stop instant on opens when the box
+        // frees at 100 s.
+        assert_eq!(
+            cmd,
+            CrossingCommand::Crossroads {
+                execute_at: t_e,
+                arrival: TimePoint::new(100.0),
+                target_speed: VehicleSpec::scale_model().v_max,
+                stop_first: true,
+            }
+        );
     }
 
     #[test]

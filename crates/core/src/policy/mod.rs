@@ -6,7 +6,7 @@ mod crossroads;
 mod vt;
 
 pub use aim::{AimPolicy, EntryMode};
-pub use common::{reachable_speed, IntervalScheduler, SlotDecision};
+pub use common::{reachable_speed, IntervalScheduler, Slot};
 pub use crossroads::CrossroadsPolicy;
 pub use vt::VtPolicy;
 

@@ -15,7 +15,7 @@ use crossroads_units::{MetersPerSecond, Seconds, TimePoint};
 use crossroads_vehicle::VehicleId;
 
 use crate::buffer::BufferModel;
-use crate::policy::common::{IntervalScheduler, SlotDecision};
+use crate::policy::common::IntervalScheduler;
 use crate::policy::{IntersectionPolicy, PolicyKind};
 use crate::request::{CrossingCommand, CrossingRequest};
 
@@ -63,30 +63,8 @@ impl IntersectionPolicy for VtPolicy {
             // somewhere inside the next WC-RTD. Grant only an immediate
             // window, padded by WC-RTD to cover the launch uncertainty.
             // The vehicle reports its queue setback as D_T.
-            if let Some(shape) = request.platoon_shape() {
-                // A denied column must not ratchet its own lane gate by
-                // the abandoned window each retry (see
-                // `schedule_stopped_immediate`): probe without mutating.
-                let (toa, _, immediate) = self.scheduler.schedule_stopped_immediate(
-                    request.vehicle,
-                    request.movement,
-                    &request.spec,
-                    now,
-                    request.distance_to_intersection,
-                    eff,
-                    self.buffers.rtd.wc_rtd(),
-                    Some(shape),
-                );
-                return CrossingCommand::VtTarget {
-                    target_speed: if immediate {
-                        request.spec.v_max
-                    } else {
-                        MetersPerSecond::ZERO
-                    },
-                    scheduled_entry: toa,
-                };
-            }
-            let (toa, cover) = self.scheduler.schedule_stopped(
+            let platoon = request.platoon_shape();
+            let slot = self.scheduler.stopped_slot(
                 request.vehicle,
                 request.movement,
                 &request.spec,
@@ -94,51 +72,59 @@ impl IntersectionPolicy for VtPolicy {
                 request.distance_to_intersection,
                 eff,
                 self.buffers.rtd.wc_rtd(),
-                None,
+                platoon,
             );
-            if (toa - (now + cover)).abs() <= Seconds::new(1e-6) {
-                return CrossingCommand::VtTarget {
-                    target_speed: request.spec.v_max,
-                    scheduled_entry: toa,
-                };
+            // A velocity command cannot say "go later": a later window is
+            // refused and the vehicle re-requests.
+            let immediate = (slot.entry - (now + slot.cover)).abs() <= Seconds::new(1e-6);
+            // A refused solo request is booked and released, which leaves
+            // its lane gate at the refused entry: no later request on this
+            // approach gets an earlier slot. This ratchet shapes VT-IM's
+            // results (DESIGN.md §8). A refused column books nothing: its
+            // span would push the gate ahead of its own retries.
+            if immediate || platoon.is_none() {
+                self.scheduler
+                    .admit(request.vehicle, request.movement, slot);
+                if !immediate {
+                    self.scheduler.release(request.vehicle);
+                }
             }
-            // The window is not immediate; a velocity command cannot say
-            // "go later", so the vehicle must keep waiting and re-request.
-            self.scheduler.release(request.vehicle);
             return CrossingCommand::VtTarget {
-                target_speed: MetersPerSecond::ZERO,
-                scheduled_entry: toa,
+                target_speed: if immediate {
+                    request.spec.v_max
+                } else {
+                    MetersPerSecond::ZERO
+                },
+                scheduled_entry: slot.entry,
             };
         }
 
         // Moving vehicle: the IM plans as if actuation happens now. The
         // reported D_T is stale by up to WC-RTD of travel, so the
-        // occupancy window opens early by the RTD length buffer.
+        // occupancy window opens early by the RTD length buffer. When no
+        // cruise fits, a bare velocity cannot command stop-and-go: the
+        // vehicle stops and re-requests.
         let base = self
             .buffers
             .effective_length(PolicyKind::Crossroads, &request.spec);
         let lead = self.buffers.rtd_extra(PolicyKind::VtIm, request.spec.v_max);
-        match self.scheduler.schedule_moving(
-            request.vehicle,
-            request.movement,
-            &request.spec,
-            now,
-            request.distance_to_intersection,
-            request.speed,
-            base,
-            lead,
-            false, // stop-and-go cannot be commanded by a bare velocity
-            request.platoon_shape(),
-        ) {
-            SlotDecision::Cruise { toa, speed } => CrossingCommand::VtTarget {
-                target_speed: speed,
-                scheduled_entry: toa,
-            },
-            SlotDecision::StopAndGo { .. } => unreachable!("stop-and-go disabled for VT-IM"),
-            SlotDecision::Deny => CrossingCommand::VtTarget {
-                target_speed: MetersPerSecond::ZERO,
-                scheduled_entry: now,
-            },
+        let (scheduled_entry, target_speed) = self
+            .scheduler
+            .schedule_moving(
+                request.vehicle,
+                request.movement,
+                &request.spec,
+                now,
+                request.distance_to_intersection,
+                request.speed,
+                base,
+                lead,
+                request.platoon_shape(),
+            )
+            .unwrap_or((now, MetersPerSecond::ZERO));
+        CrossingCommand::VtTarget {
+            target_speed,
+            scheduled_entry,
         }
     }
 
@@ -252,6 +238,64 @@ mod tests {
             .reservations()
             .iter()
             .all(|r| r.vehicle != VehicleId(2)));
+    }
+
+    #[test]
+    fn refused_solo_launch_holds_its_lane_gate() {
+        let mut p = policy();
+        let now = TimePoint::new(0.1);
+        assert!(p
+            .decide(&request(1, Approach::South, false), now)
+            .is_acceptance());
+        let refused = p.decide(&request(2, Approach::East, true), now);
+        assert!(!refused.is_acceptance());
+        let CrossingCommand::VtTarget {
+            scheduled_entry: refused_entry,
+            ..
+        } = refused
+        else {
+            panic!()
+        };
+        // With the box free again, only the gate the refusal left behind
+        // holds the East approach.
+        p.on_exit(VehicleId(1), now);
+        let later = p.decide(&request(3, Approach::East, true), now);
+        let CrossingCommand::VtTarget {
+            scheduled_entry, ..
+        } = later
+        else {
+            panic!()
+        };
+        assert!(
+            scheduled_entry > refused_entry,
+            "slot {scheduled_entry} must follow the refused entry {refused_entry}"
+        );
+    }
+
+    #[test]
+    fn refused_column_leaves_gate_and_table_untouched() {
+        let mut p = policy();
+        let now = TimePoint::new(0.1);
+        assert!(p
+            .decide(&request(1, Approach::South, false), now)
+            .is_acceptance());
+        let booked = p.table().reservations();
+        let mut column = request(2, Approach::East, true);
+        column.platoon_followers = 2;
+        column.platoon_gap = Meters::new(0.5);
+        assert!(!p.decide(&column, now).is_acceptance());
+        assert_eq!(p.table().reservations(), booked);
+        // With the box free again, a launch on the column's approach is
+        // granted at once: the refusal left no gate behind.
+        p.on_exit(VehicleId(1), now);
+        let solo = p.decide(&request(3, Approach::East, true), now);
+        assert_eq!(
+            solo,
+            CrossingCommand::VtTarget {
+                target_speed: VehicleSpec::scale_model().v_max,
+                scheduled_entry: now,
+            }
+        );
     }
 
     #[test]

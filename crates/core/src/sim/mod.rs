@@ -224,7 +224,6 @@ impl SimConfig {
             buffers: BufferModel::full_scale(),
             computation: ComputationDelayModel {
                 base: Seconds::from_millis(1.0),
-                per_queued: Seconds::from_millis(2.0),
                 per_op: Seconds::from_millis(0.05),
             },
             // Coarse reservation granularity, as in Dresner & Stone's

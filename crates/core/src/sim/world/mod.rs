@@ -32,6 +32,7 @@ use crossroads_units::kinematics;
 use crossroads_units::{Meters, MetersPerSecond, Seconds, TimePoint};
 use crossroads_vehicle::{ProtocolEvent, ProtocolState, SpeedProfile, VehicleId, VehicleProtocol};
 
+use crate::policy::common::{fastest_run, launch_cover_time};
 use crate::policy::IntersectionPolicy;
 use crate::request::{CrossingCommand, CrossingRequest};
 use crate::sim::event::Event;
@@ -559,14 +560,7 @@ impl<'a> World<'a> {
 
     /// Time for a standstill launch to cover `d` (zero for `d <= 0`).
     fn cover_time(&self, d: Meters) -> Seconds {
-        if d.value() <= 0.0 {
-            return Seconds::ZERO;
-        }
-        let spec = &self.cfg.spec;
-        let v = crate::policy::common::reachable_speed(MetersPerSecond::ZERO, spec, d);
-        kinematics::accel_cruise(MetersPerSecond::ZERO, v, spec.a_max, d)
-            .expect("launch run-up is feasible")
-            .total_time
+        launch_cover_time(&self.cfg.spec, d)
     }
 
     /// Adds this lane's run totals to `counters`: the policy's
@@ -781,11 +775,9 @@ impl<'a> World<'a> {
         movement: crossroads_intersection::Movement,
         speed: MetersPerSecond,
     ) -> Seconds {
-        let total = self.s_exit(movement);
-        let v_reach = crate::policy::common::reachable_speed(speed, &self.cfg.spec, total);
-        kinematics::accel_cruise(speed, v_reach, self.cfg.spec.a_max, total)
+        fastest_run(speed, &self.cfg.spec, self.s_exit(movement))
             .expect("free-flow profile is feasible")
-            .total_time
+            .1
     }
 
     fn on_sync_complete(&mut self, sim: &mut Simulation<Event>, v: VehicleId) {

@@ -84,17 +84,17 @@ impl NetworkDelayModel {
     }
 }
 
-/// IM computation-time model: a base cost plus a per-queued-request cost.
+/// IM computation-time model: a base cost plus a cost per scheduling
+/// operation the decision performs.
 ///
-/// The paper's worst case — four vehicles arriving simultaneously — took
-/// 135 ms; computation time is "longest when many vehicle requests are in
-/// the queue", which this affine model captures.
+/// Requests queued at the IM wait for the decisions ahead of them, so a
+/// burst of arrivals still costs the last one most, as the paper observes
+/// ("longest when many vehicle requests are in the queue"); the budget
+/// that bounds it is [`RtdBudget::scale_model`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputationDelayModel {
-    /// Cost of scheduling with an empty queue.
+    /// Cost of one decision before its scheduling work.
     pub base: Seconds,
-    /// Additional cost per request already queued ahead.
-    pub per_queued: Seconds,
     /// Cost per scheduling operation the decision performs (conflict-
     /// window scan or tile check): this is what makes AIM's trajectory
     /// simulation ~16× more expensive per decision than the interval
@@ -103,16 +103,14 @@ pub struct ComputationDelayModel {
 }
 
 impl ComputationDelayModel {
-    /// Calibrated to the testbed: 15 ms base, +30 ms per queued request so
-    /// four simultaneous arrivals cost 15 + 30·4 = 135 ms for the last
-    /// one; ~0.3 ms per scheduling operation on the Matlab/laptop IM
-    /// (an AIM trajectory simulation of ~200 tile checks then costs
-    /// ~75 ms, staying inside the 135 ms worst-case computation budget).
+    /// Calibrated to the testbed: 15 ms base and ~0.3 ms per scheduling
+    /// operation on the Matlab/laptop IM (an AIM trajectory simulation of
+    /// ~200 tile checks then costs ~75 ms, staying inside the 135 ms
+    /// worst-case computation budget of [`RtdBudget::scale_model`]).
     #[must_use]
     pub fn scale_model() -> Self {
         ComputationDelayModel {
             base: Seconds::from_millis(15.0),
-            per_queued: Seconds::from_millis(30.0),
             per_op: Seconds::from_millis(0.3),
         }
     }
@@ -122,7 +120,6 @@ impl ComputationDelayModel {
     pub fn instant() -> Self {
         ComputationDelayModel {
             base: Seconds::ZERO,
-            per_queued: Seconds::ZERO,
             per_op: Seconds::ZERO,
         }
     }
@@ -134,24 +131,6 @@ impl ComputationDelayModel {
         #[allow(clippy::cast_precision_loss)]
         let n = ops as f64;
         self.base + self.per_op * n
-    }
-
-    /// Computation time when `queued_ahead` requests are already waiting
-    /// (plus this one being processed).
-    #[must_use]
-    pub fn time_for(&self, queued_ahead: usize) -> Seconds {
-        #[allow(clippy::cast_precision_loss)]
-        let n = queued_ahead as f64 + 1.0;
-        self.base + self.per_queued * n
-    }
-
-    /// Duration the IM server spends on a single request, calibrated so
-    /// that four simultaneous arrivals (the testbed's worst case) complete
-    /// within [`time_for(3)`](Self::time_for): one quarter of that bound
-    /// (33.75 ms on the scale model).
-    #[must_use]
-    pub fn service_time(&self) -> Seconds {
-        self.time_for(3) / 4.0
     }
 }
 
@@ -178,6 +157,9 @@ pub struct RtdBudget {
 
 impl RtdBudget {
     /// The testbed's measured budget: 15 ms network + 135 ms computation.
+    /// The computation bound is the paper's worst case, four simultaneous
+    /// arrivals: at 15 ms base plus 30 ms per request in the queue, the
+    /// last of the four finishes after 15 + 30·4 = 135 ms.
     #[must_use]
     pub fn scale_model() -> Self {
         RtdBudget {
@@ -240,19 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn computation_matches_paper_worst_case() {
+    fn decision_time_is_base_plus_ops() {
         let m = ComputationDelayModel::scale_model();
-        // Four simultaneous arrivals: the last sees 3 queued ahead.
-        assert!((m.time_for(3).as_millis() - 135.0).abs() < 1e-9);
-        assert!((m.time_for(0).as_millis() - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn service_and_decision_times() {
-        let m = ComputationDelayModel::scale_model();
-        // Legacy flat estimate: a quarter of the 4-arrival worst case.
-        assert!((m.service_time().as_millis() - 33.75).abs() < 1e-9);
-        // Ops-proportional: base + per_op · ops.
         assert!((m.decision_time(10).as_millis() - (15.0 + 3.0)).abs() < 1e-9);
         assert_eq!(m.decision_time(0), m.base);
     }

@@ -6,11 +6,11 @@
 //! to watch the IMs enter and recover from saturation.
 
 use crossroads_intersection::{Approach, Movement};
-use crossroads_prng::{Distribution, Rng, Uniform};
+use crossroads_prng::Rng;
 use crossroads_units::{Seconds, TimePoint};
 use crossroads_vehicle::VehicleId;
 
-use crate::poisson::PoissonConfig;
+use crate::poisson::{sample_exponential, sample_turn, PoissonConfig};
 use crate::Arrival;
 
 /// A piecewise-linear per-lane arrival-rate profile.
@@ -126,7 +126,6 @@ pub fn generate_rush_hour<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<Arrival> {
     let peak = profile.peak().max(1e-9);
-    let u01 = Uniform::new(f64::EPSILON, 1.0);
     let mut arrivals = Vec::new();
     let mut id = 0u32;
     for (lane, approach) in Approach::ALL.iter().enumerate() {
@@ -135,7 +134,7 @@ pub fn generate_rush_hour<R: Rng + ?Sized>(
         let mut last: Option<f64> = None;
         loop {
             // Exponential gap at the peak rate, then thin.
-            t += -u01.sample(rng).ln() / peak;
+            t += sample_exponential(rng, peak);
             if t > profile.span().value() {
                 break;
             }
@@ -170,18 +169,6 @@ pub fn generate_rush_hour<R: Rng + ?Sized>(
             .then(a.vehicle.cmp(&b.vehicle))
     });
     arrivals
-}
-
-fn sample_turn<R: Rng + ?Sized>(rng: &mut R, mix: &[f64; 3]) -> crossroads_intersection::Turn {
-    use crossroads_intersection::Turn;
-    let u: f64 = rng.gen_range(0.0..1.0);
-    if u < mix[0] {
-        Turn::Straight
-    } else if u < mix[0] + mix[1] {
-        Turn::Left
-    } else {
-        Turn::Right
-    }
 }
 
 #[cfg(test)]

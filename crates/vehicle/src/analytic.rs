@@ -14,9 +14,9 @@
 //! tile intervals in O(covered tiles) — the marched implementation stays
 //! alive as the differential-test oracle (`propose_marched`).
 //!
-//! `distance_at` reproduces the marched closure's float expressions
-//! bit-for-bit, so the only differences the oracle suite may observe are
-//! the march's own discretization.
+//! The marched kernel samples the same curve through `distance_at`, so
+//! the only differences the oracle suite may observe are the march's own
+//! discretization.
 
 use crossroads_units::kinematics;
 use crossroads_units::{Meters, MetersPerSecond, Seconds};
@@ -95,8 +95,8 @@ impl EntryProgress {
         }
     }
 
-    /// Front-bumper progress `t` seconds after entry. Bit-identical to
-    /// the marched kernel's progress closure.
+    /// Front-bumper progress `t` seconds after entry (the marched
+    /// kernel's sample at `t`).
     #[must_use]
     pub fn distance_at(&self, t: Seconds) -> Meters {
         let t = t.value();
