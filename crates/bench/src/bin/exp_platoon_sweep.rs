@@ -19,7 +19,7 @@
 //! AIM, whose queues hold vehicles long enough to column up.
 
 use crossroads_bench::{
-    fast_sweep, knobs, run_point_guarded, sweep_rates, sweep_seeds, sweep_workload, table_header,
+    fast_sweep, knobs, run_sound_point, sweep_rates, sweep_seeds, sweep_workload, table_header,
 };
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{PlatoonConfig, SimOutcome};
@@ -43,15 +43,7 @@ fn run_point(policy: PolicyKind, rate: f64, seed: u64, platooned: bool) -> SimOu
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
     let mode = if platooned { "paim" } else { "solo" };
     let label = format!("{policy}@{rate}-{mode}-s{seed}");
-    let outcome = run_point_guarded(&config, &workload, &label);
-    assert!(
-        outcome.all_completed(),
-        "{label}: {}/{} vehicles completed",
-        outcome.metrics.completed(),
-        outcome.spawned
-    );
-    assert!(outcome.safety.is_safe(), "{label}: SAFETY VIOLATION");
-    outcome
+    run_sound_point(&config, &workload, &label)
 }
 
 /// The IM-crash scenario: a clean channel, but the IM dies for 18 s —
@@ -199,14 +191,7 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(230);
             let base = PoissonConfig::sweep_point(0.1, config.typical_line_speed());
             let workload = generate_rush_hour(&profile, &base, &mut rng);
-            let out = run_point_guarded(&config, &workload, &format!("{policy}-wave-{platooned}"));
-            assert!(
-                out.all_completed(),
-                "{policy} wave: {} stranded",
-                out.stranded()
-            );
-            assert!(out.safety.is_safe(), "{policy} wave: SAFETY VIOLATION");
-            out
+            run_sound_point(&config, &workload, &format!("{policy}-wave-{platooned}"))
         },
     );
     println!(
@@ -253,14 +238,7 @@ fn main() {
                 .with_platoons(PlatoonConfig::standard())
                 .with_faults(crash_fault());
             let workload = sweep_workload(&config, crash_rate, 1005);
-            let out = run_point_guarded(&config, &workload, &format!("{policy}-crash"));
-            assert!(
-                out.all_completed(),
-                "{policy} crash: {} stranded",
-                out.stranded()
-            );
-            assert!(out.safety.is_safe(), "{policy} crash: SAFETY VIOLATION");
-            out
+            run_sound_point(&config, &workload, &format!("{policy}-crash"))
         },
     );
     println!("\n## IM crash mid-platoon (18 s outage every 60 s at {crash_rate} car/s/lane)\n");

@@ -101,19 +101,22 @@ pub fn dump_ring_trace(dir: &Path, label: &str, trace: &Trace) -> std::io::Resul
     Ok(path)
 }
 
-/// Runs one simulation with the [`TRACE_ENV`] post-mortem guard: when
-/// tracing is enabled the run carries a ring recorder, and an unsound
-/// outcome (stranded vehicles or safety violations — the conditions every
-/// sweep harness asserts) dumps the flight recording to disk before the
-/// caller's assertion fires.
-#[must_use]
-pub fn run_point_guarded(config: &SimConfig, workload: &[Arrival], label: &str) -> SimOutcome {
+/// Runs `run` with the [`TRACE_ENV`] post-mortem guard: when tracing is
+/// enabled `run` gets a ring recorder, and an outcome that `sound`
+/// rejects (stranded vehicles or safety violations — the conditions
+/// every sweep harness asserts) dumps the flight recording to disk
+/// before the caller's assertion fires.
+fn guarded<O>(
+    label: &str,
+    sound: impl FnOnce(&O) -> bool,
+    run: impl FnOnce(Option<&mut Recorder>) -> O,
+) -> O {
     let Some(dir) = trace_dump_dir() else {
-        return run_simulation(config, workload);
+        return run(None);
     };
     let mut recorder = Recorder::ring(TRACE_RING_CAPACITY);
-    let outcome = run_simulation_traced(config, workload, &mut recorder);
-    if !outcome.all_completed() || !outcome.safety.is_safe() {
+    let outcome = run(Some(&mut recorder));
+    if !sound(&outcome) {
         match dump_ring_trace(&dir, label, &recorder.snapshot()) {
             Ok(path) => eprintln!(
                 "[{label}] unsound run; flight recording at {}",
@@ -122,6 +125,40 @@ pub fn run_point_guarded(config: &SimConfig, workload: &[Arrival], label: &str) 
             Err(e) => eprintln!("[{label}] unsound run; trace dump failed: {e}"),
         }
     }
+    outcome
+}
+
+/// Runs one simulation with the [`TRACE_ENV`] post-mortem guard.
+#[must_use]
+pub fn run_point_guarded(config: &SimConfig, workload: &[Arrival], label: &str) -> SimOutcome {
+    guarded(
+        label,
+        |o: &SimOutcome| o.all_completed() && o.safety.is_safe(),
+        |recorder| match recorder {
+            Some(r) => run_simulation_traced(config, workload, r),
+            None => run_simulation(config, workload),
+        },
+    )
+}
+
+/// Runs one simulation with the [`TRACE_ENV`] post-mortem guard and
+/// asserts the run is sound.
+///
+/// # Panics
+///
+/// Panics naming `label` if any vehicle fails to complete or the safety
+/// audit finds a violation — figure data from a broken run would be
+/// meaningless.
+#[must_use]
+pub fn run_sound_point(config: &SimConfig, workload: &[Arrival], label: &str) -> SimOutcome {
+    let outcome = run_point_guarded(config, workload, label);
+    assert!(
+        outcome.all_completed(),
+        "{label}: {} of {} vehicles stranded",
+        outcome.stranded(),
+        outcome.spawned
+    );
+    assert!(outcome.safety.is_safe(), "{label}: SAFETY VIOLATION");
     outcome
 }
 
@@ -350,10 +387,6 @@ pub fn emit_bench_record(record: &str) {
     }
 }
 
-/// The approach-speed fraction of `v_max` used by the sweep workloads
-/// (vehicles cross the transmission line at 2/3 of the road limit).
-pub const LINE_SPEED_FRACTION: f64 = 2.0 / 3.0;
-
 /// Builds the Fig. 7.2 workload for one sweep point.
 #[must_use]
 pub fn sweep_workload(config: &SimConfig, rate: f64, seed: u64) -> Vec<Arrival> {
@@ -366,24 +399,12 @@ pub fn sweep_workload(config: &SimConfig, rate: f64, seed: u64) -> Vec<Arrival> 
 ///
 /// # Panics
 ///
-/// Panics if any vehicle fails to complete or the safety audit fails —
-/// figure data from a broken run would be meaningless.
+/// Panics on an unsound run, as [`run_sound_point`] does.
 #[must_use]
 pub fn run_sweep_point(policy: PolicyKind, rate: f64, seed: u64) -> SimOutcome {
     let config = knobs().full_scale(policy).with_seed(seed);
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
-    let outcome = run_point_guarded(&config, &workload, &format!("{policy}@{rate}-s{seed}"));
-    assert!(
-        outcome.all_completed(),
-        "{policy} at rate {rate}: {}/{} vehicles completed",
-        outcome.metrics.completed(),
-        outcome.spawned
-    );
-    assert!(
-        outcome.safety.is_safe(),
-        "{policy} at rate {rate}: unsafe run"
-    );
-    outcome
+    run_sound_point(&config, &workload, &format!("{policy}@{rate}-s{seed}"))
 }
 
 /// Builds the fault grid point `(burst, outage)` used by the fault sweep
@@ -430,22 +451,11 @@ pub fn run_fault_point(
         .with_seed(seed)
         .with_faults(fault_point(burst, outage_secs));
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
-    let outcome = run_point_guarded(
+    run_sound_point(
         &config,
         &workload,
         &format!("{policy}@{rate}-b{burst}-o{outage_secs}-s{seed}"),
-    );
-    assert!(
-        outcome.all_completed(),
-        "{policy} burst={burst} outage={outage_secs}s seed={seed}: \
-         {} vehicles stranded",
-        outcome.stranded()
-    );
-    assert!(
-        outcome.safety.is_safe(),
-        "{policy} burst={burst} outage={outage_secs}s seed={seed}: SAFETY VIOLATION"
-    );
-    outcome
+    )
 }
 
 /// Builds one mixed-traffic grid point: compliance shares for the
@@ -488,14 +498,7 @@ pub fn run_mixed_point(policy: PolicyKind, rate: f64, mixed: MixedConfig, seed: 
         "{policy}@{rate}-h{}-f{}-e{}-s{seed}",
         mixed.human_share, mixed.faulty_share, mixed.emergency_share
     );
-    let outcome = run_point_guarded(&config, &workload, &label);
-    assert!(
-        outcome.all_completed(),
-        "{label}: {} vehicles stranded",
-        outcome.stranded()
-    );
-    assert!(outcome.safety.is_safe(), "{label}: SAFETY VIOLATION");
-    outcome
+    run_sound_point(&config, &workload, &label)
 }
 
 /// The "Ideal" series of Fig. 7.2: a Crossroads scheduler with a perfect
@@ -519,15 +522,12 @@ pub fn ideal_config() -> SimConfig {
 ///
 /// # Panics
 ///
-/// Panics on an unsound run, as [`run_sweep_point`] does.
+/// Panics on an unsound run, as [`run_sound_point`] does.
 #[must_use]
 pub fn run_ideal_point(rate: f64, seed: u64) -> SimOutcome {
     let config = ideal_config().with_seed(seed);
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
-    let outcome = run_point_guarded(&config, &workload, &format!("ideal@{rate}-s{seed}"));
-    assert!(outcome.all_completed(), "ideal at rate {rate}: incomplete");
-    assert!(outcome.safety.is_safe(), "ideal at rate {rate}: unsafe");
-    outcome
+    run_sound_point(&config, &workload, &format!("ideal@{rate}-s{seed}"))
 }
 
 /// Carried throughput in cars/second/lane — Fig. 7.2's y-axis.
@@ -607,21 +607,14 @@ pub fn run_corridor_guarded(
     entry_ims: &[u32],
     label: &str,
 ) -> CorridorOutcome {
-    let Some(dir) = trace_dump_dir() else {
-        return run_corridor(config, workload, entry_ims);
-    };
-    let mut recorder = Recorder::ring(TRACE_RING_CAPACITY);
-    let outcome = run_corridor_traced(config, workload, entry_ims, &mut recorder);
-    if !outcome.all_completed() || !outcome.is_safe() {
-        match dump_ring_trace(&dir, label, &recorder.snapshot()) {
-            Ok(path) => eprintln!(
-                "[{label}] unsound run; flight recording at {}",
-                path.display()
-            ),
-            Err(e) => eprintln!("[{label}] unsound run; trace dump failed: {e}"),
-        }
-    }
-    outcome
+    guarded(
+        label,
+        |o: &CorridorOutcome| o.all_completed() && o.is_safe(),
+        |recorder| match recorder {
+            Some(r) => run_corridor_traced(config, workload, entry_ims, r),
+            None => run_corridor(config, workload, entry_ims),
+        },
+    )
 }
 
 /// Shard workers on the windowed-parallel comparison axis of

@@ -409,10 +409,6 @@ fn build_tile_bands(
 }
 
 impl IntersectionPolicy for AimPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Aim
-    }
-
     fn decide(&mut self, request: &CrossingRequest, now: TimePoint) -> CrossingCommand {
         let Some(toa) = request.proposed_arrival else {
             return CrossingCommand::AimReject; // malformed AIM request

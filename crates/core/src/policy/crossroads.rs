@@ -89,10 +89,6 @@ impl CrossroadsPolicy {
 }
 
 impl IntersectionPolicy for CrossroadsPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Crossroads
-    }
-
     fn decide(&mut self, request: &CrossingRequest, now: TimePoint) -> CrossingCommand {
         let eff = self
             .buffers

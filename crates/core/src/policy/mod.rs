@@ -110,9 +110,6 @@ impl std::fmt::Display for PolicyKind {
 /// exactly one worker touches a given shard per window, so no `Sync` is
 /// needed.
 pub trait IntersectionPolicy: Send {
-    /// Protocol identifier.
-    fn kind(&self) -> PolicyKind;
-
     /// Decides on a crossing request. `now` is the instant the IM's
     /// computation *finishes* (the modeled computation delay has already
     /// elapsed).
@@ -129,17 +126,6 @@ pub trait IntersectionPolicy: Send {
 
     /// Drops bookkeeping that ended before `now`.
     fn prune(&mut self, now: TimePoint);
-
-    /// The IM process came back up after a crash (fault injection's
-    /// outage model). The default is conservative re-validation: the
-    /// reservation ledger is *retained* — vehicles holding grants will
-    /// execute them whether or not the IM remembers, so forgetting them
-    /// could double-book the box — and only bookkeeping that already
-    /// expired is dropped. A policy whose ledger does not survive a
-    /// restart must override this and rebuild instead.
-    fn on_restart(&mut self, now: TimePoint) {
-        self.prune(now);
-    }
 }
 
 #[cfg(test)]

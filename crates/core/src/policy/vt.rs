@@ -50,10 +50,6 @@ impl VtPolicy {
 }
 
 impl IntersectionPolicy for VtPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::VtIm
-    }
-
     fn decide(&mut self, request: &CrossingRequest, now: TimePoint) -> CrossingCommand {
         let eff = self
             .buffers

@@ -10,9 +10,9 @@ use crate::request::{CrossingCommand, CrossingRequest};
 ///
 /// Every event names the intersection whose lane handles it (see
 /// [`Event::im`]): the lane that scheduled it, or for a `LinkArrival` the
-/// lane the vehicle is handed to. A vehicle restarts its protocol at
-/// every handoff and leaves its old lane, so an event of one leg is
-/// never acted on by the next leg's fresh state machine.
+/// lane the vehicle is handed to. A vehicle leaves its old lane at every
+/// handoff and restarts its protocol machine at the next line, so an
+/// event of one leg is never acted on in the next leg's negotiation.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
     /// A workload vehicle crosses the tagged entry intersection's
@@ -74,8 +74,8 @@ pub(crate) enum Event {
     /// in-flight computations are lost.
     ImCrash(u32),
     /// Fault injection: the tagged crashed IM comes back up and
-    /// conservatively re-validates its ledger
-    /// (`IntersectionPolicy::on_restart`).
+    /// conservatively re-validates its ledger: issued grants stay
+    /// booked, expired bookkeeping is pruned.
     ImRestart(u32),
 }
 

@@ -156,8 +156,6 @@ pub struct SimConfig {
     pub aim_analytic: bool,
     /// Delay before a rejected AIM vehicle re-requests.
     pub aim_retry_interval: Seconds,
-    /// Speed multiplier a rejected AIM vehicle applies (< 1).
-    pub aim_slowdown_factor: f64,
     /// Cruise-speed floor (fraction of `v_max`) below which the interval
     /// policies schedule a stop instead of a crawl.
     pub crawl_fraction: f64,
@@ -199,7 +197,6 @@ impl SimConfig {
             aim_sim_step: Seconds::from_millis(20.0),
             aim_analytic: true,
             aim_retry_interval: Seconds::from_millis(300.0),
-            aim_slowdown_factor: 0.7,
             crawl_fraction: 0.30,
             horizon_slack: Seconds::new(1200.0),
             fault: FaultConfig::disabled(),

@@ -245,17 +245,11 @@ impl World<'_> {
 
     /// Flushes one granted-but-unentered vehicle back to the safe
     /// stop-at-line + re-request fallback (emergency preemption).
-    /// Mirrors `platoon_detach`'s fresh-protocol pattern: bank the old
-    /// machine's tallies, restart negotiation from sync, and bump the
-    /// plan version so every event of the overridden trajectory dies on
-    /// its guard. The IM's orphaned reservation is replaced when the
-    /// fresh request lands (or expires via prune).
+    /// Mirrors `platoon_detach`: the negotiation restarts from sync, and
+    /// the plan version bumps so every event of the overridden
+    /// trajectory dies on its guard. The IM's orphaned reservation is
+    /// replaced when the fresh request lands (or expires via prune).
     fn override_grant(&mut self, sim: &mut Simulation<Event>, u: VehicleId, now: TimePoint) {
-        let agent = self.expect_agent_mut(u);
-        agent.trip_requests += agent.protocol.total_requests();
-        agent.trip_rejections += agent.protocol.total_rejections();
-        agent.last_proposal = None;
-        agent.im_seen_attempt = None;
         self.start_protocol(sim, u, now);
         let agent = self.expect_agent_mut(u);
         let (s_now, v_now) = (agent.profile.position_at(now), agent.profile.speed_at(now));

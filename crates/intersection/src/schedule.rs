@@ -196,19 +196,6 @@ impl ReservationTable {
         self.len == 0
     }
 
-    /// The pruning watermark: every window ending before this instant has
-    /// been retired (`None` until the first retirement).
-    #[must_use]
-    pub fn retired_before(&self) -> Option<TimePoint> {
-        self.retired
-    }
-
-    /// The conflict relation in use.
-    #[must_use]
-    pub fn conflict_table(&self) -> &ConflictTable {
-        &self.conflicts
-    }
-
     /// Indices of buckets conflicting with `movement`.
     fn conflicting_buckets(&self, movement: Movement) -> impl Iterator<Item = usize> {
         let mask = self.masks[movement.index()];

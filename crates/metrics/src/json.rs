@@ -64,15 +64,6 @@ impl JsonValue {
         }
     }
 
-    /// The array items, if this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Whether this is `null`.
     #[must_use]
     pub fn is_null(&self) -> bool {

@@ -143,7 +143,8 @@ pub struct FaultConfig {
     /// How long each outage lasts (zero disables outages). While down,
     /// the IM drops every uplink and loses its in-flight computations;
     /// granted reservations are conservatively retained (vehicles will
-    /// execute them regardless — see `IntersectionPolicy::on_restart`).
+    /// execute them regardless; the restarted IM only prunes expired
+    /// bookkeeping).
     pub outage_duration: Seconds,
     /// Gap between successive crash starts (zero means a single outage).
     /// Must exceed `outage_duration` so the IM has up-time between

@@ -327,13 +327,6 @@ impl Recorder {
         }
     }
 
-    /// Clears the recorder for reuse, keeping its allocation and mode.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.dropped = 0;
-    }
-
     /// A copy of the current contents as a [`Trace`] (allocates; meant for
     /// post-run inspection, not the hot path).
     #[must_use]
@@ -434,19 +427,6 @@ mod tests {
         }
         assert_eq!(r.capacity(), cap);
         assert_eq!(r.buf.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn reset_reuses_the_buffer() {
-        let mut r = Recorder::ring(2);
-        r.record(rec(1, TraceEvent::ImCrash));
-        r.record(rec(2, TraceEvent::ImRestart));
-        r.record(rec(3, TraceEvent::ImCrash));
-        r.reset();
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
-        r.record(rec(9, TraceEvent::UplinkDeliver));
-        assert_eq!(r.snapshot().records[0].dispatch, 9);
     }
 
     #[test]

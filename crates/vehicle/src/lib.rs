@@ -21,8 +21,8 @@
 //! - [`error`] — the uncertainty model (encoder/GPS noise, control error,
 //!   clock-sync residual) feeding both the controller and the IM-side
 //!   buffer computation.
-//! - [`state`] — the four-state protocol machine each vehicle runs
-//!   (Arriving → Sync → Request → Follow, Ch. 2).
+//! - [`state`] — the protocol machine each vehicle runs from the
+//!   transmission line on (Sync → Request → Follow, Ch. 2).
 //! - [`steering`] — pure-pursuit lateral control, backing the thesis'
 //!   assumption that vehicles "maintain proper lateral position"
 //!   (Ch. 3.2) on every intersection path.

@@ -19,7 +19,7 @@
 //!   speed until the fixed actuation instant `T_E`, then change to `V_T`
 //!   and cruise so the intersection line is reached exactly at `ToA`
 //!   (Fig. 6.2).
-//! - The safe-stop fallback ([`SpeedProfile::stop`]) used when no response
+//! - The safe-stop fallback ([`SpeedProfile::stop_at`]) used when no response
 //!   arrives before the safe stopping distance (Algorithm 2/6/8's
 //!   "slow down to stop" clause).
 
@@ -456,20 +456,6 @@ impl SpeedProfile {
         Ok(p)
     }
 
-    /// The safe-stop fallback: brake to zero at `d_max` starting at `now`,
-    /// then remain stopped.
-    #[must_use]
-    pub fn stop(
-        now: TimePoint,
-        s_now: Meters,
-        v_current: MetersPerSecond,
-        spec: &VehicleSpec,
-    ) -> SpeedProfile {
-        let mut p = SpeedProfile::starting_at(now, s_now, v_current);
-        p.push_speed_change(MetersPerSecond::ZERO, spec.d_max);
-        p
-    }
-
     /// Plans a stop with the front bumper at path position `s_stop`
     /// (Algorithm 2/6/8's "if distance to intersection <= safe stop
     /// distance, slow down to stop"): hold the current speed until the
@@ -709,9 +695,10 @@ mod tests {
     }
 
     #[test]
-    fn stop_profile_halts_at_stopping_distance() {
+    fn stop_at_braking_at_once_halts_at_stopping_distance() {
         let s = spec();
-        let p = SpeedProfile::stop(t(0.0), m(0.0), mps(3.0), &s);
+        // Stop mark at the current position: the brake starts now.
+        let p = SpeedProfile::stop_at(t(0.0), m(0.0), mps(3.0), m(0.0), &s);
         assert_eq!(p.final_speed(), MetersPerSecond::ZERO);
         // v²/2d = 9/6 = 1.5 m.
         assert!((p.final_position().value() - 1.5).abs() < 1e-12);

@@ -14,9 +14,11 @@
 # CROSSROADS_SAFETY_FILTER=1, CROSSROADS_AIM_ANALYTIC=0), and with
 # platoons and mixed traffic together (CROSSROADS_PLATOON=1 and
 # CROSSROADS_MIXED=1: followers, humans and the filter interact only
-# there), and each pair of stdouts is compared with `cmp`. Exits
-# non-zero if any run fails or any pair differs; prints the first lines
-# of each difference.
+# there), and each pair of stdouts is compared with `cmp`. It also
+# copies this tree's trace_digest program into the exported tree, so
+# both builds print flight-recorder digests of the same 24 traced
+# corridors, and compares those two stdouts. Exits non-zero if any run
+# fails or any pair differs; prints the first lines of each difference.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -34,6 +36,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/base" "$work/out"
 git archive "$ref" | tar -x -C "$work/base"
+cp crates/bench/src/bin/trace_digest.rs "$work/base/crates/bench/src/bin/"
 
 echo "==> building this tree (offline, release)"
 cargo build --release --offline --workspace --bins -q
@@ -89,8 +92,25 @@ for bin in $bins; do
     done
 done
 
+# The digest program reads no knobs, so one run of each build suffices.
+digests=0
+if ! target/release/trace_digest >"$work/out/new" 2>/dev/null; then
+    echo "FAIL: trace_digest exited non-zero on this tree" >&2
+    failed=$((failed + 1))
+elif ! "$work/base/target/release/trace_digest" >"$work/out/base" 2>/dev/null; then
+    echo "FAIL: trace_digest exited non-zero on $ref" >&2
+    failed=$((failed + 1))
+elif cmp -s "$work/out/base" "$work/out/new"; then
+    digests=$(wc -l <"$work/out/new" | tr -d ' ')
+    echo "ok   trace_digest ($digests traced corridors)"
+else
+    echo "DIFF trace_digest" >&2
+    diff "$work/out/base" "$work/out/new" | head -20 >&2 || true
+    failed=$((failed + 1))
+fi
+
 if [ "$failed" -ne 0 ]; then
-    echo "FAIL: $failed of $compared comparisons against $ref differ or failed" >&2
+    echo "FAIL: $failed comparisons against $ref differ or failed" >&2
     exit 1
 fi
-echo "identical: all $compared comparisons against $ref"
+echo "identical: all $compared comparisons and $digests trace digests against $ref"
