@@ -95,7 +95,7 @@ CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=7 \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
 same_stdout "grid sweep output diverges on a 7-thread pool"
 
-echo "==> windowed-parallel corridor smoke (1 vs 2 vs 4 vs 7 shard workers)"
+echo "==> windowed-parallel corridor smoke (1 vs 2 vs 4 vs 7 shard workers; full grid 0 vs 7)"
 # The conservative time-windowed parallel corridor engine must be
 # unobservable: routing every corridor of the reduced grid through K
 # per-shard event queues on 2, 4 or 7 workers (1 = the serial engine)
@@ -110,6 +110,17 @@ for w in 1 2 4 7; do
     fi
     same_stdout "grid sweep output diverges on $w shard workers"
 done
+# The full grid reaches K = 8. At 7 shard workers on the default pool (2
+# threads on a 2-core host) that is 14 workers on 2 cores: the
+# oversubscribed case, in which a round must not wait for a helper the
+# OS has not scheduled. About 1.3 s per run on such a host.
+CROSSROADS_SHARD_WORKERS=0 ./target/release/exp_grid_sweep >"$seq_out" 2>/dev/null
+if ! CROSSROADS_SHARD_WORKERS=7 \
+    timeout 120 ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null; then
+    echo "FAIL: full grid sweep on 7 shard workers failed or timed out" >&2
+    exit 1
+fi
+same_stdout "full grid sweep output diverges on 7 shard workers"
 
 echo "==> flight-recorder trace smoke (replay identity + divergence diff)"
 # The trace diff tool must find zero divergences when replaying the same

@@ -105,10 +105,11 @@ impl std::fmt::Display for PolicyKind {
 /// and execution environment (the simulator drives any implementor
 /// identically — DESIGN.md §5.5).
 ///
-/// `Send` because the windowed corridor engine steps each shard's world,
-/// policy included, on a `crossroads_pool::WorkerPool::rounds` worker;
-/// exactly one worker touches a given shard per window, so no `Sync` is
-/// needed.
+/// `Send` because the windowed corridor engine steps each lane's world,
+/// policy included, on whichever `crossroads_pool::WorkerPool::rounds`
+/// worker claims the lane in a round: its home worker, or another worker
+/// that found it unstarted. Exactly one worker touches a given lane per
+/// round, so no `Sync` is needed.
 pub trait IntersectionPolicy: Send {
     /// Decides on a crossing request. `now` is the instant the IM's
     /// computation *finishes* (the modeled computation delay has already

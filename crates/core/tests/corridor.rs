@@ -215,6 +215,37 @@ fn windowed_matches_serial_when_wc_rtd_exceeds_the_link() {
     assert_eq!(outcome_diff(&windowed, &serial), None);
 }
 
+/// A loaded K = 8 corridor: 2,000 vehicles at 0.08 car/s per arterial
+/// direction and 0.04 on cross lanes, the benchmark corridor's rates, so
+/// that vehicles cross the lane-block boundaries of 2, 3 and 8 workers in
+/// both directions in most rounds. For every policy the windowed engine
+/// at each of those worker counts reproduces the serial engine.
+#[test]
+fn windowed_matches_serial_on_a_loaded_corridor() {
+    const K: usize = 8;
+    for policy in PolicyKind::ALL {
+        let sim = SimConfig::full_scale(policy).with_seed(11);
+        let demand = CorridorDemand {
+            cross_rate: 0.04,
+            ..demand(&sim, K, 0.08, 2_000)
+        };
+        let mut rng = StdRng::seed_from_u64(11 + 2000);
+        let (workload, entry_ims) = generate_corridor(&demand, &mut rng);
+        let base = CorridorConfig::new(sim, K);
+        let serial = run_corridor(&base, &workload, &entry_ims);
+        assert!(serial.all_completed(), "{policy}: vehicles stranded");
+        for workers in [2, 3, 8] {
+            let windowed = run_corridor(&base.with_shard_workers(workers), &workload, &entry_ims);
+            let diff = outcome_diff(&windowed, &serial);
+            assert!(
+                diff.is_none(),
+                "{policy} w={workers}: {}",
+                diff.unwrap_or_default()
+            );
+        }
+    }
+}
+
 /// A traced corridor is the untraced one with a recorder attached: for
 /// every policy at K = 3 the traced outcome equals `run_corridor` on the
 /// serial and on the windowed engine, the recorder keeps every record,

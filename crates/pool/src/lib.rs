@@ -9,11 +9,11 @@
 //! sweeps ([`WorkerPool::map`]), and bulk-synchronous rounds over
 //! mutable slots for the windowed corridor engine
 //! ([`WorkerPool::rounds`]). `rounds` is a barrier the calling thread
-//! joins as a worker: helpers claim slots off an atomic ticket counter,
-//! wait between rounds on an epoch counter (a short fixed spin, then
-//! `park`), and nothing crosses a channel or allocates per round —
-//! a round costs a few atomic operations plus, when a helper has
-//! parked, one unpark.
+//! joins as a worker: each slot has a home worker for the whole call, a
+//! worker done with its home slots steps any slot that no worker has
+//! started, workers wait between rounds on an epoch counter (a short
+//! fixed spin, then `park`), and nothing crosses a channel or allocates
+//! per round.
 //!
 //! Guarantees:
 //!
@@ -27,8 +27,10 @@
 //!   [`std::panic::resume_unwind`] — a failing sweep point fails the
 //!   sweep, never hangs it. `rounds` stops and joins every helper before
 //!   re-raising a panic from a step or from its control closure.
-//! - **Fixed workers, shared queue.** `threads` workers pull indices off
-//!   an atomic counter; tasks ≫ workers oversubscribe gracefully.
+//! - **Fixed workers.** `map`'s `threads` workers pull indices off an
+//!   atomic counter, so tasks ≫ workers oversubscribe gracefully;
+//!   `rounds` never waits for a descheduled helper to start a slot,
+//!   because any running worker steps it.
 //!
 //! The caller picks the thread count. The experiment binaries take it
 //! from `CROSSROADS_THREADS` ([`THREADS_ENV`]), read by `crossroads_bench`,
@@ -147,33 +149,40 @@ impl WorkerPool {
     /// Bulk-synchronous rounds over mutable slots — the "shard step"
     /// shape of conservative windowed parallel DES.
     ///
-    /// The loop alternates two phases until `control` returns `false`:
+    /// Every round runs `step(plan, i, &mut slot_i)` once for every slot,
+    /// distributed over the workers; each step returns a report. Round 1
+    /// runs under `first`. After each round `control` receives the round's
+    /// reports in slot order and returns the next round's plan, or `None`
+    /// to end the call. `control` never sees a slot: whatever one slot
+    /// sends another goes through state the two steps share (the windowed
+    /// corridor engine's inboxes), and a step that reads it must wait for
+    /// a later round to be sure the sender has run.
     ///
-    /// 1. **Control (exclusive).** `control` runs on the calling thread
-    ///    with mutable access to every slot (in input order) — this is
-    ///    where a windowed engine exchanges handoffs between shards and
-    ///    computes the next barrier. Returning `false` ends the call.
-    /// 2. **Round (parallel).** `step(i, &mut slot_i)` runs for every
-    ///    slot, distributed over the workers.
+    /// The call spawns `W − 1` helper threads once, in one
+    /// [`std::thread::scope`], for `W = min(workers, slots)`; the calling
+    /// thread is worker 0 and also runs `control`. Each slot is lent to a
+    /// mutex cell of its own once per call. Worker `w` is the home of the
+    /// slots `[w·n/W, (w + 1)·n/W)` and steps them first in every round;
+    /// it then claims any other slot that no worker has started in this
+    /// round, scanning each other block from its far end. A per-slot round
+    /// counter decides every claim, so no slot is stepped twice in a round
+    /// or aliased, and a helper the OS has not scheduled never stalls a
+    /// round: the running workers step its slots. Each worker adds the
+    /// slots it stepped to a cumulative done counter once per round.
     ///
-    /// The call spawns `min(workers, slots) − 1` helper threads once, in
-    /// one [`std::thread::scope`]; the calling thread is the remaining
-    /// worker. Before a round the caller lends each slot to its own
-    /// uncontended mutex cell and publishes the round on an epoch
-    /// counter. Workers claim slots off a shared ticket counter, so no
-    /// slot is ever aliased, and the caller claims alongside them until
-    /// the round's done counter reaches the slot count; then it takes the
-    /// slots back for the next control phase. Between rounds helpers spin
-    /// on the epoch for a short fixed budget of `spin_loop` hints, then
-    /// park until the caller unparks them; the caller spins on the done
-    /// counter for the same budget, then yields. No allocation happens
-    /// per round.
+    /// The caller opens a round by publishing its plan and number on an
+    /// epoch counter and unparking the helpers, then works, then waits on
+    /// the done counter. Between rounds helpers spin on the epoch for a
+    /// fixed budget of `spin_loop` hints, then park; the caller spins on
+    /// the done counter for the same budget, then yields. Nothing crosses
+    /// a channel and nothing is allocated per round.
     ///
-    /// Determinism: each `step` owns its slot exclusively and the control
-    /// phase always observes slots in input order, so as long as `step`
-    /// is a pure function of its slot the outcome is independent of the
-    /// worker count — one worker (or one slot) degenerates to the same
-    /// control/step sequence run inline.
+    /// Determinism: each `step` owns its slot exclusively and `control`
+    /// always receives the reports in slot order, so as long as `step` is
+    /// a pure function of its plan, its slot and what earlier rounds sent
+    /// it, the outcome is independent of the worker count and of which
+    /// worker stepped which slot — one worker (or one slot) degenerates to
+    /// the same step/control sequence run inline.
     ///
     /// # Panics
     ///
@@ -181,26 +190,41 @@ impl WorkerPool {
     /// the round that observed it, once every slot of that round has
     /// finished, and re-raises a panic raised inside `control`. Either
     /// way every helper is stopped and joined first.
-    pub fn rounds<T, C, S>(&self, slots: &mut [T], mut control: C, step: S)
+    pub fn rounds<T, P, R, C, S>(&self, slots: &mut [T], first: P, mut control: C, step: S)
     where
         T: Send,
-        C: FnMut(&mut [&mut T]) -> bool,
-        S: Fn(usize, &mut T) + Sync,
+        P: Copy + Send,
+        R: Send,
+        C: FnMut(&[R]) -> Option<P>,
+        S: Fn(P, usize, &mut T) -> R + Sync,
     {
-        let mut refs: Vec<&mut T> = slots.iter_mut().collect();
-        let n = refs.len();
-        if self.threads == 1 || n <= 1 {
-            while control(&mut refs) {
-                for (i, slot) in refs.iter_mut().enumerate() {
-                    step(i, slot);
+        let n = slots.len();
+        let workers = self.threads.min(n);
+        let mut reports = Vec::with_capacity(n);
+        let mut plan = first;
+        if workers <= 1 {
+            loop {
+                reports.clear();
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    reports.push(step(plan, i, slot));
+                }
+                match control(&reports) {
+                    Some(next) => plan = next,
+                    None => return,
                 }
             }
-            return;
         }
         let barrier = Barrier {
-            cells: (0..n).map(|_| Mutex::new(None)).collect(),
+            seats: slots
+                .iter_mut()
+                .map(|slot| Seat {
+                    round: AtomicUsize::new(0),
+                    lent: Mutex::new(Lent { slot, report: None }),
+                })
+                .collect(),
+            workers,
+            plan: Mutex::new(first),
             epoch: AtomicUsize::new(0),
-            tickets: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             first_panic: Mutex::new(None),
         };
@@ -210,9 +234,9 @@ impl WorkerPool {
             // so no helper is left parked when the scope joins them.
             let mut helpers = StopOnDrop {
                 epoch: &barrier.epoch,
-                threads: Vec::with_capacity(self.threads.min(n) - 1),
+                threads: Vec::with_capacity(workers - 1),
             };
-            for _ in 1..self.threads.min(n) {
+            for worker in 1..workers {
                 let handle = scope.spawn(move || {
                     let mut seen = 0;
                     loop {
@@ -220,40 +244,37 @@ impl WorkerPool {
                         if seen == STOP {
                             break;
                         }
-                        barrier.work(seen, step);
+                        barrier.work(worker, seen, step);
                     }
                 });
                 helpers.threads.push(handle.thread().clone());
             }
-            let mut round = 0;
-            while control(&mut refs) {
-                for (cell, slot) in barrier.cells.iter().zip(refs.drain(..)) {
-                    *lock(cell) = Some(slot);
-                }
-                round += 1;
+            for round in 1.. {
+                *lock(&barrier.plan) = plan;
                 barrier.epoch.store(round, Ordering::Release);
                 for helper in &helpers.threads {
                     helper.unpark();
                 }
-                barrier.work(round, step);
-                let mut spins = 0;
-                while barrier.done.load(Ordering::Acquire) < round * n {
-                    if spins < SPIN_BUDGET {
-                        std::hint::spin_loop();
-                        spins += 1;
-                    } else {
-                        std::thread::yield_now();
+                barrier.work(0, round, step);
+                barrier.wait_done(round);
+                reports.clear();
+                for seat in &barrier.seats {
+                    let report = lock(&seat.lent).report.take();
+                    match report {
+                        Some(report) => reports.push(report),
+                        // Only a panicking step leaves no report.
+                        None => {
+                            let (_, payload) = lock(&barrier.first_panic)
+                                .take()
+                                .expect("a step without a report panicked");
+                            resume_unwind(payload);
+                        }
                     }
                 }
-                if let Some((_, payload)) = lock(&barrier.first_panic).take() {
-                    resume_unwind(payload);
+                match control(&reports) {
+                    Some(next) => plan = next,
+                    None => break,
                 }
-                refs.extend(
-                    barrier
-                        .cells
-                        .iter()
-                        .map(|cell| lock(cell).take().expect("every slot comes back")),
-                );
             }
         });
     }
@@ -262,7 +283,10 @@ impl WorkerPool {
 /// Spin-loop hints a waiting [`WorkerPool::rounds`] worker issues before
 /// it blocks: helpers then park, the caller yields. Short on purpose —
 /// on an oversubscribed host a long spin steals the core from the very
-/// thread being waited for.
+/// thread being waited for. A 2-worker corridor on an idle 2-core host
+/// parks less with 1,024 hints, but the full grid sweep on 2 pool threads
+/// × 7 shard workers ran slower with 512 or 1,024 (EXPERIMENTS.md,
+/// "Windowed rounds on home workers").
 const SPIN_BUDGET: u32 = 256;
 
 /// Epoch value that tells the helpers of [`WorkerPool::rounds`] to exit.
@@ -273,31 +297,50 @@ type SlotPanic = (usize, Box<dyn Any + Send>);
 
 /// The shared state of one [`WorkerPool::rounds`] call.
 ///
-/// Round `r` (numbered from 1) owns the tickets `(r − 1)·n .. r·n` and is
-/// complete once `done` reaches `r·n`. Both counters are cumulative, so a
-/// helper still draining round `r` after the caller opened round `r + 1`
-/// sees its own bound exhausted and cannot steal a newer ticket.
+/// Round `r` (numbered from 1) moves each seat's round counter from
+/// `r − 1` to `r` when a worker claims the slot, and is complete once
+/// `done` reaches `r·n`. A helper still scanning round `r` after the
+/// caller opened round `r + 1` finds every counter past `r − 1` and
+/// claims nothing.
 ///
 /// Orderings: the caller's `Release` store of `epoch` pairs with the
 /// helpers' `Acquire` loads, and each worker's `Release` increment of
 /// `done` with the caller's `Acquire` load, so a round starts after the
-/// control phase and the control phase after the round. Slot data itself
-/// passes through the cell mutexes; `tickets` publishes nothing and is
-/// `Relaxed`.
-struct Barrier<'s, T> {
-    /// Slot `i`, lent by the caller for the duration of a round.
-    cells: Vec<Mutex<Option<&'s mut T>>>,
+/// control phase and the control phase after the round. Slot data,
+/// reports and plans pass through mutexes; the seat counters publish
+/// nothing and are `Relaxed`.
+struct Barrier<'s, T, P, R> {
+    /// Slot `i` and its claim counter, lent for the whole call.
+    seats: Vec<Seat<'s, T, R>>,
+    /// Worker count `W`; worker `w` is the home of `[w·n/W, (w + 1)·n/W)`.
+    workers: usize,
+    /// The open round's plan.
+    plan: Mutex<P>,
     /// The open round; [`STOP`] shuts the helpers down.
     epoch: AtomicUsize,
-    /// Tickets claimed so far, over all rounds.
-    tickets: AtomicUsize,
     /// Slots finished so far, over all rounds.
     done: AtomicUsize,
     /// The lowest-indexed step panic of the current round.
     first_panic: Mutex<Option<SlotPanic>>,
 }
 
-impl<T> Barrier<'_, T> {
+/// One slot of a [`Barrier`], on a cache line of its own so that
+/// stepping home slots leaves other workers' lines alone.
+#[repr(align(128))]
+struct Seat<'s, T, R> {
+    /// The last round in which a worker claimed the slot.
+    round: AtomicUsize,
+    lent: Mutex<Lent<'s, T, R>>,
+}
+
+/// A lent slot and the report of its latest step (`None` once taken,
+/// and after a step that panicked).
+struct Lent<'s, T, R> {
+    slot: &'s mut T,
+    report: Option<R>,
+}
+
+impl<T, P: Copy, R> Barrier<'_, T, P, R> {
     /// Waits until the epoch moves past `seen` and returns it: a short
     /// spin, then parking (the caller unparks every helper per round).
     fn next_epoch(&self, seen: usize) -> usize {
@@ -317,35 +360,68 @@ impl<T> Barrier<'_, T> {
         }
     }
 
-    /// Claims and steps slots of `round` until its tickets run out.
-    fn work<S: Fn(usize, &mut T)>(&self, round: usize, step: &S) {
-        let n = self.cells.len();
-        let (first, end) = ((round - 1) * n, round * n);
-        let mut ticket = self.tickets.load(Ordering::Relaxed);
-        while ticket < end {
-            if let Err(now) = self.tickets.compare_exchange_weak(
-                ticket,
-                ticket + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                ticket = now;
-                continue;
-            }
-            let i = ticket - first;
-            let out = {
-                let mut cell = lock(&self.cells[i]);
-                let slot = cell.as_deref_mut().expect("slot lent for the round");
-                catch_unwind(AssertUnwindSafe(|| step(i, slot)))
-            };
-            if let Err(payload) = out {
+    /// Worker `worker`'s share of `round`: its home slots in order, then
+    /// every other block from its far end, stepping each slot it claims.
+    fn work<S: Fn(P, usize, &mut T) -> R>(&self, worker: usize, round: usize, step: &S) {
+        let plan = *lock(&self.plan);
+        let n = self.seats.len();
+        let home = worker * n / self.workers..(worker + 1) * n / self.workers;
+        let others = (home.end..n).rev().chain((0..home.start).rev());
+        let stepped = home
+            .chain(others)
+            .filter(|&i| self.claim_and_step(i, round, plan, step))
+            .count();
+        if stepped > 0 {
+            self.done.fetch_add(stepped, Ordering::Release);
+        }
+    }
+
+    /// Steps slot `i` if no worker has claimed it in `round` yet; returns
+    /// whether this worker did.
+    fn claim_and_step<S: Fn(P, usize, &mut T) -> R>(
+        &self,
+        i: usize,
+        round: usize,
+        plan: P,
+        step: &S,
+    ) -> bool {
+        let seat = &self.seats[i];
+        // The plain load keeps a claimed seat's cache line shared instead
+        // of taking it from its owner for a compare-exchange bound to fail.
+        if seat.round.load(Ordering::Relaxed) != round - 1
+            || seat
+                .round
+                .compare_exchange(round - 1, round, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return false;
+        }
+        let mut lent = lock(&seat.lent);
+        let lent = &mut *lent;
+        match catch_unwind(AssertUnwindSafe(|| step(plan, i, lent.slot))) {
+            Ok(report) => lent.report = Some(report),
+            Err(payload) => {
                 let mut first_panic = lock(&self.first_panic);
                 if first_panic.as_ref().is_none_or(|&(j, _)| i < j) {
                     *first_panic = Some((i, payload));
                 }
             }
-            self.done.fetch_add(1, Ordering::Release);
-            ticket = self.tickets.load(Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Waits (the caller) until every slot of `round` has been stepped:
+    /// a short spin, then yielding.
+    fn wait_done(&self, round: usize) {
+        let quota = round * self.seats.len();
+        let mut spins = 0;
+        while self.done.load(Ordering::Acquire) < quota {
+            if spins < SPIN_BUDGET {
+                std::hint::spin_loop();
+                spins += 1;
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -367,9 +443,9 @@ impl Drop for StopOnDrop<'_> {
 }
 
 /// Locks a mutex, ignoring poisoning. Every critical section in this
-/// crate is a single push or assignment, or (a `rounds` cell) wraps the
-/// step in `catch_unwind`, so the data is whole whenever a panic could
-/// have poisoned it.
+/// crate is a single push, assignment or take, or (a `rounds` seat) wraps
+/// the step in `catch_unwind`, so the data is whole whenever a panic
+/// could have poisoned it.
 fn lock<M>(mutex: &Mutex<M>) -> MutexGuard<'_, M> {
     mutex
         .lock()
@@ -404,62 +480,82 @@ mod tests {
         let _ = WorkerPool::new(0);
     }
 
-    /// A toy windowed engine over `rounds`: every round each slot adds
-    /// its round number, the control phase exchanges the ends. The result
-    /// must be identical at every worker count (inline path included).
-    fn toy_rounds(workers: usize) -> Vec<u64> {
-        let mut slots: Vec<u64> = (0..5).collect();
-        let round = std::sync::atomic::AtomicU64::new(0);
+    /// A toy windowed engine over `rounds`: every round each slot seats
+    /// what its left neighbour posted in the round before, mixes in the
+    /// round number (the plan) and posts its value to its right neighbour
+    /// through two inbox generations. The slots and every report must be
+    /// identical at every worker count (inline path included).
+    fn toy_rounds(workers: usize) -> (Vec<u64>, Vec<u64>) {
+        const N: usize = 5;
+        let mut slots: Vec<u64> = (0..N as u64).collect();
+        let inboxes: Vec<[Mutex<u64>; 2]> = (0..N).map(|_| Default::default()).collect();
+        let mut reports = Vec::new();
         WorkerPool::new(workers).rounds(
             &mut slots,
-            |slots| {
-                if round.load(Ordering::Relaxed) > 0 {
-                    let last = slots.len() - 1;
-                    let (a, b) = (*slots[0], *slots[last]);
-                    *slots[0] = b;
-                    *slots[last] = a;
-                }
-                round.fetch_add(1, Ordering::Relaxed) < 4
+            1u64,
+            |round| {
+                reports.extend_from_slice(round);
+                let rounds_run = (reports.len() / N) as u64;
+                (rounds_run < 5).then_some(rounds_run + 1)
             },
-            |i, slot| *slot += round.load(Ordering::Relaxed) * (i as u64 + 1),
+            |round, i, slot| {
+                let (post, seat) = (round as usize % 2, (round as usize + 1) % 2);
+                *slot += std::mem::take(&mut *lock(&inboxes[i][seat]));
+                *slot = slot.wrapping_mul(3) + round * (i as u64 + 1);
+                *lock(&inboxes[(i + 1) % N][post]) += *slot;
+                *slot
+            },
         );
-        slots
+        (slots, reports)
     }
 
     #[test]
     fn rounds_worker_count_is_unobservable() {
         let reference = toy_rounds(1);
+        assert_eq!(reference.1.len(), 25);
         for workers in [2, 3, 7] {
             assert_eq!(toy_rounds(workers), reference, "workers={workers}");
         }
     }
 
     #[test]
-    fn rounds_control_sees_slots_in_input_order_every_round() {
+    fn rounds_control_sees_reports_in_slot_order_every_round() {
         let mut slots: Vec<(usize, u32)> = (0..9).map(|i| (i, 0)).collect();
         let mut rounds_run = 0;
         WorkerPool::new(4).rounds(
             &mut slots,
-            |slots| {
-                for (i, slot) in slots.iter().enumerate() {
-                    assert_eq!(slot.0, i, "control order after round {rounds_run}");
-                    assert_eq!(slot.1, rounds_run);
-                }
+            (),
+            |reports| {
                 rounds_run += 1;
-                rounds_run <= 3
+                assert_eq!(reports.len(), 9);
+                for (i, &(slot, steps)) in reports.iter().enumerate() {
+                    assert_eq!(slot, i, "report order after round {rounds_run}");
+                    assert_eq!(steps, rounds_run);
+                }
+                (rounds_run < 4).then_some(())
             },
-            |_, slot| slot.1 += 1,
+            |(), _, slot| {
+                slot.1 += 1;
+                *slot
+            },
         );
         assert_eq!(rounds_run, 4);
+        assert!(slots.iter().all(|&(_, steps)| steps == 4));
     }
 
     #[test]
-    fn rounds_propagates_step_panics() {
+    fn rounds_propagates_the_lowest_step_panic() {
         let mut slots = vec![0u32, 1, 2, 3];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            WorkerPool::new(3).rounds(&mut slots, |_| true, |i, _| assert!(i != 2, "boom at {i}"));
+            WorkerPool::new(3).rounds(
+                &mut slots,
+                (),
+                |_| Some(()),
+                |(), i, _| assert!(i % 2 == 0, "boom at {i}"),
+            );
         }));
-        assert!(result.is_err(), "step panic must propagate");
+        let payload = result.expect_err("step panic must propagate");
+        assert_eq!(panic_message(&*payload), "boom at 1");
     }
 
     /// Runs `f` on its own thread and returns its result, failing the
@@ -489,6 +585,7 @@ mod tests {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 WorkerPool::new(3).rounds(
                     &mut slots,
+                    (),
                     |_| {
                         round += 1;
                         if round == 3 {
@@ -497,9 +594,9 @@ mod tests {
                             std::thread::sleep(Duration::from_millis(20));
                             panic!("control failed on round 3");
                         }
-                        true
+                        Some(())
                     },
-                    |_, slot| *slot += 1,
+                    |(), _, slot| *slot += 1,
                 );
             }));
             panic_message(&*result.expect_err("control panic must propagate"))
@@ -518,8 +615,9 @@ mod tests {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 WorkerPool::new(2).rounds(
                     &mut slots,
-                    |_| true,
-                    |i, _| {
+                    (),
+                    |_| Some(()),
+                    |(), i, _| {
                         rendezvous.wait();
                         assert!(
                             std::thread::current().id() != caller,
@@ -545,12 +643,13 @@ mod tests {
             let mut round = 0;
             WorkerPool::new(2).rounds(
                 &mut slots,
+                (),
                 |_| {
                     std::thread::sleep(Duration::from_millis(2));
                     round += 1;
-                    round <= 30
+                    (round < 30).then_some(())
                 },
-                |_, slot| {
+                |(), _, slot| {
                     rendezvous.wait();
                     *slot += 1;
                 },
@@ -559,30 +658,84 @@ mod tests {
         });
     }
 
+    /// 3 slots on 2 workers: the caller is the home of slot 0, the helper
+    /// of slots 1 and 2. In the first round slot 0's step waits until
+    /// slot 1's has started, so the helper starts slot 1, and slot 1's
+    /// step waits until slot 2 has been stepped. The helper is then stuck
+    /// before its second home slot: only the caller's claim of that
+    /// unstarted slot can finish the round.
+    #[test]
+    fn rounds_steal_a_blocked_helpers_slots() {
+        let (slots, stolen) = within_timeout(|| {
+            let caller = std::thread::current().id();
+            let started_1 = AtomicBool::new(false);
+            let stepped_2 = AtomicBool::new(false);
+            let wait_for = |flag: &AtomicBool| {
+                while !flag.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            };
+            let mut slots = [0u32; 3];
+            let (mut round, mut stolen) = (0, false);
+            WorkerPool::new(2).rounds(
+                &mut slots,
+                (),
+                |reports| {
+                    stolen |= reports[2];
+                    round += 1;
+                    (round < 3).then_some(())
+                },
+                // Reports whether this was slot 2's first step, taken on
+                // the caller's thread.
+                |(), i, slot| {
+                    *slot += 1;
+                    if *slot > 1 {
+                        return false;
+                    }
+                    match i {
+                        0 => wait_for(&started_1),
+                        1 => {
+                            started_1.store(true, Ordering::Release);
+                            wait_for(&stepped_2);
+                        }
+                        _ => {
+                            stepped_2.store(true, Ordering::Release);
+                            return std::thread::current().id() == caller;
+                        }
+                    }
+                    false
+                },
+            );
+            (slots, stolen)
+        });
+        assert_eq!(slots, [3, 3, 3]);
+        assert!(stolen, "the caller did not step the helper's slot 2");
+    }
+
     /// 10 000 rounds × 8 slots through a step that no lost, repeated or
-    /// misrouted slot leaves unnoticed; every 64th control phase sleeps
-    /// so the helpers park and must be woken.
+    /// misrouted slot, nor a stale plan, leaves unnoticed; every 64th
+    /// control phase sleeps so the helpers park and must be woken.
     fn stress_rounds(workers: usize) -> (Vec<u64>, u64) {
         let mut slots: Vec<u64> = (0..8).collect();
-        let round = std::sync::atomic::AtomicU64::new(0);
         let mut digest = 0u64;
         WorkerPool::new(workers).rounds(
             &mut slots,
-            |slots| {
-                for slot in slots.iter() {
-                    digest = digest.rotate_left(5) ^ **slot;
+            1u64,
+            |reports| {
+                let &(round, _) = reports.first().expect("a report per slot");
+                for &(_, slot) in reports {
+                    digest = digest.rotate_left(5) ^ slot;
                 }
-                let r = round.fetch_add(1, Ordering::Relaxed);
-                if r % 64 == 63 {
+                if round % 64 == 63 {
                     std::thread::sleep(Duration::from_micros(200));
                 }
-                r < 10_000
+                (round < 10_000).then_some(round + 1)
             },
-            |i, slot| {
-                let r = round.load(Ordering::Relaxed);
+            |round, i, slot| {
                 *slot = slot
                     .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(r << 3 | i as u64);
+                    .wrapping_add(round << 3 | i as u64);
+                (round, *slot)
             },
         );
         (slots, digest)
