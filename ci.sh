@@ -31,17 +31,17 @@ fi
 echo "==> offline release build (library, binary and example targets)"
 # --examples is load-bearing: a bare `cargo build` skips example targets,
 # which let the five examples/ programs rot silently across refactors.
-cargo build --release --offline --workspace --examples
+# With a target flag cargo builds only the targets named, so --bins too.
+cargo build --release --offline --workspace --bins --examples
 
 echo "==> offline test suite"
 cargo test -q --offline --workspace
 
-echo "==> hermetic library tests (every model knob set)"
+echo "==> hermetic library tests (engine and AIM-kernel knobs set)"
 # Library constructors ignore the environment, so golden and property
 # tests that build their own configs must pass unchanged with every
 # experiment knob flipped away from its default.
-knobs="CROSSROADS_MIXED=1 CROSSROADS_PLATOON=1 CROSSROADS_SAFETY_FILTER=1"
-knobs="$knobs CROSSROADS_AIM_ANALYTIC=0 CROSSROADS_SHARD_WORKERS=2"
+knobs="CROSSROADS_AIM_ANALYTIC=0 CROSSROADS_SHARD_WORKERS=2"
 env $knobs cargo test -q --offline -p crossroads --test end_to_end --test sim_properties
 env $knobs cargo test -q --offline -p crossroads-core --test mixed_traffic
 
@@ -50,102 +50,46 @@ echo "==> offline release build of the benchmark harness (perfbench)"
 # a library API change that breaks it would otherwise go unnoticed.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> parallel sweep determinism smoke (1 thread vs default)"
-# Reduced sweep, timings discarded: stdout must be byte-identical no
-# matter how many worker threads run the points.
-seq_out=$(mktemp)
-par_out=$(mktemp)
-trap 'rm -f "$seq_out" "$par_out"' EXIT
-# same_stdout MESSAGE: fails with MESSAGE and the diff unless the two
-# captured stdouts ($seq_out, $par_out) are byte-identical.
-same_stdout() {
-    if ! cmp -s "$seq_out" "$par_out"; then
-        echo "FAIL: $1" >&2
-        diff "$seq_out" "$par_out" >&2 || true
-        exit 1
-    fi
-}
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
-    ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 \
-    ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
-same_stdout "parallel sweep output diverges from the sequential run"
-
-echo "==> fault-injection smoke (reduced grid, 1 thread vs default)"
-# Same determinism contract under injected faults: the reduced fault
-# sweep (burst x outage grid, all policies) must be byte-identical at
-# any pool width, and every point hard-asserts the zero-safety-violation
-# invariant internally.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
-    ./target/release/exp_fault_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 \
-    ./target/release/exp_fault_sweep >"$par_out" 2>/dev/null
-same_stdout "fault sweep output diverges from the sequential run"
-
-echo "==> corridor grid smoke (reduced grid, 1 thread vs default vs 7)"
-# The E13 corridor sweep (chained intersections) must route every
-# vehicle with clean audits and print byte-identical tables at any
-# worker-pool width — each point is a pure function of its config.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
-    ./target/release/exp_grid_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 \
-    ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
-same_stdout "grid sweep output diverges from the sequential run"
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=7 \
-    ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
-same_stdout "grid sweep output diverges on a 7-thread pool"
-
-echo "==> windowed-parallel corridor smoke (1 vs 2 vs 4 vs 7 shard workers; full grid 0 vs 7)"
-# The conservative time-windowed parallel corridor engine must be
-# unobservable: routing every corridor of the reduced grid through K
-# per-shard event queues on 2, 4 or 7 workers (1 = the serial engine)
-# must leave the sweep's stdout byte-identical. Each run is bounded by
-# `timeout` (it takes well under a second), so a deadlocked barrier
-# fails CI instead of hanging it.
-for w in 1 2 4 7; do
-    if ! CROSSROADS_SWEEP_FAST=1 CROSSROADS_SHARD_WORKERS=$w \
-        timeout 120 ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null; then
-        echo "FAIL: grid sweep on $w shard workers failed or timed out" >&2
-        exit 1
-    fi
-    same_stdout "grid sweep output diverges on $w shard workers"
+echo "==> experiment outputs against expected/ (default, threads 1/4/7, shard workers 1/2/4/7)"
+# Every exp_* binary, on AIM's analytic kernel and on the stepped march,
+# and trace_digest must print exactly the committed files under
+# expected/ (scripts/expected.sh --bless rewrites them), and print them
+# at any sweep-pool width and on either corridor engine: the
+# windowed-parallel engine at 2, 4 or 7 shard workers, 1 = serial. The
+# full grid reaches K = 8, so 7 shard workers on the default pool
+# oversubscribe a small host: a round must not wait for a helper the OS
+# has not scheduled. `timeout` bounds those runs, so a deadlocked barrier
+# fails CI instead of hanging it. Every sweep point hard-asserts
+# completion and a clean safety audit.
+scripts/expected.sh
+for t in 1 4 7; do
+    CROSSROADS_THREADS=$t scripts/expected.sh
 done
-# The full grid reaches K = 8. At 7 shard workers on the default pool (2
-# threads on a 2-core host) that is 14 workers on 2 cores: the
-# oversubscribed case, in which a round must not wait for a helper the
-# OS has not scheduled. About 1.3 s per run on such a host.
-CROSSROADS_SHARD_WORKERS=0 ./target/release/exp_grid_sweep >"$seq_out" 2>/dev/null
-if ! CROSSROADS_SHARD_WORKERS=7 \
-    timeout 120 ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null; then
-    echo "FAIL: full grid sweep on 7 shard workers failed or timed out" >&2
-    exit 1
-fi
-same_stdout "full grid sweep output diverges on 7 shard workers"
+for w in 1 2 4 7; do
+    if ! CROSSROADS_SHARD_WORKERS=$w timeout 600 scripts/expected.sh; then
+        echo "FAIL: expected/ check on $w shard workers failed or timed out" >&2
+        exit 1
+    fi
+done
 
-echo "==> flight-recorder trace smoke (replay identity + divergence diff)"
-# The trace diff tool must find zero divergences when replaying the same
-# points through 1- and 4-thread pools, and must name the first diverging
-# record of a deliberately fault-perturbed pair. Its stdout is itself
-# deterministic, so two invocations must agree byte for byte.
-CROSSROADS_SWEEP_FAST=1 ./target/release/exp_trace_diff >"$seq_out" 2>/dev/null
-if ! grep -q "0 divergences" "$seq_out"; then
+echo "==> flight-recorder trace diff (replay identity + divergence localization)"
+# exp_trace_diff's committed stdout must report zero divergences when
+# replaying the same points through 1- and 4-thread pools, and must name
+# the first diverging record of a deliberately fault-perturbed pair.
+if ! grep -q "0 divergences" expected/default/exp_trace_diff; then
     echo "FAIL: trace replay reported divergences on identical pairs" >&2
-    cat "$seq_out" >&2
     exit 1
 fi
-if ! grep -q "first divergence at record #" "$seq_out"; then
+if ! grep -q "first divergence at record #" expected/default/exp_trace_diff; then
     echo "FAIL: trace diff failed to localize the perturbed pair" >&2
-    cat "$seq_out" >&2
     exit 1
 fi
-CROSSROADS_SWEEP_FAST=1 ./target/release/exp_trace_diff >"$par_out" 2>/dev/null
-same_stdout "exp_trace_diff stdout is nondeterministic"
 
 echo "==> NaN regression gate (metrics stats + JSON export)"
 # Percentiles/Summary must never panic on non-finite samples, and the
 # JSON writers must emit null (valid JSON) for non-finite values — both
 # verified by the metrics crate's regression tests, including a parse of
-# the poisoned output with the in-repo reader.
+# the poisoned output with the crate's test-only JSON reader.
 cargo test -q --offline -p crossroads-metrics
 
 echo "==> no-deadlock liveness under faults (pinned regression seeds)"
@@ -155,28 +99,27 @@ echo "==> no-deadlock liveness under faults (pinned regression seeds)"
 cargo test -q --offline -p crossroads-core --test fault_liveness
 
 echo "==> DES engine + contact kernel vs seed-baseline agreement gate"
-# Quick mode: benches/des.rs replays randomized schedule/pop
-# interleavings on the rewritten queue and the seed's BinaryHeap
-# baseline (embedded in the bench), both from an empty queue and from a
-# start-schedule prologue that the seed queue schedules up front, and
-# the sweep audit against the exhaustive pairwise reference,
-# hard-asserting identical transcripts and verdicts. It also gates the
-# contact kernel: the sweep audit's skipping march, which clears pairs
-# on parallel lanes without marching, must report the plain march's
-# contacts at the same instants on full-scale multi-phase traffic over
-# all movement pairs at margins 0 and e_long. Timing loops are skipped.
-CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
+# benches/des.rs replays randomized schedule/pop interleavings on the
+# rewritten queue and the seed's BinaryHeap baseline (embedded in the
+# bench), both from an empty queue and from a start-schedule prologue
+# that the seed queue schedules up front, and the sweep audit against
+# the exhaustive pairwise reference, hard-asserting identical transcripts
+# and verdicts. It also gates the contact kernel: the sweep audit's
+# skipping march, which clears pairs on parallel lanes without marching,
+# must report the plain march's contacts at the same instants on
+# full-scale multi-phase traffic over all movement pairs at margins 0
+# and e_long. Under `cargo test` the timing loops are skipped.
+cargo test --release --offline -p crossroads-bench --bench des
 
 echo "==> AIM analytic-vs-marched kernel agreement gate"
-# Quick mode: benches/trajectory.rs hard-asserts that the closed-form
-# analytic footprint kernel returns the stepped march's verdict and a
-# superset of its tile intervals for every movement and entry mode on
-# both testbed geometries, and that its band-table cache is invisible:
-# over a spread of cruise speeds on every movement, a reused (warm)
-# policy returns the footprints of a fresh (cold) one bit for bit.
-# Timing loops are skipped.
-CROSSROADS_SWEEP_FAST=1 \
-    cargo bench --offline --bench trajectory -p crossroads-bench
+# benches/trajectory.rs hard-asserts that the closed-form analytic
+# footprint kernel returns the stepped march's verdict and a superset of
+# its tile intervals for every movement and entry mode on both testbed
+# geometries, and that its band-table cache is invisible: over a spread
+# of cruise speeds on every movement, a reused (warm) policy returns the
+# footprints of a fresh (cold) one bit for bit. Under `cargo test` the
+# timing loops are skipped.
+cargo test --release --offline -p crossroads-bench --bench trajectory
 
 echo "==> marched-oracle differential suite (bounded cases)"
 # The randomized contract behind the gate above: verdict equality,
@@ -185,48 +128,6 @@ echo "==> marched-oracle differential suite (bounded cases)"
 # forms. Replays persisted counterexamples, then a bounded fresh batch.
 CROSSROADS_CHECK_CASES=16 \
     cargo test -q --offline -p crossroads-core --test analytic_oracle
-
-echo "==> platoon-admission smoke (PAIM sweep at 1/4/7 threads + disabled identity)"
-# The platooned sweep (both admission modes, rush-hour wave, IM-crash
-# scenario) hard-asserts completion, clean safety audits and a net
-# message saving internally; its stdout must stay byte-identical at any
-# worker-pool width. Platooning must also be unobservable by default:
-# an existing experiment run with CROSSROADS_PLATOON=0 pinned must match
-# the flag-unset run byte for byte, which checks the knob reader at the
-# binary edge (crossroads_bench::knobs).
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
-    ./target/release/exp_platoon_sweep >"$seq_out" 2>/dev/null
-for t in 4 7; do
-    CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=$t \
-        ./target/release/exp_platoon_sweep >"$par_out" 2>/dev/null
-    same_stdout "platoon sweep output diverges on a $t-thread pool"
-done
-CROSSROADS_SWEEP_FAST=1 \
-    ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_PLATOON=0 \
-    ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
-same_stdout "flow sweep output depends on the unset platoon flag"
-
-echo "==> mixed-traffic smoke (filtered sweep at 1/4/7 threads + disabled identity)"
-# The mixed sweep (compliance mixes x execution error, all policies,
-# runtime safety filter armed) hard-asserts completion, clean safety
-# audits and a nonzero intervention count internally; its stdout must
-# stay byte-identical at any worker-pool width. Mixed traffic must also
-# be unobservable by default: an existing experiment run with
-# CROSSROADS_MIXED=0 pinned must match the flag-unset run byte for byte
-# through the same knob reader.
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=1 \
-    ./target/release/exp_mixed_sweep >"$seq_out" 2>/dev/null
-for t in 4 7; do
-    CROSSROADS_SWEEP_FAST=1 CROSSROADS_THREADS=$t \
-        ./target/release/exp_mixed_sweep >"$par_out" 2>/dev/null
-    same_stdout "mixed sweep output diverges on a $t-thread pool"
-done
-CROSSROADS_SWEEP_FAST=1 \
-    ./target/release/exp_flow_sweep >"$seq_out" 2>/dev/null
-CROSSROADS_SWEEP_FAST=1 CROSSROADS_MIXED=0 \
-    ./target/release/exp_flow_sweep >"$par_out" 2>/dev/null
-same_stdout "flow sweep output depends on the unset mixed-traffic flag"
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> rustfmt check"

@@ -13,41 +13,25 @@
 //! while the deadline-miss and fallback counters show how much of the
 //! fault load each protocol absorbed.
 
-use crossroads_bench::{fast_sweep, run_fault_point, sweep_seeds, table_header};
+use crossroads_bench::{run_fault_point, table_header, SWEEP_SEEDS};
 use crossroads_core::policy::PolicyKind;
 
 /// Long-run mean burst-loss rates injected on both link directions.
-fn burst_axis() -> Vec<f64> {
-    if fast_sweep() {
-        vec![0.0, 0.3]
-    } else {
-        vec![0.0, 0.1, 0.2, 0.3]
-    }
-}
+const BURSTS: [f64; 4] = [0.0, 0.1, 0.2, 0.3];
 
 /// IM outage durations (seconds), recurring every 20 s.
-fn outage_axis() -> Vec<f64> {
-    if fast_sweep() {
-        vec![0.0, 2.0]
-    } else {
-        vec![0.0, 1.0, 2.0]
-    }
-}
+const OUTAGES: [f64; 3] = [0.0, 1.0, 2.0];
 
 /// The flow rate the whole grid runs at (cars/second/lane) — high enough
 /// for queueing to interact with the faults, below the saturation knee.
 const RATE: f64 = 0.3;
 
 fn main() {
-    let seeds = sweep_seeds();
-    let bursts = burst_axis();
-    let outages = outage_axis();
-
     let mut points: Vec<(PolicyKind, f64, f64, u64)> = Vec::new();
     for policy in PolicyKind::ALL {
-        for &burst in &bursts {
-            for &outage in &outages {
-                for &seed in &seeds {
+        for burst in BURSTS {
+            for outage in OUTAGES {
+                for seed in SWEEP_SEEDS {
                     points.push((policy, burst, outage, seed));
                 }
             }
@@ -79,10 +63,10 @@ fn main() {
     ]);
 
     #[allow(clippy::cast_precision_loss)]
-    let n_seeds = seeds.len() as f64;
+    let n_seeds = SWEEP_SEEDS.len() as f64;
     for policy in PolicyKind::ALL {
-        for &burst in &bursts {
-            for &outage in &outages {
+        for burst in BURSTS {
+            for outage in OUTAGES {
                 let mut wait = 0.0;
                 let mut deadline_misses = 0u64;
                 let mut late_discards = 0u64;

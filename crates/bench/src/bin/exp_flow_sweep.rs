@@ -11,13 +11,12 @@
 //! byte-identical at any thread count.
 
 use crossroads_bench::{
-    carried_per_lane, par_sweep, run_ideal_point, run_sweep_point, sweep_rates, sweep_seeds,
+    carried_per_lane, par_sweep, run_ideal_point, run_sweep_point, SWEEP_RATES, SWEEP_SEEDS,
 };
 use crossroads_core::policy::PolicyKind;
 
 fn main() {
-    let rates = sweep_rates();
-    let seeds = sweep_seeds();
+    let (rates, seeds) = (SWEEP_RATES, SWEEP_SEEDS);
     println!(
         "# E5 — Fig. 7.2: carried throughput (cars/second/lane), mean of {} seeds\n",
         seeds.len()

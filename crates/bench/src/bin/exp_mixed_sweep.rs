@@ -13,7 +13,7 @@
 //! The intervention counters show how often the filter had to veto a
 //! granted downlink and how often emergency preemption flushed the box.
 
-use crossroads_bench::{fast_sweep, mixed_point, run_mixed_point, sweep_seeds, table_header};
+use crossroads_bench::{mixed_point, run_mixed_point, table_header, SWEEP_SEEDS};
 use crossroads_core::policy::PolicyKind;
 use crossroads_traffic::MixedConfig;
 
@@ -28,67 +28,42 @@ struct Mix {
 
 /// Compliance mixes swept: humans only, faulty executors only, and the
 /// full adversarial blend including emergency vehicles.
-fn mix_axis() -> Vec<Mix> {
-    let full = Mix {
+const MIXES: [Mix; 3] = [
+    Mix {
+        label: "humans",
+        human: 0.10,
+        faulty: 0.0,
+        emergency: 0.0,
+    },
+    Mix {
+        label: "faulty",
+        human: 0.0,
+        faulty: 0.10,
+        emergency: 0.0,
+    },
+    Mix {
         label: "full-mix",
         human: 0.08,
         faulty: 0.05,
         emergency: 0.02,
-    };
-    if fast_sweep() {
-        vec![
-            Mix {
-                label: "humans",
-                human: 0.10,
-                faulty: 0.0,
-                emergency: 0.0,
-            },
-            full,
-        ]
-    } else {
-        vec![
-            Mix {
-                label: "humans",
-                human: 0.10,
-                faulty: 0.0,
-                emergency: 0.0,
-            },
-            Mix {
-                label: "faulty",
-                human: 0.0,
-                faulty: 0.10,
-                emergency: 0.0,
-            },
-            full,
-        ]
-    }
-}
+    },
+];
 
 /// Faulty-execution error envelopes swept: `(speed_error, timing_error
 /// seconds)` — clean execution as the baseline column, then a hostile
 /// 30% speed mis-tracking with up to 2 s launch slip.
-fn fault_axis() -> Vec<(f64, f64)> {
-    if fast_sweep() {
-        vec![(0.3, 2.0)]
-    } else {
-        vec![(0.0, 0.0), (0.3, 2.0)]
-    }
-}
+const FAULTS: [(f64, f64); 2] = [(0.0, 0.0), (0.3, 2.0)];
 
 /// The flow rate the whole grid runs at (cars/second/lane) — busy enough
 /// that non-compliant vehicles interact with queued managed traffic.
 const RATE: f64 = 0.2;
 
 fn main() {
-    let seeds = sweep_seeds();
-    let mixes = mix_axis();
-    let faults = fault_axis();
-
     let mut points: Vec<(PolicyKind, usize, usize, u64)> = Vec::new();
     for policy in PolicyKind::ALL {
-        for (mi, _) in mixes.iter().enumerate() {
-            for (fi, _) in faults.iter().enumerate() {
-                for &seed in &seeds {
+        for mi in 0..MIXES.len() {
+            for fi in 0..FAULTS.len() {
+                for seed in SWEEP_SEEDS {
                     points.push((policy, mi, fi, seed));
                 }
             }
@@ -96,15 +71,15 @@ fn main() {
     }
 
     let grid_mixed = |mi: usize, fi: usize| -> MixedConfig {
-        let m = &mixes[mi];
-        let (speed_err, timing_err) = faults[fi];
+        let m = &MIXES[mi];
+        let (speed_err, timing_err) = FAULTS[fi];
         mixed_point(m.human, m.faulty, m.emergency, speed_err, timing_err)
     };
 
     let outcomes = crossroads_bench::par_sweep(
         "exp_mixed_sweep",
         &points,
-        |&(policy, mi, fi, seed)| format!("{policy}@{}/f{fi}/s{seed}", mixes[mi].label),
+        |&(policy, mi, fi, seed)| format!("{policy}@{}/f{fi}/s{seed}", MIXES[mi].label),
         |&(policy, mi, fi, seed)| run_mixed_point(policy, RATE, grid_mixed(mi, fi), seed),
     );
 
@@ -126,11 +101,11 @@ fn main() {
     ]);
 
     #[allow(clippy::cast_precision_loss)]
-    let n_seeds = seeds.len() as f64;
+    let n_seeds = SWEEP_SEEDS.len() as f64;
     let mut total_interventions = 0u64;
     for policy in PolicyKind::ALL {
-        for (mi, mix) in mixes.iter().enumerate() {
-            for (fi, &(speed_err, timing_err)) in faults.iter().enumerate() {
+        for (mi, mix) in MIXES.iter().enumerate() {
+            for (fi, &(speed_err, timing_err)) in FAULTS.iter().enumerate() {
                 let mut wait = 0.0;
                 let mut vetoes = 0u64;
                 let mut conflicts = 0u64;

@@ -19,7 +19,7 @@
 //! AIM, whose queues hold vehicles long enough to column up.
 
 use crossroads_bench::{
-    fast_sweep, knobs, run_sound_point, sweep_rates, sweep_seeds, sweep_workload, table_header,
+    knobs, run_sound_point, sweep_workload, table_header, SWEEP_RATES, SWEEP_SEEDS,
 };
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{PlatoonConfig, SimOutcome};
@@ -70,8 +70,7 @@ fn per_vehicle(count: u64, out: &SimOutcome) -> f64 {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let rates = sweep_rates();
-    let seeds = sweep_seeds();
+    let (rates, seeds) = (SWEEP_RATES, SWEEP_SEEDS);
 
     // --- Section 1: the Fig. 7.2 flow axis, per-vehicle vs platooned ---
     let mut points: Vec<(PolicyKind, f64, u64, bool)> = Vec::new();
@@ -225,7 +224,7 @@ fn main() {
     }
 
     // --- Section 3: IM crash mid-platoon ---
-    let crash_rate = if fast_sweep() { 0.3 } else { 0.6 };
+    let crash_rate = 0.6;
     let crash_points: Vec<PolicyKind> = PolicyKind::ALL.to_vec();
     let crash_outcomes = crossroads_bench::par_sweep(
         "exp_platoon_crash",

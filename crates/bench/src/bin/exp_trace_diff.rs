@@ -16,7 +16,7 @@
 //! 3. **Perturbed pair** — the same point with and without the fault
 //!    model: the report localizes the first record the faults touched.
 
-use crossroads_bench::{fast_sweep, knobs, sweep_seeds, WorkerPool};
+use crossroads_bench::{knobs, WorkerPool, SWEEP_SEEDS};
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{run_simulation_traced, SimConfig};
 use crossroads_net::{FaultConfig, GilbertElliott};
@@ -59,15 +59,9 @@ fn perturbing_faults() -> FaultConfig {
 }
 
 fn main() {
-    let seeds = sweep_seeds();
-    let policies: Vec<PolicyKind> = if fast_sweep() {
-        vec![PolicyKind::Crossroads]
-    } else {
-        PolicyKind::ALL.to_vec()
-    };
-    let points: Vec<(PolicyKind, u64)> = policies
-        .iter()
-        .flat_map(|&p| seeds.iter().map(move |&s| (p, s)))
+    let points: Vec<(PolicyKind, u64)> = PolicyKind::ALL
+        .into_iter()
+        .flat_map(|p| SWEEP_SEEDS.map(|s| (p, s)))
         .collect();
 
     println!("## Trace diff: replay divergence localization\n");

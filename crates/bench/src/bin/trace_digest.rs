@@ -13,8 +13,8 @@
 //! FNV-1a digest of its encoded trace. The digest covers every record,
 //! dispatch stamps included, so two builds print the same line only
 //! when they dispatch the same events in the same order and record the
-//! same things. `scripts/identity_vs_parent.sh` builds this file in both
-//! trees and compares the two stdouts.
+//! same things. `expected/trace_digest` holds the committed stdout, and
+//! `scripts/expected.sh` checks this binary against it.
 //!
 //! Run: `cargo run --release --offline -p crossroads-bench --bin trace_digest`
 

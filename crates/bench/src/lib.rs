@@ -22,8 +22,7 @@ use std::path::{Path, PathBuf};
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{
     run_corridor, run_corridor_traced, run_simulation, run_simulation_traced, CorridorConfig,
-    CorridorOutcome, PlatoonConfig, SimConfig, SimOutcome, AIM_ANALYTIC_ENV, PLATOON_ENV,
-    SAFETY_FILTER_ENV, SHARD_WORKERS_ENV,
+    CorridorOutcome, SimConfig, SimOutcome, AIM_ANALYTIC_ENV, SHARD_WORKERS_ENV,
 };
 use crossroads_metrics::{bench_sweep_to_json, BenchPoint, GridPointSummary};
 use crossroads_net::{FaultConfig, GilbertElliott};
@@ -31,7 +30,6 @@ use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_trace::{Recorder, Trace};
 use crossroads_traffic::{
     generate_corridor, generate_poisson, Arrival, CorridorDemand, MixedConfig, PoissonConfig,
-    MIXED_ENV,
 };
 use crossroads_units::{MetersPerSecond, Seconds};
 
@@ -42,9 +40,6 @@ pub const SWEEP_RATES: [f64; 9] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.25
 
 /// The seeds averaged by the sweep experiments.
 pub const SWEEP_SEEDS: [u64; 3] = [11, 42, 91];
-
-/// Environment variable selecting the reduced CI smoke sweep.
-pub const FAST_ENV: &str = "CROSSROADS_SWEEP_FAST";
 
 /// Environment variable overriding where sweep timings are appended
 /// (default `BENCH_sweep.json`; `/dev/null` discards them).
@@ -162,31 +157,20 @@ pub fn run_sound_point(config: &SimConfig, workload: &[Arrival], label: &str) ->
     outcome
 }
 
-/// Whether `CROSSROADS_SWEEP_FAST` selects the reduced smoke sweep
-/// (any value but empty or `0` enables it).
-#[must_use]
-pub fn fast_sweep() -> bool {
-    flag(&env_lookup, FAST_ENV).unwrap_or(false)
-}
-
-/// The experiment binaries' model and engine knobs, read by [`knobs`].
-/// Build each [`SimConfig`] through [`Knobs::full_scale`] or
+/// The experiment binaries' AIM-kernel and engine knobs, read by
+/// [`knobs`]. Build each [`SimConfig`] through [`Knobs::full_scale`] or
 /// [`Knobs::scale_model`], then any explicit builder, which wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Knobs {
-    platoon: bool,
-    mixed: bool,
-    safety_filter: bool,
     aim_analytic: bool,
     shard_workers: usize,
     threads: usize,
 }
 
 /// Reads [`Knobs`] from the process environment; no library crate reads
-/// it (README.md tabulates the variables). A boolean knob is off when
-/// unset, empty or `0`; a count knob ignores surrounding whitespace, and
-/// unset, blank or `0` keeps its default. The safety filter follows
-/// `CROSSROADS_MIXED` unless `CROSSROADS_SAFETY_FILTER` is set.
+/// it (README.md tabulates the variables). `CROSSROADS_AIM_ANALYTIC` is
+/// on unless set to `0`; a count knob ignores surrounding whitespace,
+/// and unset, blank or `0` keeps its default.
 ///
 /// # Panics
 ///
@@ -200,11 +184,7 @@ pub fn knobs() -> Knobs {
 impl Knobs {
     /// [`knobs`] with the variables looked up through `lookup`.
     fn read(lookup: &dyn Fn(&str) -> Option<String>) -> Knobs {
-        let mixed = flag(lookup, MIXED_ENV).unwrap_or(false);
         Knobs {
-            platoon: flag(lookup, PLATOON_ENV).unwrap_or(false),
-            mixed,
-            safety_filter: flag(lookup, SAFETY_FILTER_ENV).unwrap_or(mixed),
             aim_analytic: flag(lookup, AIM_ANALYTIC_ENV).unwrap_or(true),
             shard_workers: count(lookup, SHARD_WORKERS_ENV).unwrap_or(0),
             threads: count(lookup, THREADS_ENV)
@@ -213,28 +193,19 @@ impl Knobs {
         }
     }
 
-    /// [`SimConfig::full_scale`] with the model knobs applied.
+    /// [`SimConfig::full_scale`] on the knob's AIM kernel.
     #[must_use]
     pub fn full_scale(&self, policy: PolicyKind) -> SimConfig {
         self.apply(SimConfig::full_scale(policy))
     }
 
-    /// [`SimConfig::scale_model`] with the model knobs applied.
+    /// [`SimConfig::scale_model`] on the knob's AIM kernel.
     #[must_use]
     pub fn scale_model(&self, policy: PolicyKind) -> SimConfig {
         self.apply(SimConfig::scale_model(policy))
     }
 
-    /// Sets the platoon, mixed-traffic, safety-filter and AIM-kernel
-    /// fields of a config whose extensions are still at their defaults.
     fn apply(&self, mut config: SimConfig) -> SimConfig {
-        if self.platoon {
-            config.platoon = PlatoonConfig::standard();
-        }
-        if self.mixed {
-            config.mixed = MixedConfig::standard();
-        }
-        config.safety_filter = self.safety_filter;
         config.aim_analytic = self.aim_analytic;
         config
     }
@@ -260,28 +231,6 @@ fn count(lookup: &dyn Fn(&str) -> Option<String>, name: &str) -> Option<usize> {
     }
     let n = value.parse();
     Some(n.unwrap_or_else(|_| panic!("{name}={raw:?} is not a worker count")))
-}
-
-/// Flow rates for the current mode: the full Fig. 7.2 axis, or a
-/// three-point smoke subset under [`fast_sweep`].
-#[must_use]
-pub fn sweep_rates() -> Vec<f64> {
-    if fast_sweep() {
-        vec![0.05, 0.3]
-    } else {
-        SWEEP_RATES.to_vec()
-    }
-}
-
-/// Seeds for the current mode ([`SWEEP_SEEDS`], or one under
-/// [`fast_sweep`]).
-#[must_use]
-pub fn sweep_seeds() -> Vec<u64> {
-    if fast_sweep() {
-        vec![11]
-    } else {
-        SWEEP_SEEDS.to_vec()
-    }
 }
 
 /// Maps `run` over `items` on a `CROSSROADS_THREADS`-wide worker pool,
@@ -494,11 +443,21 @@ pub fn run_mixed_point(policy: PolicyKind, rate: f64, mixed: MixedConfig, seed: 
         .with_mixed(mixed)
         .with_safety_filter(true);
     let workload = sweep_workload(&config, rate, seed.wrapping_add(1000));
-    let label = format!(
-        "{policy}@{rate}-h{}-f{}-e{}-s{seed}",
-        mixed.human_share, mixed.faulty_share, mixed.emergency_share
-    );
-    run_sound_point(&config, &workload, &label)
+    run_sound_point(&config, &workload, &mixed_label(policy, rate, &mixed, seed))
+}
+
+/// The panic and trace-dump label of a mixed-traffic point. It names
+/// the compliance shares and both execution errors, so no two points of
+/// `exp_mixed_sweep` share one.
+fn mixed_label(policy: PolicyKind, rate: f64, mixed: &MixedConfig, seed: u64) -> String {
+    format!(
+        "{policy}@{rate}-h{}-f{}-e{}-speed{}-slip{}-s{seed}",
+        mixed.human_share,
+        mixed.faulty_share,
+        mixed.emergency_share,
+        mixed.speed_error,
+        mixed.timing_error.value()
+    )
 }
 
 /// The "Ideal" series of Fig. 7.2: a Crossroads scheduler with a perfect
@@ -558,22 +517,17 @@ pub fn grid_label(p: &GridPoint) -> String {
     format!("{}@K{}/r{}", p.policy, p.k, p.rate)
 }
 
-/// The E13 grid: K ∈ {1, 2, 4, 8} × arterial rate × all three policies
-/// (fast mode trims to K ∈ {1, 4} at one rate). Workload size scales
-/// with K, so the K = 8 headline points route 10k vehicles each. The
-/// rates sit below every policy's measured saturation throughput
-/// (~0.1 car/s/lane, E5) — at 10k vehicles the corridor runs long enough
-/// that any oversubscription strands the tail of the queue.
+/// The E13 grid: K ∈ {1, 2, 4, 8} × arterial rate × all three policies.
+/// Workload size scales with K, so the K = 8 headline points route 10k
+/// vehicles each. The rates sit below every policy's measured saturation
+/// throughput (~0.1 car/s/lane, E5) — at 10k vehicles the corridor runs
+/// long enough that any oversubscription strands the tail of the queue.
 #[must_use]
 pub fn grid_points() -> Vec<GridPoint> {
-    let (ks, rates): (&[usize], &[f64]) = if fast_sweep() {
-        (&[1, 4], &[0.08])
-    } else {
-        (&[1, 2, 4, 8], &[0.05, 0.08])
-    };
-    ks.iter()
-        .flat_map(|&k| {
-            rates.iter().flat_map(move |&rate| {
+    [1, 2, 4, 8]
+        .into_iter()
+        .flat_map(|k| {
+            [0.05, 0.08].into_iter().flat_map(move |rate| {
                 PolicyKind::ALL.map(move |policy| GridPoint { policy, k, rate })
             })
         })
@@ -583,16 +537,15 @@ pub fn grid_points() -> Vec<GridPoint> {
 /// Demand shape of one grid point: two arterial directions at `rate`,
 /// cross traffic at every intersection at `rate / 2` per lane, total
 /// vehicles proportional to corridor length (1250 per intersection —
-/// 10k at K = 8; 100 per intersection in fast mode).
+/// 10k at K = 8).
 #[must_use]
+#[allow(clippy::cast_possible_truncation)]
 pub fn grid_demand(config: &SimConfig, k: usize, rate: f64) -> CorridorDemand {
-    #[allow(clippy::cast_possible_truncation)]
-    let per_k = if fast_sweep() { 100u32 } else { 1250u32 };
     CorridorDemand {
         k,
         arterial_rate: rate,
         cross_rate: rate / 2.0,
-        total_vehicles: per_k * k as u32,
+        total_vehicles: 1250 * k as u32,
         line_speed: config.typical_line_speed(),
         min_headway: Seconds::new(1.0),
     }
@@ -644,7 +597,7 @@ pub fn run_grid_point(p: &GridPoint, seed: u64) -> CorridorOutcome {
 ///
 /// Panics on an unsound run, as [`run_grid_point`] does.
 #[must_use]
-pub fn run_grid_point_sharded(p: &GridPoint, seed: u64, shard_workers: usize) -> CorridorOutcome {
+fn run_grid_point_sharded(p: &GridPoint, seed: u64, shard_workers: usize) -> CorridorOutcome {
     let sim = knobs().full_scale(p.policy).with_seed(seed);
     let demand = grid_demand(&sim, p.k, p.rate);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2000));
@@ -730,23 +683,23 @@ mod tests {
     }
 
     #[test]
-    fn boolean_knobs_are_off_when_unset_empty_or_zero_and_the_filter_follows_mixed() {
-        let unset = knobs_of(&[]);
-        assert!(!unset.platoon && !unset.mixed && !unset.safety_filter && unset.aim_analytic);
-        for off in ["", "0"] {
-            let knobs = knobs_of(&[(PLATOON_ENV, off), (MIXED_ENV, off)]);
-            assert_eq!(knobs, unset, "{off:?}");
-            assert_ne!(flag(&|_| Some(off.into()), FAST_ENV), Some(true));
-        }
-        assert!(knobs_of(&[(MIXED_ENV, "yes")]).safety_filter);
-        assert!(!knobs_of(&[(MIXED_ENV, "1"), (SAFETY_FILTER_ENV, "0")]).safety_filter);
-        let alone = knobs_of(&[(SAFETY_FILTER_ENV, "1")]);
-        assert!(alone.safety_filter && !alone.mixed);
+    fn aim_kernel_knob_is_analytic_unless_zero_and_leaves_the_extensions_off() {
+        assert!(knobs_of(&[]).full_scale(PolicyKind::Aim).aim_analytic);
         assert!(knobs_of(&[(AIM_ANALYTIC_ENV, "")]).aim_analytic);
-        let c = knobs_of(&[(PLATOON_ENV, "1"), (MIXED_ENV, "1")]).full_scale(PolicyKind::Aim);
-        assert!(c.aim_analytic && c.platoon.enabled && c.mixed.enabled && c.safety_filter);
+        assert!(knobs_of(&[(AIM_ANALYTIC_ENV, "1")]).aim_analytic);
         let c = knobs_of(&[(AIM_ANALYTIC_ENV, "0")]).scale_model(PolicyKind::Aim);
         assert!(!c.aim_analytic && !c.platoon.enabled && !c.mixed.enabled && !c.safety_filter);
+    }
+
+    #[test]
+    fn mixed_labels_name_both_execution_errors() {
+        let clean = mixed_point(0.0, 0.10, 0.0, 0.0, 0.0);
+        let slipping = mixed_point(0.0, 0.10, 0.0, 0.3, 2.0);
+        let only_speed = mixed_point(0.0, 0.10, 0.0, 0.3, 0.0);
+        let label = |m: &MixedConfig| mixed_label(PolicyKind::VtIm, 0.2, m, 42);
+        assert_ne!(label(&clean), label(&slipping));
+        assert_ne!(label(&clean), label(&only_speed));
+        assert_ne!(label(&only_speed), label(&slipping));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   second-guesses the policy it protects would perturb fully-compliant
 //!   runs. Consequence: with pure managed traffic no check can fail, so
 //!   a world builds the filter only with mixed traffic on, and arming it
-//!   alone ([`SAFETY_FILTER_ENV`](crate::sim::SAFETY_FILTER_ENV)) leaves
-//!   every output byte-identical.
+//!   alone ([`SimConfig::with_safety_filter`](crate::sim::SimConfig::with_safety_filter))
+//!   leaves every output byte-identical.
 //! - A **non-compliant** candidate (a human or emergency vehicle picking
 //!   its crossing instant) is checked against *every* envelope — nobody
 //!   vouches for it, so it must prove its window clear against all

@@ -38,12 +38,14 @@ pub const AIM_ANALYTIC_ENV: &str = "CROSSROADS_AIM_ANALYTIC";
 /// `crossroads_bench`, never by this crate.
 pub const SHARD_WORKERS_ENV: &str = "CROSSROADS_SHARD_WORKERS";
 
-/// Experiment-binary knob for [`SimConfig::platoon`], read by
-/// `crossroads_bench`, never by this crate.
+/// A retired experiment-binary knob for [`SimConfig::platoon`]: nothing
+/// reads it. It stays defined only because perfbench's environment
+/// self-test still sets it.
 pub const PLATOON_ENV: &str = "CROSSROADS_PLATOON";
 
-/// Experiment-binary knob for [`SimConfig::safety_filter`], read by
-/// `crossroads_bench`, never by this crate.
+/// A retired experiment-binary knob for [`SimConfig::safety_filter`]:
+/// nothing reads it. It stays defined only because perfbench's
+/// environment self-test still sets it.
 pub const SAFETY_FILTER_ENV: &str = "CROSSROADS_SAFETY_FILTER";
 
 /// Platoon formation and admission parameters (PAIM, arXiv 1809.06956):

@@ -256,6 +256,7 @@ pub fn grid_summary_to_json(experiment: &str, points: &[GridPointSummary]) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, JsonValue};
     use crossroads_units::{Seconds, TimePoint};
     use crossroads_vehicle::VehicleId;
 
@@ -390,7 +391,7 @@ mod tests {
              \"vehicles_per_hour\":1234.5,\"average_wait\":2.75}]}"
         );
         assert!(!json.contains('\n'), "one JSONL record per grid sweep");
-        crate::parse_json(&json).expect("valid JSON");
+        parse_json(&json).expect("valid JSON");
     }
 
     #[test]
@@ -440,7 +441,7 @@ mod tests {
         m.push(rec(1, f64::NAN, f64::INFINITY, 2.0));
         m.push_decision_latency(Seconds::new(f64::NAN));
         let json = run_to_json(&m);
-        let doc = crate::parse_json(&json).expect("export must stay valid JSON");
+        let doc = parse_json(&json).expect("export must stay valid JSON");
         // The poisoned record's fields read back as null.
         let first = doc
             .get("records")
@@ -449,10 +450,7 @@ mod tests {
         assert!(first.get("line_at").expect("key").is_null());
         let lat = doc.get("decision_latency").expect("latency block");
         assert!(lat.get("mean").expect("key").is_null());
-        assert_eq!(
-            lat.get("count").and_then(crate::JsonValue::as_f64),
-            Some(1.0)
-        );
+        assert_eq!(lat.get("count").and_then(JsonValue::as_f64), Some(1.0));
     }
 
     #[test]
@@ -462,28 +460,25 @@ mod tests {
         m.push_decision_latency(Seconds::from_millis(0.5));
         m.push_decision_latency(Seconds::from_millis(1.0));
         let json = run_to_json(&m);
-        let doc = crate::parse_json(&json).expect("valid");
+        let doc = parse_json(&json).expect("valid");
         let lat = doc.get("decision_latency").expect("latency block");
-        assert_eq!(
-            lat.get("count").and_then(crate::JsonValue::as_f64),
-            Some(2.0)
-        );
+        assert_eq!(lat.get("count").and_then(JsonValue::as_f64), Some(2.0));
         assert!(lat.get("hist").and_then(|h| h.get("buckets")).is_some());
         // The SLO block carries the histogram's conservative upper-edge
         // quantiles: both samples land in [2^-11, 2^-10) ∪ [2^-10, 2^-9),
         // so p50 is 2^-10 and the max edge is 2^-9.
         let slo = lat.get("slo").expect("slo block");
         assert_eq!(
-            slo.get("p50").and_then(crate::JsonValue::as_f64),
+            slo.get("p50").and_then(JsonValue::as_f64),
             Some(f64::powi(2.0, -10))
         );
         assert_eq!(
-            slo.get("max").and_then(crate::JsonValue::as_f64),
+            slo.get("max").and_then(JsonValue::as_f64),
             Some(f64::powi(2.0, -9))
         );
         let wait_hist = doc.get("wait_hist").expect("wait histogram");
         assert_eq!(
-            wait_hist.get("count").and_then(crate::JsonValue::as_f64),
+            wait_hist.get("count").and_then(JsonValue::as_f64),
             Some(1.0)
         );
         // wait = 1 s lands in bucket [2^0, 2^1).

@@ -1,9 +1,9 @@
-//! Minimal hand-rolled JSON reader for the metrics export formats.
+//! Minimal hand-rolled JSON reader for the metrics export formats, built
+//! only for this crate's tests.
 //!
-//! The workspace is hermetic (no serde), and until this module existed
-//! nothing could *read* the JSON the exporters write — tooling that wants
-//! to post-process `BENCH_sweep.json` or a run object had to string-grep.
-//! This is a strict recursive-descent parser for standard JSON (RFC 8259):
+//! The workspace is hermetic (no serde), so the exporters' tests read
+//! back what they write with this strict recursive-descent parser for
+//! standard JSON (RFC 8259):
 //! objects keep their key order (stored as a `Vec` of pairs, matching the
 //! exporters' fixed-key-order guarantee), numbers are `f64`, and the
 //! non-finite values the exporters emit as `null` read back as

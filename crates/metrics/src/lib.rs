@@ -18,6 +18,7 @@
 
 mod export;
 mod hist;
+#[cfg(test)]
 mod json;
 mod record;
 mod stats;
@@ -27,6 +28,5 @@ pub use export::{
     run_to_json, BenchPoint, GridPointSummary,
 };
 pub use hist::Histogram;
-pub use json::{parse_json, JsonError, JsonValue};
 pub use record::{Counters, RunMetrics, VehicleRecord};
 pub use stats::{Percentiles, Summary};

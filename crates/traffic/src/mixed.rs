@@ -19,8 +19,9 @@ use crossroads_prng::{Rng, SeedableRng, StdRng};
 use crossroads_units::Seconds;
 use crossroads_vehicle::VehicleId;
 
-/// Experiment-binary knob for [`MixedConfig::standard`] traffic, read by
-/// `crossroads_bench`, never by this crate.
+/// A retired experiment-binary knob for [`MixedConfig::standard`]
+/// traffic: nothing reads it. It stays defined only because perfbench's
+/// environment self-test still sets it.
 pub const MIXED_ENV: &str = "CROSSROADS_MIXED";
 
 /// RNG stream id for the per-vehicle compliance assignment draw.

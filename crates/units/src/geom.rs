@@ -77,12 +77,6 @@ impl Vec2 {
     pub fn heading(self) -> Radians {
         Radians::new(self.y.value().atan2(self.x.value()))
     }
-
-    /// Dot product (in m²; returned raw since we have no area newtype).
-    #[must_use]
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x.value() * other.x.value() + self.y.value() * other.y.value()
-    }
 }
 
 impl std::ops::Sub for Point2 {
@@ -303,11 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn vec_heading_and_dot() {
+    fn vec_heading() {
         let v = Vec2::new(0.0, 1.0);
         assert!((v.heading().value() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert_eq!(Vec2::new(1.0, 0.0).dot(Vec2::new(0.0, 1.0)), 0.0);
-        assert_eq!(Vec2::new(2.0, 3.0).dot(Vec2::new(4.0, 5.0)), 23.0);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl ErrorModel {
             .map_or(MetersPerSecond::ZERO, MetersPerSecond::new)
     }
 
-    /// Samples a residual clock offset (signed).
-    pub fn sample_sync_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> Seconds {
-        sample_symmetric(rng, self.sync_error_bound.value()).map_or(Seconds::ZERO, Seconds::new)
-    }
-
     /// Worst-case position error contributed by clock synchronization at
     /// travel speed `v`: `v · ε_sync` (the paper's 3 mm at 3 m/s).
     #[must_use]
@@ -138,7 +133,6 @@ mod tests {
             assert_eq!(m.sample_speed_noise(&mut rng), MetersPerSecond::ZERO);
             assert_eq!(m.sample_control_factor(&mut rng), 1.0);
             assert_eq!(m.sample_actuation_noise(&mut rng), MetersPerSecond::ZERO);
-            assert_eq!(m.sample_sync_offset(&mut rng), Seconds::ZERO);
         }
     }
 
@@ -151,7 +145,6 @@ mod tests {
             let f = m.sample_control_factor(&mut rng);
             assert!((f - 1.0).abs() <= m.control_fraction_bound + 1e-12);
             assert!(m.sample_actuation_noise(&mut rng).abs() <= m.actuation_speed_bound);
-            assert!(m.sample_sync_offset(&mut rng).abs() <= m.sync_error_bound);
         }
     }
 

@@ -93,14 +93,6 @@ impl VehicleSpec {
         }
     }
 
-    /// Effective half-length for occupancy computations: half the body plus
-    /// the buffer `extra` (base safety buffer, possibly extended by the
-    /// RTD buffer under VT-IM).
-    #[must_use]
-    pub fn buffered_half_length(&self, extra: Meters) -> Meters {
-        self.length / 2.0 + self.safety_buffer + extra
-    }
-
     /// Validates physical consistency.
     ///
     /// # Errors
@@ -261,14 +253,6 @@ mod tests {
             .safety_buffer(Meters::ZERO)
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn buffered_half_length_composition() {
-        let s = VehicleSpec::scale_model();
-        // Base: 0.284 + 0.078 = 0.362; with a 0.45 m RTD buffer: 0.812.
-        assert!((s.buffered_half_length(Meters::ZERO).value() - 0.362).abs() < 1e-12);
-        assert!((s.buffered_half_length(Meters::new(0.45)).value() - 0.812).abs() < 1e-12);
     }
 
     #[test]
