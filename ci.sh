@@ -5,10 +5,6 @@ set -eu
 
 cd "$(dirname "$0")"
 
-# Experiment binaries and benches write timing records to
-# BENCH_sweep.json unless told otherwise; no CI step keeps them.
-export CROSSROADS_BENCH_OUT=/dev/null
-
 echo "==> manifest audit: no registry dependencies allowed"
 if grep -rn "^rand\|^proptest\|^criterion\|^serde" crates/*/Cargo.toml Cargo.toml; then
     echo "FAIL: registry dependency found in a manifest" >&2
@@ -20,11 +16,20 @@ if grep -rn '^[a-z0-9_-]* *= *"' crates/*/Cargo.toml | grep -v '^\([^:]*\):[0-9]
     exit 1
 fi
 
-echo "==> configuration purity: no library crate reads the process environment"
+echo "==> configuration purity: no library crate reads the process environment or holds global state"
 # The experiment knobs are read once, by crossroads_bench at the binary
 # edge; crossroads-check keeps its CROSSROADS_CHECK_CASES soak knob.
 if grep -rn 'env::var' crates/*/src | grep -v '^crates/\(bench\|check\)/'; then
     echo "FAIL: a library crate reads the process environment" >&2
+    exit 1
+fi
+# Nor does any crate but crossroads-check (whose test runner installs
+# one panic hook and mutes it, per thread, while a property runs) hold
+# process-global state: run statistics travel in each run's outcome,
+# not in a static or a thread-local.
+if grep -rnE 'thread_local!|static +[A-Z_0-9]+ *: *([a-z_]+::)*(Atomic[A-Za-z0-9]*|Cell|RefCell|Mutex|RwLock|Once|OnceLock|OnceCell|LazyLock)\b|static +mut ' \
+    crates/*/src src | grep -v '^crates/check/'; then
+    echo "FAIL: a library crate declares process-global state" >&2
     exit 1
 fi
 
@@ -60,7 +65,13 @@ echo "==> experiment outputs against expected/ (default, threads 1/4/7, shard wo
 # oversubscribe a small host: a round must not wait for a helper the OS
 # has not scheduled. `timeout` bounds those runs, so a deadlocked barrier
 # fails CI instead of hanging it. Every sweep point hard-asserts
-# completion and a clean safety audit.
+# completion and a clean safety audit. The binaries write nothing but
+# stdout, so `git status` must read the same after these runs as before.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    tree_before=$(git status --porcelain)
+else
+    tree_before=skip
+fi
 scripts/expected.sh
 for t in 1 4 7; do
     CROSSROADS_THREADS=$t scripts/expected.sh
@@ -71,6 +82,18 @@ for w in 1 2 4 7; do
         exit 1
     fi
 done
+
+echo "==> the experiment runs left the working tree as they found it"
+if [ "$tree_before" = skip ]; then
+    echo "not a git checkout; working-tree check skipped"
+else
+    changed=$(printf '%s\n' "$tree_before" "$(git status --porcelain)" | sort | uniq -u)
+    if [ -n "$changed" ]; then
+        echo "FAIL: the expected/ runs changed the working tree (git status --porcelain):" >&2
+        echo "$changed" >&2
+        exit 1
+    fi
+fi
 
 echo "==> flight-recorder trace diff (replay identity + divergence localization)"
 # exp_trace_diff's committed stdout must report zero divergences when

@@ -16,17 +16,13 @@
 //! stands in for the march. (The full randomized contracts live in
 //! `crates/core/tests/analytic_oracle.rs`.)
 //!
-//! Self-timed (`harness = false`). Timed runs append the AIM
-//! footprint/decision medians and the marched→analytic speedup to
-//! `BENCH_sweep.json` (see `CROSSROADS_BENCH_OUT`).
+//! Self-timed (`harness = false`).
 
-use crossroads_bench::emit_micro_bench;
-use crossroads_bench::timing::{bench, bench_table_header, Measurement};
+use crossroads_bench::timing::{bench, bench_table_header};
 use crossroads_core::policy::{AimPolicy, EntryMode, IntersectionPolicy};
 use crossroads_core::request::CrossingRequest;
 use crossroads_core::BufferModel;
 use crossroads_intersection::{Approach, IntersectionGeometry, Movement, Turn};
-use crossroads_metrics::BenchPoint;
 use crossroads_units::kinematics;
 use crossroads_units::{Meters, MetersPerSecond, Seconds, TimePoint};
 use crossroads_vehicle::{SpeedProfile, VehicleId, VehicleSpec};
@@ -176,7 +172,7 @@ fn aim_request(setup: &AimSetup) -> CrossingRequest {
     }
 }
 
-fn aim_kernel_benches() -> Vec<BenchPoint> {
+fn aim_kernel_benches() {
     let setup = AimSetup::scale();
     // The left turn is the most expensive footprint (longest arc), and
     // the standstill launch the longest entry motion: the march's worst
@@ -187,18 +183,10 @@ fn aim_kernel_benches() -> Vec<BenchPoint> {
     };
     let toa = TimePoint::new(5.0);
 
-    let point = |m: &Measurement| BenchPoint {
-        label: m.name.clone(),
-        wall_ms: m.median_ns / 1e6,
-        events: m.iters_per_sample,
-    };
-    let mut points = Vec::new();
-
     let mut marched = setup.policy(false);
     let m_footprint = bench("aim_footprint_marched", || {
         black_box(marched.propose_marched(movement, &setup.spec, toa, black_box(entry)))
     });
-    points.push(point(&m_footprint));
 
     let mut analytic = setup.policy(true);
     // Warm the band-table cache outside the timed region: steady-state
@@ -208,7 +196,6 @@ fn aim_kernel_benches() -> Vec<BenchPoint> {
     let a_footprint = bench("aim_footprint_analytic", || {
         black_box(analytic.propose_analytic(movement, &setup.spec, toa, black_box(entry)))
     });
-    points.push(point(&a_footprint));
 
     // Full decision latency: trajectory evaluation plus ledger check and
     // reservation. Each call re-requests the same vehicle, so the policy
@@ -219,34 +206,30 @@ fn aim_kernel_benches() -> Vec<BenchPoint> {
     let m_decide = bench("aim_decide_marched", || {
         black_box(marched.decide(black_box(&request), TimePoint::ZERO))
     });
-    points.push(point(&m_decide));
 
     let mut analytic = setup.policy(true);
     analytic.decide(&request, TimePoint::ZERO);
     let a_decide = bench("aim_decide_analytic", || {
         black_box(analytic.decide(black_box(&request), TimePoint::ZERO))
     });
-    points.push(point(&a_decide));
 
     // The closed-loop shape: every proposal brings a new cruise speed.
     // These rows time the cache as the simulator uses it.
     let mut analytic = setup.policy(true);
     let mut i = 0u32;
-    let spread_footprint = bench("aim_footprint_analytic_spread", || {
+    bench("aim_footprint_analytic_spread", || {
         i = i.wrapping_add(1);
         let entry = EntryMode::Constant(spread_speed(&setup.spec, i));
         black_box(analytic.propose_analytic(movement, &setup.spec, toa, black_box(entry)))
     });
-    points.push(point(&spread_footprint));
 
     let mut analytic = setup.policy(true);
     let mut request = aim_request(&setup);
-    let spread_decide = bench("aim_decide_analytic_spread", || {
+    bench("aim_decide_analytic_spread", || {
         i = i.wrapping_add(1);
         request.speed = spread_speed(&setup.spec, i);
         black_box(analytic.decide(black_box(&request), TimePoint::ZERO))
     });
-    points.push(point(&spread_decide));
 
     let speedup = m_footprint.median_ns / a_footprint.median_ns;
     let decide_speedup = m_decide.median_ns / a_decide.median_ns;
@@ -255,12 +238,6 @@ fn aim_kernel_benches() -> Vec<BenchPoint> {
         "footprint construction speedup (marched/analytic): {speedup:.1}x; \
          full decision: {decide_speedup:.1}x"
     );
-    points.push(BenchPoint {
-        label: String::from("aim_footprint_speedup_x"),
-        wall_ms: speedup,
-        events: 0,
-    });
-    points
 }
 
 fn main() {
@@ -319,11 +296,5 @@ fn main() {
     });
 
     bench_table_header("aim footprint kernels");
-    let started = std::time::Instant::now();
-    let points = aim_kernel_benches();
-    emit_micro_bench(
-        "bench_trajectory_aim",
-        started.elapsed().as_secs_f64() * 1e3,
-        &points,
-    );
+    aim_kernel_benches();
 }

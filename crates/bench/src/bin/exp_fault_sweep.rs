@@ -38,12 +38,9 @@ fn main() {
         }
     }
 
-    let outcomes = crossroads_bench::par_sweep(
-        "exp_fault_sweep",
-        &points,
-        |&(policy, burst, outage, seed)| format!("{policy}@b{burst}/o{outage}/s{seed}"),
-        |&(policy, burst, outage, seed)| run_fault_point(policy, RATE, burst, outage, seed),
-    );
+    let outcomes = crossroads_bench::par_run(&points, |&(policy, burst, outage, seed)| {
+        run_fault_point(policy, RATE, burst, outage, seed)
+    });
 
     println!("## Fault sweep: burst loss x IM outage at {RATE} cars/s/lane\n");
     println!(

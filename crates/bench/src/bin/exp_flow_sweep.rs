@@ -11,7 +11,7 @@
 //! byte-identical at any thread count.
 
 use crossroads_bench::{
-    carried_per_lane, par_sweep, run_ideal_point, run_sweep_point, SWEEP_RATES, SWEEP_SEEDS,
+    carried_per_lane, par_run, run_ideal_point, run_sweep_point, SWEEP_RATES, SWEEP_SEEDS,
 };
 use crossroads_core::policy::PolicyKind;
 
@@ -43,18 +43,10 @@ fn main() {
             points.push((rate, None, seed));
         }
     }
-    let carried = par_sweep(
-        "exp_flow_sweep",
-        &points,
-        |&(rate, policy, seed)| match policy {
-            Some(p) => format!("{p}@{rate}/s{seed}"),
-            None => format!("Ideal@{rate}/s{seed}"),
-        },
-        |&(rate, policy, seed)| match policy {
-            Some(p) => carried_per_lane(&run_sweep_point(p, rate, seed)),
-            None => carried_per_lane(&run_ideal_point(rate, seed)),
-        },
-    );
+    let carried = par_run(&points, |&(rate, policy, seed)| match policy {
+        Some(p) => carried_per_lane(&run_sweep_point(p, rate, seed)),
+        None => carried_per_lane(&run_ideal_point(rate, seed)),
+    });
 
     let per_rate = points.len() / rates.len();
     let n = seeds.len() as f64;

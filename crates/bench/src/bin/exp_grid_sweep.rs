@@ -10,17 +10,13 @@
 //!
 //! Stdout is byte-identical at any `CROSSROADS_THREADS` setting: the
 //! table carries only simulation-side figures, each a pure function of
-//! its point. Wall-clock figures (events/s) land in `BENCH_sweep.json`
-//! alongside the deterministic grid summary record.
-
-use std::time::Instant;
+//! its point.
 
 use crossroads_bench::{
-    emit_bench_record, grid_label, grid_points, grid_row, grid_summary_point, par_sweep,
-    run_grid_point, time_grid_point, GridPoint, GRID_SEED, GRID_SHARD_WORKERS,
+    grid_points, grid_row, par_run, run_grid_point, run_grid_point_sharded, GridPoint, GRID_SEED,
+    GRID_SHARD_WORKERS,
 };
 use crossroads_core::policy::PolicyKind;
-use crossroads_metrics::{bench_sweep_to_json, grid_summary_to_json, BenchPoint};
 
 fn main() {
     println!("# E13 — corridor grid: K intersections x arterial rate x policy\n");
@@ -35,20 +31,11 @@ fn main() {
     ]);
 
     let points = grid_points();
-    let outcomes = par_sweep("exp_grid_sweep", &points, grid_label, |p| {
-        run_grid_point(p, GRID_SEED)
-    });
+    let outcomes = par_run(&points, |p| run_grid_point(p, GRID_SEED));
 
     for (p, out) in points.iter().zip(&outcomes) {
         println!("{}", grid_row(p, out));
     }
-
-    let summaries: Vec<_> = points
-        .iter()
-        .zip(&outcomes)
-        .map(|(p, out)| grid_summary_point(p, out))
-        .collect();
-    emit_bench_record(&grid_summary_to_json("exp_grid_sweep", &summaries));
 
     // Corridor scaling: carried flow by corridor length at the top rate,
     // per policy. Longer corridors serve proportionally more demand, so
@@ -72,9 +59,8 @@ fn main() {
 
     // Windowed-parallel engine: per-K serial vs parallel, same points.
     // The agreement column is the deterministic contract (and is hard
-    // asserted); the wall-clock and events/s figures land only in
-    // `BENCH_sweep.json`, so this table too is byte-identical at any
-    // thread or shard-worker count.
+    // asserted), so this table too is byte-identical at any thread or
+    // shard-worker count.
     let ks: Vec<usize> = {
         let mut ks: Vec<usize> = points.iter().map(|p| p.k).collect();
         ks.sort_unstable();
@@ -86,17 +72,14 @@ fn main() {
          at {top_rate} cars/s/direction\n"
     );
     crossroads_bench::table_header(&["policy", "K", "vehicles", "handoffs", "agreement"]);
-    let started = Instant::now();
-    let mut bench: Vec<BenchPoint> = Vec::new();
     for &k in &ks {
         let p = GridPoint {
             policy: PolicyKind::Crossroads,
             k,
             rate: top_rate,
         };
-        let (serial, serial_ms, serial_events) = time_grid_point(&p, GRID_SEED, 0);
-        let (windowed, windowed_ms, windowed_events) =
-            time_grid_point(&p, GRID_SEED, GRID_SHARD_WORKERS);
+        let serial = run_grid_point_sharded(&p, GRID_SEED, 0);
+        let windowed = run_grid_point_sharded(&p, GRID_SEED, GRID_SHARD_WORKERS);
         assert!(
             windowed == serial,
             "K={k}: windowed-parallel corridor diverged from the serial engine"
@@ -105,23 +88,7 @@ fn main() {
             "| {} | {} | {} | {} | identical |",
             p.policy, k, serial.spawned, serial.handoffs
         );
-        bench.push(BenchPoint {
-            label: format!("serial@K{k}"),
-            wall_ms: serial_ms,
-            events: serial_events,
-        });
-        bench.push(BenchPoint {
-            label: format!("windowed_w{GRID_SHARD_WORKERS}@K{k}"),
-            wall_ms: windowed_ms,
-            events: windowed_events,
-        });
     }
-    emit_bench_record(&bench_sweep_to_json(
-        "exp_grid_sweep_windowed",
-        GRID_SHARD_WORKERS,
-        started.elapsed().as_secs_f64() * 1e3,
-        &bench,
-    ));
 
     let total: usize = outcomes.iter().map(|o| o.spawned).sum();
     let safe = outcomes

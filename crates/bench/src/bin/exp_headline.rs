@@ -9,7 +9,7 @@
 //! point is a self-seeded simulation, so the output never depends on the
 //! thread count.
 
-use crossroads_bench::{carried_per_lane, knobs, par_sweep, run_sweep_point, SWEEP_RATES};
+use crossroads_bench::{carried_per_lane, knobs, par_run, run_sweep_point, SWEEP_RATES};
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::run_simulation;
 use crossroads_traffic::{scale_model_scenario, ScenarioId};
@@ -19,25 +19,20 @@ fn scale_model_reduction() -> f64 {
         .into_iter()
         .flat_map(|id| (0..10).map(move |repeat| (id, repeat)))
         .collect();
-    let waits = par_sweep(
-        "headline_scale_model",
-        &points,
-        |&(id, repeat)| format!("scenario{}r{repeat}", id.0),
-        |&(id, repeat)| {
-            let w = scale_model_scenario(id, repeat);
-            let seed = repeat * 1313 + 7;
-            let a = run_simulation(&knobs().scale_model(PolicyKind::VtIm).with_seed(seed), &w);
-            let b = run_simulation(
-                &knobs().scale_model(PolicyKind::Crossroads).with_seed(seed),
-                &w,
-            );
-            assert!(a.all_completed() && b.all_completed());
-            (
-                a.metrics.average_wait().value(),
-                b.metrics.average_wait().value(),
-            )
-        },
-    );
+    let waits = par_run(&points, |&(id, repeat)| {
+        let w = scale_model_scenario(id, repeat);
+        let seed = repeat * 1313 + 7;
+        let a = run_simulation(&knobs().scale_model(PolicyKind::VtIm).with_seed(seed), &w);
+        let b = run_simulation(
+            &knobs().scale_model(PolicyKind::Crossroads).with_seed(seed),
+            &w,
+        );
+        assert!(a.all_completed() && b.all_completed());
+        (
+            a.metrics.average_wait().value(),
+            b.metrics.average_wait().value(),
+        )
+    });
     let vt: f64 = waits.iter().map(|&(v, _)| v).sum();
     let xr: f64 = waits.iter().map(|&(_, x)| x).sum();
     (1.0 - xr / vt) * 100.0
@@ -48,12 +43,9 @@ fn sweep_ratios() -> (f64, f64, f64, f64) {
         .into_iter()
         .flat_map(|rate| PolicyKind::ALL.map(|p| (rate, p)))
         .collect();
-    let carried = par_sweep(
-        "headline_sweep",
-        &points,
-        |&(rate, policy)| format!("{policy}@{rate}"),
-        |&(rate, policy)| carried_per_lane(&run_sweep_point(policy, rate, 42)),
-    );
+    let carried = par_run(&points, |&(rate, policy)| {
+        carried_per_lane(&run_sweep_point(policy, rate, 42))
+    });
     let mut vs_vt = Vec::new();
     let mut vs_aim = Vec::new();
     for chunk in carried.chunks(PolicyKind::ALL.len()) {

@@ -76,12 +76,9 @@ fn main() {
         mixed_point(m.human, m.faulty, m.emergency, speed_err, timing_err)
     };
 
-    let outcomes = crossroads_bench::par_sweep(
-        "exp_mixed_sweep",
-        &points,
-        |&(policy, mi, fi, seed)| format!("{policy}@{}/f{fi}/s{seed}", MIXES[mi].label),
-        |&(policy, mi, fi, seed)| run_mixed_point(policy, RATE, grid_mixed(mi, fi), seed),
-    );
+    let outcomes = crossroads_bench::par_run(&points, |&(policy, mi, fi, seed)| {
+        run_mixed_point(policy, RATE, grid_mixed(mi, fi), seed)
+    });
 
     println!("## Mixed-traffic sweep: compliance mix x execution error at {RATE} cars/s/lane\n");
     println!(

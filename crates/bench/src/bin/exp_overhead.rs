@@ -6,7 +6,7 @@
 //!
 //! The (rate, policy) grid runs on the `CROSSROADS_THREADS` worker pool.
 
-use crossroads_bench::{par_sweep, run_sweep_point};
+use crossroads_bench::{par_run, run_sweep_point};
 use crossroads_core::policy::PolicyKind;
 
 const RATES: [f64; 3] = [0.2, 0.6, 1.25];
@@ -26,12 +26,7 @@ fn main() {
         .into_iter()
         .flat_map(|rate| PolicyKind::ALL.map(|p| (rate, p)))
         .collect();
-    let outcomes = par_sweep(
-        "exp_overhead",
-        &points,
-        |&(rate, policy)| format!("{policy}@{rate}"),
-        |&(rate, policy)| run_sweep_point(policy, rate, 42),
-    );
+    let outcomes = par_run(&points, |&(rate, policy)| run_sweep_point(policy, rate, 42));
 
     let mut worst_ops_ratio: f64 = 0.0;
     let mut worst_msg_ratio: f64 = 0.0;

@@ -83,15 +83,9 @@ fn main() {
             }
         }
     }
-    let outcomes = crossroads_bench::par_sweep(
-        "exp_platoon_sweep",
-        &points,
-        |&(policy, rate, seed, platooned)| {
-            let mode = if platooned { "paim" } else { "solo" };
-            format!("{policy}@{rate}-{mode}-s{seed}")
-        },
-        |&(policy, rate, seed, platooned)| run_point(policy, rate, seed, platooned),
-    );
+    let outcomes = crossroads_bench::par_run(&points, |&(policy, rate, seed, platooned)| {
+        run_point(policy, rate, seed, platooned)
+    });
 
     println!("# Extension — platooned admission (PAIM) vs per-vehicle requests\n");
     println!(
@@ -170,29 +164,21 @@ fn main() {
             wave_points.push((policy, platooned));
         }
     }
-    let wave_outcomes = crossroads_bench::par_sweep(
-        "exp_platoon_rush_hour",
-        &wave_points,
-        |&(policy, platooned)| {
-            let mode = if platooned { "paim" } else { "solo" };
-            format!("{policy}-wave-{mode}")
-        },
-        |&(policy, platooned)| {
-            let platoon = if platooned {
-                PlatoonConfig::standard()
-            } else {
-                PlatoonConfig::disabled()
-            };
-            let config = knobs()
-                .full_scale(policy)
-                .with_seed(23)
-                .with_platoons(platoon);
-            let mut rng = StdRng::seed_from_u64(230);
-            let base = PoissonConfig::sweep_point(0.1, config.typical_line_speed());
-            let workload = generate_rush_hour(&profile, &base, &mut rng);
-            run_sound_point(&config, &workload, &format!("{policy}-wave-{platooned}"))
-        },
-    );
+    let wave_outcomes = crossroads_bench::par_run(&wave_points, |&(policy, platooned)| {
+        let platoon = if platooned {
+            PlatoonConfig::standard()
+        } else {
+            PlatoonConfig::disabled()
+        };
+        let config = knobs()
+            .full_scale(policy)
+            .with_seed(23)
+            .with_platoons(platoon);
+        let mut rng = StdRng::seed_from_u64(230);
+        let base = PoissonConfig::sweep_point(0.1, config.typical_line_speed());
+        let workload = generate_rush_hour(&profile, &base, &mut rng);
+        run_sound_point(&config, &workload, &format!("{policy}-wave-{platooned}"))
+    });
     println!(
         "\n## Rush-hour wave (0.05 -> 0.7 -> 0.05 car/s/lane over {:.0} s)\n",
         span.value()
@@ -226,20 +212,15 @@ fn main() {
     // --- Section 3: IM crash mid-platoon ---
     let crash_rate = 0.6;
     let crash_points: Vec<PolicyKind> = PolicyKind::ALL.to_vec();
-    let crash_outcomes = crossroads_bench::par_sweep(
-        "exp_platoon_crash",
-        &crash_points,
-        |policy| format!("{policy}-crash-paim"),
-        |&policy| {
-            let config = knobs()
-                .full_scale(policy)
-                .with_seed(5)
-                .with_platoons(PlatoonConfig::standard())
-                .with_faults(crash_fault());
-            let workload = sweep_workload(&config, crash_rate, 1005);
-            run_sound_point(&config, &workload, &format!("{policy}-crash"))
-        },
-    );
+    let crash_outcomes = crossroads_bench::par_run(&crash_points, |&policy| {
+        let config = knobs()
+            .full_scale(policy)
+            .with_seed(5)
+            .with_platoons(PlatoonConfig::standard())
+            .with_faults(crash_fault());
+        let workload = sweep_workload(&config, crash_rate, 1005);
+        run_sound_point(&config, &workload, &format!("{policy}-crash"))
+    });
     println!("\n## IM crash mid-platoon (18 s outage every 60 s at {crash_rate} car/s/lane)\n");
     println!("Followers whose leader's negotiation dies with the IM detach to the");
     println!("per-vehicle protocol at the 15 s inheritance deadline; the run stays");

@@ -69,31 +69,26 @@ fn closed_loop_spread() {
         .into_iter()
         .flat_map(|enabled| (0..30).map(move |seed| (enabled, seed)))
         .collect();
-    let violations = crossroads_bench::par_sweep(
-        "rtd_closed_loop",
-        &points,
-        |&(enabled, seed)| format!("buffer-{}/s{seed}", if enabled { "on" } else { "off" }),
-        |&(enabled, seed)| {
-            let mut buffers = crossroads_core::BufferModel::scale_model();
-            buffers.vt_rtd_buffer_enabled = enabled;
-            if !enabled {
-                buffers.e_long = Meters::ZERO;
-            }
-            let w = scale_model_scenario(ScenarioId(1), seed);
-            let config = crossroads_bench::knobs()
-                .scale_model(PolicyKind::VtIm)
-                .with_seed(seed)
-                .with_buffers(buffers);
-            let out = run_simulation(&config, &w);
-            let audit = crossroads_core::sim::SafetyReport::audit_with_margin(
-                out.safety.occupancies().to_vec(),
-                &config.geometry,
-                &config.spec,
-                Meters::from_millis(78.0),
-            );
-            !audit.is_safe()
-        },
-    );
+    let violations = crossroads_bench::par_run(&points, |&(enabled, seed)| {
+        let mut buffers = crossroads_core::BufferModel::scale_model();
+        buffers.vt_rtd_buffer_enabled = enabled;
+        if !enabled {
+            buffers.e_long = Meters::ZERO;
+        }
+        let w = scale_model_scenario(ScenarioId(1), seed);
+        let config = crossroads_bench::knobs()
+            .scale_model(PolicyKind::VtIm)
+            .with_seed(seed)
+            .with_buffers(buffers);
+        let out = run_simulation(&config, &w);
+        let audit = crossroads_core::sim::SafetyReport::audit_with_margin(
+            out.safety.occupancies().to_vec(),
+            &config.geometry,
+            &config.spec,
+            Meters::from_millis(78.0),
+        );
+        !audit.is_safe()
+    });
     for (enabled, label) in [(true, "on"), (false, "off (failure injection)")] {
         let bad = points
             .iter()

@@ -27,21 +27,16 @@ fn main() {
 
     // Each policy's wave is an independent, self-seeded simulation — run
     // the three on the `CROSSROADS_THREADS` worker pool.
-    let outcomes = crossroads_bench::par_sweep(
-        "exp_rush_hour",
-        &PolicyKind::ALL,
-        |policy| policy.to_string(),
-        |&policy| {
-            let config = crossroads_bench::knobs().full_scale(policy).with_seed(23);
-            let mut rng = StdRng::seed_from_u64(230);
-            let base = PoissonConfig::sweep_point(0.1, config.typical_line_speed());
-            let workload = generate_rush_hour(&profile, &base, &mut rng);
-            let out = run_simulation(&config, &workload);
-            assert!(out.all_completed(), "{policy}: {} stranded", out.stranded());
-            assert!(out.safety.is_safe(), "{policy}");
-            out
-        },
-    );
+    let outcomes = crossroads_bench::par_run(&PolicyKind::ALL, |&policy| {
+        let config = crossroads_bench::knobs().full_scale(policy).with_seed(23);
+        let mut rng = StdRng::seed_from_u64(230);
+        let base = PoissonConfig::sweep_point(0.1, config.typical_line_speed());
+        let workload = generate_rush_hour(&profile, &base, &mut rng);
+        let out = run_simulation(&config, &workload);
+        assert!(out.all_completed(), "{policy}: {} stranded", out.stranded());
+        assert!(out.safety.is_safe(), "{policy}");
+        out
+    });
     for (policy, out) in PolicyKind::ALL.iter().zip(&outcomes) {
         let last = out
             .metrics

@@ -5,7 +5,7 @@
 //! (scenario 1), 1.08x in the best case (scenario 10), ~24% lower wait
 //! overall.
 
-use crossroads_bench::{knobs, par_sweep};
+use crossroads_bench::{knobs, par_run};
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::run_simulation;
 use crossroads_traffic::{scale_model_scenario, ScenarioId};
@@ -31,25 +31,20 @@ fn main() {
                 .flat_map(move |policy| (0..REPEATS).map(move |repeat| (id, policy, repeat)))
         })
         .collect();
-    let waits = par_sweep(
-        "exp_scale_model",
-        &points,
-        |&(id, policy, repeat)| format!("{policy}/scenario{}/r{repeat}", id.0),
-        |&(id, policy, repeat)| {
-            let workload = scale_model_scenario(id, repeat);
-            let config = knobs().scale_model(policy).with_seed(repeat * 1313 + 7);
-            let outcome = run_simulation(&config, &workload);
-            assert!(
-                outcome.all_completed(),
-                "{policy} {id} repeat {repeat}: incomplete"
-            );
-            assert!(
-                outcome.safety.is_safe(),
-                "{policy} {id} repeat {repeat}: unsafe"
-            );
-            outcome.metrics.average_wait().value()
-        },
-    );
+    let waits = par_run(&points, |&(id, policy, repeat)| {
+        let workload = scale_model_scenario(id, repeat);
+        let config = knobs().scale_model(policy).with_seed(repeat * 1313 + 7);
+        let outcome = run_simulation(&config, &workload);
+        assert!(
+            outcome.all_completed(),
+            "{policy} {id} repeat {repeat}: incomplete"
+        );
+        assert!(
+            outcome.safety.is_safe(),
+            "{policy} {id} repeat {repeat}: unsafe"
+        );
+        outcome.metrics.average_wait().value()
+    });
     let mean = |scenario: ScenarioId, policy: PolicyKind| {
         let total: f64 = points
             .iter()

@@ -11,20 +11,15 @@
 
 pub mod timing;
 
-use std::io::Write as _;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread::available_parallelism;
-use std::time::Instant;
-
 use std::path::{Path, PathBuf};
+use std::thread::available_parallelism;
 
 use crossroads_core::policy::PolicyKind;
 use crossroads_core::sim::{
     run_corridor, run_corridor_traced, run_simulation, run_simulation_traced, CorridorConfig,
     CorridorOutcome, SimConfig, SimOutcome, AIM_ANALYTIC_ENV, SHARD_WORKERS_ENV,
 };
-use crossroads_metrics::{bench_sweep_to_json, BenchPoint, GridPointSummary};
 use crossroads_net::{FaultConfig, GilbertElliott};
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_trace::{Recorder, Trace};
@@ -40,10 +35,6 @@ pub const SWEEP_RATES: [f64; 9] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.25
 
 /// The seeds averaged by the sweep experiments.
 pub const SWEEP_SEEDS: [u64; 3] = [11, 42, 91];
-
-/// Environment variable overriding where sweep timings are appended
-/// (default `BENCH_sweep.json`; `/dev/null` discards them).
-pub const BENCH_OUT_ENV: &str = "CROSSROADS_BENCH_OUT";
 
 /// Environment variable engaging the post-mortem flight recorder. When
 /// set (and not `0`), every guarded sweep point runs with a last-N ring
@@ -234,106 +225,16 @@ fn count(lookup: &dyn Fn(&str) -> Option<String>, name: &str) -> Option<usize> {
 }
 
 /// Maps `run` over `items` on a `CROSSROADS_THREADS`-wide worker pool,
-/// preserving input order. The shared parallel driver behind [`par_sweep`] and the
-/// determinism/golden end-to-end tests: results are byte-identical to a
-/// sequential loop because every item owns its PRNG stream.
+/// preserving input order. Every sweep binary and the determinism/golden
+/// end-to-end tests run their points through it: results are
+/// byte-identical to a sequential loop because every item owns its PRNG
+/// stream.
 pub fn par_run<T, R>(items: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
     R: Send,
 {
     WorkerPool::new(knobs().threads).map(items, |_, item| run(item))
-}
-
-/// [`par_run`] plus the perf trajectory: times every point and the whole
-/// sweep, appends one JSON record to `BENCH_sweep.json` (see
-/// [`BENCH_OUT_ENV`]), and notes the wall clock on stderr. Stdout is
-/// untouched, so experiment tables stay byte-identical across thread
-/// counts.
-///
-/// Each point also reports how many DES events its simulations
-/// dispatched (via the engine's thread-local tally, read before and
-/// after the point on its worker thread), so the JSON record carries
-/// engine throughput as `events_per_sec`.
-pub fn par_sweep<T, R>(
-    experiment: &str,
-    items: &[T],
-    label: impl Fn(&T) -> String,
-    run: impl Fn(&T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let pool = WorkerPool::new(knobs().threads);
-    let started = Instant::now();
-    let timed = pool.map(items, |_, item| {
-        let events0 = crossroads_core::sim::thread_events_processed();
-        let t0 = Instant::now();
-        let out = run(item);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let events = crossroads_core::sim::thread_events_processed() - events0;
-        (out, wall_ms, events)
-    });
-    let total_ms = started.elapsed().as_secs_f64() * 1e3;
-    let points: Vec<BenchPoint> = items
-        .iter()
-        .zip(&timed)
-        .map(|(item, &(_, wall_ms, events))| BenchPoint {
-            label: label(item),
-            wall_ms,
-            events,
-        })
-        .collect();
-    emit_bench_record(&bench_sweep_to_json(
-        experiment,
-        pool.threads(),
-        total_ms,
-        &points,
-    ));
-    eprintln!(
-        "[{experiment}] {} points in {:.0} ms on {} threads",
-        items.len(),
-        total_ms,
-        pool.threads()
-    );
-    timed.into_iter().map(|(out, _, _)| out).collect()
-}
-
-/// Appends one micro-benchmark record to the bench output file (same
-/// schema and destination as the [`par_sweep`] records): `experiment`
-/// names the bench group, each [`BenchPoint`] one timed routine, with
-/// `wall_ms` the median per-call time and `events` the iterations
-/// sampled. Lets `benches/*.rs` land their measurements in
-/// `BENCH_sweep.json` next to the sweep trajectories.
-pub fn emit_micro_bench(experiment: &str, total_ms: f64, points: &[BenchPoint]) {
-    emit_bench_record(&bench_sweep_to_json(experiment, 1, total_ms, points));
-}
-
-/// Appends one JSONL record to the bench output file (see
-/// [`BENCH_OUT_ENV`]). The first write of a process truncates, so every
-/// binary run starts a fresh trajectory capture; later sweeps in the
-/// same run append. Public so experiment binaries can land additional
-/// record kinds (e.g. the deterministic grid summary) next to the timed
-/// sweeps.
-pub fn emit_bench_record(record: &str) {
-    static APPEND: AtomicBool = AtomicBool::new(false);
-    let path = std::env::var(BENCH_OUT_ENV).unwrap_or_else(|_| String::from("BENCH_sweep.json"));
-    let truncate = !APPEND.swap(true, Ordering::Relaxed);
-    let opened = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .append(!truncate)
-        .truncate(truncate)
-        .open(&path);
-    match opened {
-        Ok(mut f) => {
-            if let Err(e) = writeln!(f, "{record}") {
-                eprintln!("warning: could not append to {path}: {e}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not open {path}: {e}"),
-    }
 }
 
 /// Builds the Fig. 7.2 workload for one sweep point.
@@ -511,9 +412,9 @@ pub struct GridPoint {
     pub rate: f64,
 }
 
-/// Display label of a grid point, e.g. `Crossroads@K4/r0.25`.
-#[must_use]
-pub fn grid_label(p: &GridPoint) -> String {
+/// The panic and trace-dump label of a grid point, e.g.
+/// `Crossroads@K4/r0.25`.
+fn grid_label(p: &GridPoint) -> String {
     format!("{}@K{}/r{}", p.policy, p.k, p.rate)
 }
 
@@ -597,7 +498,7 @@ pub fn run_grid_point(p: &GridPoint, seed: u64) -> CorridorOutcome {
 ///
 /// Panics on an unsound run, as [`run_grid_point`] does.
 #[must_use]
-fn run_grid_point_sharded(p: &GridPoint, seed: u64, shard_workers: usize) -> CorridorOutcome {
+pub fn run_grid_point_sharded(p: &GridPoint, seed: u64, shard_workers: usize) -> CorridorOutcome {
     let sim = knobs().full_scale(p.policy).with_seed(seed);
     let demand = grid_demand(&sim, p.k, p.rate);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2000));
@@ -615,24 +516,6 @@ fn run_grid_point_sharded(p: &GridPoint, seed: u64, shard_workers: usize) -> Cor
     out
 }
 
-/// Times one explicitly-sharded grid-point run on the calling thread:
-/// returns the outcome, wall-clock milliseconds, and DES events
-/// dispatched (via the engine's thread-local tally, which the windowed
-/// engine credits to its caller).
-#[must_use]
-pub fn time_grid_point(
-    p: &GridPoint,
-    seed: u64,
-    shard_workers: usize,
-) -> (CorridorOutcome, f64, u64) {
-    let events0 = crossroads_core::sim::thread_events_processed();
-    let t0 = Instant::now();
-    let out = run_grid_point_sharded(p, seed, shard_workers);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let events = crossroads_core::sim::thread_events_processed() - events0;
-    (out, wall_ms, events)
-}
-
 /// One markdown row of the grid table — pure function of the outcome,
 /// shared by `exp_grid_sweep` and the thread-count identity test.
 #[must_use]
@@ -647,21 +530,6 @@ pub fn grid_row(p: &GridPoint, out: &CorridorOutcome) -> String {
         out.metrics.flow_rate() * 3600.0,
         out.metrics.average_wait().value(),
     )
-}
-
-/// The grid point's deterministic `BENCH_sweep.json` summary entry.
-#[must_use]
-pub fn grid_summary_point(p: &GridPoint, out: &CorridorOutcome) -> GridPointSummary {
-    GridPointSummary {
-        label: grid_label(p),
-        k: p.k,
-        rate: p.rate,
-        vehicles: out.spawned,
-        completed: out.metrics.completed(),
-        handoffs: out.handoffs,
-        vehicles_per_hour: out.metrics.flow_rate() * 3600.0,
-        average_wait: out.metrics.average_wait().value(),
-    }
 }
 
 /// Prints a markdown table header.

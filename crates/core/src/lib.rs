@@ -45,7 +45,7 @@ pub use buffer::BufferModel;
 pub use policy::{IntersectionPolicy, PolicyKind};
 pub use request::{CrossingCommand, CrossingRequest};
 pub use sim::{
-    run_corridor, run_corridor_traced, run_simulation, run_simulation_traced,
-    thread_events_processed, CorridorConfig, CorridorOutcome, PlatoonConfig, SimConfig, SimOutcome,
-    AIM_ANALYTIC_ENV, PLATOON_ENV, SAFETY_FILTER_ENV,
+    run_corridor, run_corridor_traced, run_simulation, run_simulation_traced, CorridorConfig,
+    CorridorOutcome, PlatoonConfig, SimConfig, SimOutcome, AIM_ANALYTIC_ENV, PLATOON_ENV,
+    SAFETY_FILTER_ENV,
 };

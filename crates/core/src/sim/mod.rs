@@ -368,20 +368,6 @@ impl SimOutcome {
     }
 }
 
-thread_local! {
-    /// Events dispatched by every `run_simulation` call on this thread.
-    static DES_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total DES events dispatched by `run_simulation` calls on the calling
-/// thread, ever. Timing harnesses read this before and after a run to
-/// derive `events/sec` without threading a counter through every
-/// experiment's return type.
-#[must_use]
-pub fn thread_events_processed() -> u64 {
-    DES_EVENTS.with(std::cell::Cell::get)
-}
-
 /// Runs one experiment: `workload` through the configured IM.
 ///
 /// Deterministic: the same `(config, workload)` pair always produces the
@@ -591,7 +577,6 @@ fn close_out(
         .iter()
         .fold(Seconds::ZERO, |busy, &svc| busy + svc);
     counters.des_events = des_events;
-    DES_EVENTS.with(|c| c.set(c.get() + des_events));
     metrics.add_counters(&counters);
     CorridorOutcome {
         metrics,

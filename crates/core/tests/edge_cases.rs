@@ -201,6 +201,42 @@ fn unsorted_workload_is_rejected_by_the_windowed_corridor() {
     let _ = run_corridor(&config, &w, &[]);
 }
 
+/// A scale-model Crossroads corridor of `k` intersections on the default
+/// 6 s link; each test below breaks one rule of its shape.
+fn corridor(k: usize) -> CorridorConfig {
+    CorridorConfig::new(SimConfig::scale_model(PolicyKind::Crossroads), k)
+}
+
+#[test]
+#[should_panic(expected = "a corridor needs at least one intersection")]
+fn corridor_without_intersections_is_rejected() {
+    corridor(0).validate();
+}
+
+#[test]
+#[should_panic(expected = "link_time 1.500000s must be >= 2 s")]
+fn link_shorter_than_the_stale_event_horizon_is_rejected() {
+    corridor(2).with_link_time(Seconds::new(1.5)).validate();
+}
+
+#[test]
+#[should_panic(expected = "lookahead 0.000000s must be in (0, link_time]")]
+fn zero_lookahead_is_rejected() {
+    corridor(2).with_lookahead(Seconds::ZERO).validate();
+}
+
+#[test]
+#[should_panic(expected = "lookahead 7.000000s must be in (0, link_time]")]
+fn lookahead_beyond_the_link_is_rejected() {
+    corridor(2).with_lookahead(Seconds::new(7.0)).validate();
+}
+
+#[test]
+#[should_panic(expected = "every entry intersection must be inside the corridor")]
+fn entry_past_the_last_intersection_is_rejected() {
+    let _ = run_corridor(&corridor(2), &single(2.0), &[2]);
+}
+
 /// An IM that would never come back up between outages is rejected by
 /// the config check both engines run before the first event.
 #[test]

@@ -123,136 +123,6 @@ pub fn run_to_json(m: &RunMetrics) -> String {
     )
 }
 
-/// One timed sweep point of the `BENCH_*.json` perf trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPoint {
-    /// Point label, e.g. `Crossroads@0.3/s42`.
-    pub label: String,
-    /// Wall-clock milliseconds the point took.
-    pub wall_ms: f64,
-    /// DES events the engine dispatched while computing the point.
-    pub events: u64,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One `BENCH_sweep.json` record: an experiment's per-point and total
-/// wall-clock timings, as a single JSON object (one line — the file is
-/// JSON Lines, one record per sweep). Schema is documented in README.md
-/// under "Running the experiments".
-#[must_use]
-pub fn bench_sweep_to_json(
-    experiment: &str,
-    threads: usize,
-    total_wall_ms: f64,
-    points: &[BenchPoint],
-) -> String {
-    let sum: f64 = points.iter().map(|p| p.wall_ms).sum();
-    let events: u64 = points.iter().map(|p| p.events).sum();
-    // Engine throughput over the *summed* point time (parallel sweeps
-    // overlap points, so total wall would undercount per-core speed).
-    let events_per_sec = if sum > 0.0 {
-        #[allow(clippy::cast_precision_loss)]
-        let rate = events as f64 / (sum / 1e3);
-        rate
-    } else {
-        0.0
-    };
-    let mut out = format!(
-        "{{\"experiment\":\"{}\",\"threads\":{},\"points\":{},\"total_wall_ms\":{},\"points_wall_ms_sum\":{},\"events\":{},\"events_per_sec\":{},\"point_timings\":[",
-        json_escape(experiment),
-        threads,
-        points.len(),
-        fmt_f64(total_wall_ms),
-        fmt_f64(sum),
-        events,
-        fmt_f64(events_per_sec),
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"wall_ms\":{},\"events\":{}}}",
-            json_escape(&p.label),
-            fmt_f64(p.wall_ms),
-            p.events,
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// One corridor grid point's deterministic summary for the
-/// `BENCH_sweep.json` grid record — the simulation-side figures
-/// (vehicles/hour, handoffs) that stay byte-identical across thread
-/// counts, complementing the wall-clock record `par_sweep` emits for the
-/// same sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridPointSummary {
-    /// Point label, e.g. `Crossroads@K4/r0.25`.
-    pub label: String,
-    /// Chained intersections at this point.
-    pub k: usize,
-    /// Arterial arrival rate, cars/second per direction.
-    pub rate: f64,
-    /// Vehicles spawned.
-    pub vehicles: usize,
-    /// Vehicles that cleared their final intersection.
-    pub completed: usize,
-    /// Intersection-to-intersection handoffs the corridor served.
-    pub handoffs: u64,
-    /// Corridor carried flow in vehicles/hour (flow rate × 3600).
-    pub vehicles_per_hour: f64,
-    /// Mean wait per vehicle, seconds.
-    pub average_wait: f64,
-}
-
-/// One `BENCH_sweep.json` record summarising a corridor grid sweep:
-/// `{"experiment":"<name>/grid","points":[...]}` with one object per
-/// grid point. Deterministic — no wall-clock fields — so the record is
-/// byte-identical at any thread count.
-#[must_use]
-pub fn grid_summary_to_json(experiment: &str, points: &[GridPointSummary]) -> String {
-    let mut out = format!(
-        "{{\"experiment\":\"{}/grid\",\"points\":[",
-        json_escape(experiment)
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"k\":{},\"rate\":{},\"vehicles\":{},\"completed\":{},\"handoffs\":{},\"vehicles_per_hour\":{},\"average_wait\":{}}}",
-            json_escape(&p.label),
-            p.k,
-            fmt_f64(p.rate),
-            p.vehicles,
-            p.completed,
-            p.handoffs,
-            fmt_f64(p.vehicles_per_hour),
-            fmt_f64(p.average_wait),
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,77 +211,6 @@ mod tests {
             "\"filter_interventions\":15,\"noncompliant_conflicts\":16,\
              \"emergency_preemptions\":17"
         ));
-    }
-
-    #[test]
-    fn bench_sweep_json_shape() {
-        let points = [
-            BenchPoint {
-                label: String::from("Crossroads@0.05/s11"),
-                wall_ms: 12.5,
-                events: 1500,
-            },
-            BenchPoint {
-                label: String::from("VT-IM@0.05/s11"),
-                wall_ms: 7.5,
-                events: 500,
-            },
-        ];
-        let json = bench_sweep_to_json("exp_flow_sweep", 4, 13.25, &points);
-        assert!(json.starts_with(
-            "{\"experiment\":\"exp_flow_sweep\",\"threads\":4,\"points\":2,\
-             \"total_wall_ms\":13.25,\"points_wall_ms_sum\":20,\
-             \"events\":2000,\"events_per_sec\":100000,"
-        ));
-        assert!(
-            json.contains("{\"label\":\"Crossroads@0.05/s11\",\"wall_ms\":12.5,\"events\":1500}")
-        );
-        assert!(json.ends_with("]}"));
-        assert!(!json.contains('\n'), "one JSONL record per sweep");
-    }
-
-    #[test]
-    fn grid_summary_json_shape() {
-        let points = [GridPointSummary {
-            label: String::from("Crossroads@K4/r0.25"),
-            k: 4,
-            rate: 0.25,
-            vehicles: 5000,
-            completed: 5000,
-            handoffs: 3750,
-            vehicles_per_hour: 1234.5,
-            average_wait: 2.75,
-        }];
-        let json = grid_summary_to_json("exp_grid_sweep", &points);
-        assert_eq!(
-            json,
-            "{\"experiment\":\"exp_grid_sweep/grid\",\"points\":[\
-             {\"label\":\"Crossroads@K4/r0.25\",\"k\":4,\"rate\":0.25,\
-             \"vehicles\":5000,\"completed\":5000,\"handoffs\":3750,\
-             \"vehicles_per_hour\":1234.5,\"average_wait\":2.75}]}"
-        );
-        assert!(!json.contains('\n'), "one JSONL record per grid sweep");
-        parse_json(&json).expect("valid JSON");
-    }
-
-    #[test]
-    fn zero_time_sweep_reports_zero_rate() {
-        let json = bench_sweep_to_json("empty", 1, 0.0, &[]);
-        assert!(
-            json.contains("\"events\":0,\"events_per_sec\":0,"),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn bench_labels_are_escaped() {
-        let points = [BenchPoint {
-            label: String::from("odd \"label\"\\with\tescapes"),
-            wall_ms: 1.0,
-            events: 0,
-        }];
-        let json = bench_sweep_to_json("x", 1, 1.0, &points);
-        assert!(json.contains("odd \\\"label\\\"\\\\with\\tescapes"));
     }
 
     #[test]

@@ -23,10 +23,7 @@ mod json;
 mod record;
 mod stats;
 
-pub use export::{
-    bench_sweep_to_json, counters_to_json, grid_summary_to_json, records_to_csv, records_to_json,
-    run_to_json, BenchPoint, GridPointSummary,
-};
+pub use export::{counters_to_json, records_to_csv, records_to_json, run_to_json};
 pub use hist::Histogram;
 pub use record::{Counters, RunMetrics, VehicleRecord};
 pub use stats::{Percentiles, Summary};

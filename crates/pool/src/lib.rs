@@ -81,12 +81,6 @@ impl WorkerPool {
         WorkerPool { threads }
     }
 
-    /// Worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Applies `f` to every item, returning results in input order.
     ///
     /// `f` receives `(index, &item)`. With one worker (or fewer than two

@@ -10,8 +10,7 @@
 # expected/trace_digest the stdout of trace_digest. The pool and engine
 # knobs (CROSSROADS_THREADS, CROSSROADS_SHARD_WORKERS) come from the
 # caller's environment: no stdout may depend on them, so ci.sh runs this
-# script at several settings against the same files. Timing records are
-# discarded (CROSSROADS_BENCH_OUT=/dev/null).
+# script at several settings against the same files.
 #
 # Without --bless, a run that fails or prints anything else is reported
 # with the binary and the setting, and the script exits non-zero. With
@@ -31,8 +30,7 @@ esac
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline -q -p crossroads-bench --bins
-export CROSSROADS_BENCH_OUT=/dev/null
-setting=$(env | grep '^CROSSROADS_' | grep -v '^CROSSROADS_\(BENCH_OUT\|AIM_ANALYTIC\)=' |
+setting=$(env | grep '^CROSSROADS_' | grep -v '^CROSSROADS_AIM_ANALYTIC=' |
     sort | tr '\n' ' ' | sed 's/ $//')
 setting=${setting:-no pool or engine knob set}
 out=$(mktemp)
