@@ -35,7 +35,7 @@ fi
 
 echo "==> offline release build (library, binary and example targets)"
 # --examples is load-bearing: a bare `cargo build` skips example targets,
-# which let the five examples/ programs rot silently across refactors.
+# which let the examples/ programs rot silently across refactors.
 # With a target flag cargo builds only the targets named, so --bins too.
 cargo build --release --offline --workspace --bins --examples
 

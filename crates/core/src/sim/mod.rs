@@ -226,10 +226,10 @@ impl SimConfig {
                 per_op: Seconds::from_millis(0.05),
             },
             // Coarse reservation granularity, as in Dresner & Stone's
-            // original evaluation era. The tiles.rs ablation bench shows
-            // AIM's throughput overtaking Crossroads at fine granularity
-            // (>= 4 tiles/side) — the paper's AIM-vs-Crossroads gap holds
-            // for coarse-granularity AIM.
+            // original evaluation era. `exp_ablation`'s tile-granularity
+            // sweep shows AIM's throughput overtaking Crossroads at fine
+            // granularity (>= 4 tiles/side) — the paper's AIM-vs-Crossroads
+            // gap holds for coarse-granularity AIM.
             aim_grid_side: 3,
             aim_sim_step: Seconds::from_millis(50.0),
             ..SimConfig::scale_model(policy)

@@ -1,6 +1,8 @@
 //! Property tests: the reservation table's safety invariant holds under
-//! arbitrary FIFO admission sequences, and earliest-fit answers always
-//! insert cleanly.
+//! arbitrary FIFO admission sequences, earliest-fit answers always
+//! insert cleanly, and `earliest_slot` answers exactly as the seed's
+//! restart scan does, so the slot it returns is the earliest admissible
+//! one.
 
 use crossroads_check::{ck_assert, ck_assert_eq, forall, vec};
 use crossroads_intersection::tiles::TileInterval;
@@ -10,6 +12,40 @@ use crossroads_intersection::{
 };
 use crossroads_units::{Meters, Seconds, TimePoint};
 use crossroads_vehicle::VehicleId;
+
+/// The seed's reservation table, kept as the reference for
+/// `earliest_slot`: a flat list of windows, re-scanned from the start
+/// until a pass moves the candidate no further.
+struct NaiveTable {
+    conflicts: ConflictTable,
+    reservations: Vec<Reservation>,
+}
+
+impl NaiveTable {
+    fn earliest_slot(
+        &self,
+        movement: Movement,
+        earliest: TimePoint,
+        duration: Seconds,
+    ) -> TimePoint {
+        let mut enter = earliest;
+        loop {
+            let mut moved = false;
+            for r in &self.reservations {
+                if self.conflicts.conflicts(movement, r.movement)
+                    && enter < r.exit
+                    && r.enter < enter + duration
+                {
+                    enter = r.exit;
+                    moved = true;
+                }
+            }
+            if !moved {
+                return enter;
+            }
+        }
+    }
+}
 
 forall! {
     /// Whatever the arrival pattern, admitting every vehicle at its
@@ -125,6 +161,73 @@ forall! {
             })
             .expect("post-retirement answers must insert cleanly");
         ck_assert!(sched.is_conflict_free());
+    }
+
+    /// `earliest_slot` is the restart scan's answer bit for bit, through
+    /// any interleaving of admissions, releases and `retire_before`
+    /// calls: the bucketed table's cursors and watermark skip only
+    /// windows that cannot move the candidate, so it returns the
+    /// *earliest* admissible entry, not merely a safe one.
+    ///
+    /// Each step queries both tables, then acts on the draw's `op`:
+    /// 0–6 admits at the answer, 7–8 releases the `pick`-th live window's
+    /// vehicle, and 9 retires windows ending before `earliest` when that
+    /// raises the watermark (a lower call is a no-op by contract, so a
+    /// window admitted below the watermark stays until it rises).
+    fn earliest_slot_matches_the_restart_scan(
+        steps in vec((0u8..10, 0usize..12, 0.0f64..30.0, 0.0f64..3.0, 0usize..64), 1..80),
+    ) {
+        let conflicts = ConflictTable::compute(
+            &IntersectionGeometry::scale_model(),
+            Meters::new(0.296),
+        );
+        let mut naive = NaiveTable {
+            conflicts: conflicts.clone(),
+            reservations: Vec::new(),
+        };
+        let mut sched = ReservationTable::new(conflicts);
+        let mut watermark = f64::NEG_INFINITY;
+        for (i, &(op, movement_idx, earliest, dur, pick)) in steps.iter().enumerate() {
+            let movement = Movement::all()[movement_idx];
+            let earliest = TimePoint::new(earliest);
+            let dur = Seconds::new(dur);
+            let slot = sched.earliest_slot(movement, earliest, dur);
+            let reference = naive.earliest_slot(movement, earliest, dur);
+            ck_assert_eq!(
+                slot.value().to_bits(),
+                reference.value().to_bits(),
+                "step {}: earliest_slot {} against the restart scan's {}",
+                i,
+                slot,
+                reference
+            );
+            match op {
+                0..=6 => {
+                    #[allow(clippy::cast_possible_truncation)]
+                    let r = Reservation {
+                        vehicle: VehicleId(i as u32),
+                        movement,
+                        enter: slot,
+                        exit: slot + dur,
+                    };
+                    sched.insert(r).expect("earliest_slot answers must insert cleanly");
+                    naive.reservations.push(r);
+                }
+                7 | 8 if !naive.reservations.is_empty() => {
+                    let r = naive.reservations.remove(pick % naive.reservations.len());
+                    ck_assert_eq!(sched.release(r.vehicle), Some(r));
+                }
+                9 => {
+                    sched.retire_before(earliest);
+                    if earliest.value() > watermark {
+                        watermark = earliest.value();
+                        naive.reservations.retain(|r| r.exit >= earliest);
+                    }
+                }
+                _ => {}
+            }
+            ck_assert_eq!(sched.len(), naive.reservations.len());
+        }
     }
 
     /// A pruned table never re-admits an overlap: every surviving window
