@@ -173,8 +173,11 @@ impl IntervalScheduler {
 
         for _ in 0..64 {
             // Speed that makes this candidate entry time, entering at it.
+            // Neither branch admits a cruise below the crawl floor: a
+            // vehicle too slow to cruise at its earliest arrival is
+            // refused, and its policy commands a stop or a launch.
             let speed = if (toa - etoa).abs() <= eps {
-                v_reach
+                Some(v_reach).filter(|&v| v >= v_crawl)?
             } else {
                 kinematics::solve_cruise_speed(
                     v0,
@@ -440,6 +443,35 @@ mod tests {
             sched.table().reservations(),
             booked,
             "a refusal books nothing"
+        );
+    }
+
+    #[test]
+    fn sub_crawl_arrival_speed_is_refused_and_books_nothing() {
+        let mut sched = scheduler();
+        let s = spec();
+        // Rolling at 0.05 m/s, 1 cm from the line: the fastest run
+        // reaches sqrt(0.05² + 2·2·0.01) ≈ 0.206 m/s, below the
+        // 0.15 · 3 = 0.45 m/s floor, at the earliest entry of an empty
+        // box (`toa == etoa`).
+        let (v0, d) = (MetersPerSecond::new(0.05), Meters::new(0.01));
+        assert!(reachable_speed(v0, &s, d) < s.v_max * 0.15);
+        let _ = cruise(&mut sched, 1, S, 0.0, 1.5).expect("a cruise fits");
+        let refused = sched.schedule_moving(
+            VehicleId(1),
+            S,
+            &s,
+            TimePoint::new(5.0),
+            d,
+            v0,
+            Meters::new(0.724),
+            Meters::ZERO,
+            None,
+        );
+        assert_eq!(refused, None);
+        assert!(
+            sched.table().is_empty(),
+            "a refusal books nothing and releases the previous grant"
         );
     }
 

@@ -346,13 +346,15 @@ fn stall_run(k: usize, vehicles: u32, seed: u64, workers: usize) -> CorridorOutc
 }
 
 /// The smallest stall reproducers (VT-IM, K = 2, 240 vehicles, seed 7;
-/// K = 4, 2,000 vehicles, seed 6) strand vehicles, but cheaply and
-/// consistently: the windowed engine at 2 and 4 workers reproduces the
-/// serial run, no vehicle is lost or duplicated, every audit is clean,
-/// and the run takes a bounded number of events — a held vehicle waits
-/// parked on its lane instead of re-polling every 200 ms (the polling
-/// engine spent 455,123 and 8,163,237 events on these runs). Completion
-/// is not asserted: the deadlock itself is still open.
+/// K = 4, 2,000 vehicles, seed 6) complete: without the crawl floor on
+/// the cruise search's earliest-arrival branch, a sub-crawl admission
+/// held a box for hours and stranded 69 and 569 vehicles. They also
+/// run cheaply and consistently: the windowed engine at 2 and 4 workers
+/// reproduces the serial run, no vehicle is lost or duplicated, every
+/// audit is clean, and the run takes a bounded number of events — a
+/// held vehicle waits parked on its lane instead of re-polling every
+/// 200 ms (the polling engine spent 455,123 and 8,163,237 events on
+/// these runs).
 #[test]
 fn platoon_mixed_stall_reproducers_stay_cheap_and_consistent() {
     for (k, vehicles, seed, max_events) in [(2, 240, 7, 100_000), (4, 2_000, 6, 500_000)] {
@@ -379,6 +381,11 @@ fn platoon_mixed_stall_reproducers_stay_cheap_and_consistent() {
             "{case}: vehicles lost"
         );
         assert!(serial.is_safe(), "{case}: audit violation");
+        assert!(
+            serial.all_completed(),
+            "{case}: {} stranded",
+            serial.stranded()
+        );
         let events = serial.metrics.counters().des_events;
         assert!(
             events < max_events,
