@@ -120,31 +120,35 @@ impl BatchPlanner {
         (arrival.at_line + fastest, occupancy)
     }
 
+    /// Books `arrival` at its earliest slot in `table` and returns the
+    /// crossing.
+    fn admit(&self, table: &mut ReservationTable, arrival: &Arrival) -> PlannedCrossing {
+        let (earliest, dur) = self.earliest_and_duration(arrival);
+        let entry = table.earliest_slot(arrival.movement, earliest, dur);
+        table
+            .insert(Reservation {
+                vehicle: arrival.vehicle,
+                movement: arrival.movement,
+                enter: entry,
+                exit: entry + dur,
+            })
+            .expect("earliest_slot result inserts cleanly");
+        PlannedCrossing {
+            vehicle: arrival.vehicle,
+            movement: arrival.movement,
+            entry,
+            earliest,
+        }
+    }
+
     /// FIFO assignment: vehicles take the earliest window in arrival
     /// order — the baseline both the thesis and Tachet et al. compare
     /// against.
     #[must_use]
     pub fn schedule_fifo(&self, arrivals: &[Arrival]) -> BatchSchedule {
         let mut table = ReservationTable::new(std::sync::Arc::clone(&self.conflicts));
-        let mut crossings = Vec::with_capacity(arrivals.len());
-        for a in arrivals {
-            let (earliest, dur) = self.earliest_and_duration(a);
-            let entry = table.earliest_slot(a.movement, earliest, dur);
-            table
-                .insert(Reservation {
-                    vehicle: a.vehicle,
-                    movement: a.movement,
-                    enter: entry,
-                    exit: entry + dur,
-                })
-                .expect("earliest_slot result inserts cleanly");
-            crossings.push(PlannedCrossing {
-                vehicle: a.vehicle,
-                movement: a.movement,
-                entry,
-                earliest,
-            });
-        }
+        let mut crossings: Vec<PlannedCrossing> =
+            arrivals.iter().map(|a| self.admit(&mut table, a)).collect();
         crossings.sort_by(|x, y| x.entry.total_cmp(y.entry));
         BatchSchedule { crossings }
     }
@@ -153,8 +157,8 @@ impl BatchPlanner {
     /// windows of `window` seconds; within each window the planner
     /// greedily picks, at every step, the vehicle whose admission causes
     /// the least marginal delay (best-insertion), then runs a
-    /// pairwise-exchange pass (`improvement_rounds` times) swapping
-    /// adjacent admissions when that lowers total delay.
+    /// pairwise-exchange pass (`improvement_rounds` times) swapping two
+    /// admissions when that lowers total delay.
     ///
     /// # Panics
     ///
@@ -193,75 +197,66 @@ impl BatchPlanner {
             // with everything — it strands it at the end), then improve
             // with pairwise exchanges. The result can therefore never be
             // worse than FIFO.
-            let fifo_ids: Vec<VehicleId> = batch.iter().map(|a| a.vehicle).collect();
-            let fifo = self.rebuild(&mut table, &fifo_ids, batch);
-            let fifo_delay: Seconds = fifo.iter().map(PlannedCrossing::delay).sum();
-            for c in &fifo {
-                table.release(c.vehicle);
-            }
+            let fifo: Vec<usize> = (0..batch.len()).collect();
             let greedy = self.greedy_order(&mut table, batch);
-            let greedy_delay: Seconds = greedy.iter().map(PlannedCrossing::delay).sum();
-            let mut order = if fifo_delay <= greedy_delay {
-                for c in &greedy {
-                    table.release(c.vehicle);
-                }
-                self.rebuild(&mut table, &fifo_ids, batch)
-            } else {
-                greedy
-            };
+            let mut order =
+                if self.trial(&mut table, &fifo, batch) <= self.trial(&mut table, &greedy, batch) {
+                    fifo
+                } else {
+                    greedy
+                };
             for _ in 0..improvement_rounds {
                 if !self.exchange_pass(&mut table, &mut order, batch) {
                     break;
                 }
             }
-            crossings.extend(order);
+            crossings.extend(order.iter().map(|&i| self.admit(&mut table, &batch[i])));
         }
         crossings.sort_by(|x, y| x.entry.total_cmp(y.entry));
         BatchSchedule { crossings }
     }
 
-    /// Greedy best-insertion of one batch into `table`.
-    fn greedy_order(
-        &self,
-        table: &mut ReservationTable,
-        batch: &[Arrival],
-    ) -> Vec<PlannedCrossing> {
-        let mut pending: Vec<Arrival> = batch.to_vec();
-        let mut out = Vec::with_capacity(batch.len());
+    /// Total delay of admitting `batch[i]` for each `i` of `order`, in
+    /// turn, on top of `table`, which is left as it was.
+    fn trial(&self, table: &mut ReservationTable, order: &[usize], batch: &[Arrival]) -> Seconds {
+        let planned: Vec<PlannedCrossing> = order
+            .iter()
+            .map(|&i| self.admit(table, &batch[i]))
+            .collect();
+        for c in &planned {
+            table.release(c.vehicle);
+        }
+        planned.iter().map(PlannedCrossing::delay).sum()
+    }
+
+    /// Greedy best-insertion order of one batch, as indices into it;
+    /// `table` is left as it was.
+    fn greedy_order(&self, table: &mut ReservationTable, batch: &[Arrival]) -> Vec<usize> {
+        let mut pending: Vec<usize> = (0..batch.len()).collect();
+        let mut order = Vec::with_capacity(batch.len());
         while !pending.is_empty() {
             // Pick the pending vehicle with the smallest achievable delay.
-            // Tie-break note (audited alongside the generator tie-break
-            // fix): `min_by` returns the *last* of equal-delay candidates,
-            // i.e. the highest batch index. That order is part of the
-            // pinned exp_* goldens, so it is kept as-is and documented
-            // here rather than flipped.
-            let (best_idx, entry, earliest, dur) = pending
+            // `min_by` keeps the first of equal-delay candidates in
+            // `pending`, whose order `swap_remove` permutes; that
+            // tie-break is part of `exp_batch`'s expected output.
+            let (best, _) = pending
                 .iter()
                 .enumerate()
-                .map(|(i, a)| {
+                .map(|(p, &i)| {
+                    let a = &batch[i];
                     let (earliest, dur) = self.earliest_and_duration(a);
-                    let entry = table.earliest_slot(a.movement, earliest, dur);
-                    (i, entry, earliest, dur)
+                    (p, table.earliest_slot(a.movement, earliest, dur) - earliest)
                 })
-                .min_by(|x, y| (x.1 - x.2).total_cmp(y.1 - y.2))
+                .min_by(|x, y| x.1.total_cmp(y.1))
                 .expect("pending non-empty");
-            let a = pending.swap_remove(best_idx);
-            table
-                .insert(Reservation {
-                    vehicle: a.vehicle,
-                    movement: a.movement,
-                    enter: entry,
-                    exit: entry + dur,
-                })
-                .expect("earliest_slot result inserts cleanly");
-            out.push(PlannedCrossing {
-                vehicle: a.vehicle,
-                movement: a.movement,
-                entry,
-                earliest,
-            });
+            let i = pending.swap_remove(best);
+            self.admit(table, &batch[i]);
+            order.push(i);
         }
-        out
+        for &i in &order {
+            table.release(batch[i].vehicle);
+        }
+        order
     }
 
     /// One exchange improvement pass: try swapping every pair of this
@@ -272,68 +267,25 @@ impl BatchPlanner {
     fn exchange_pass(
         &self,
         table: &mut ReservationTable,
-        order: &mut Vec<PlannedCrossing>,
+        order: &mut [usize],
         batch: &[Arrival],
     ) -> bool {
         let mut improved = false;
+        let mut current = self.trial(table, order, batch);
         let n = order.len();
         for i in 0..n.saturating_sub(1) {
             for j in (i + 1)..n {
-                let mut candidate: Vec<VehicleId> = order.iter().map(|c| c.vehicle).collect();
-                candidate.swap(i, j);
-                let current_delay: Seconds = order.iter().map(PlannedCrossing::delay).sum();
-
-                for c in order.iter() {
-                    table.release(c.vehicle);
-                }
-                let rebuilt = self.rebuild(table, &candidate, batch);
-                let new_delay: Seconds = rebuilt.iter().map(PlannedCrossing::delay).sum();
-                if new_delay < current_delay - Seconds::new(1e-9) {
-                    *order = rebuilt;
+                order.swap(i, j);
+                let delay = self.trial(table, order, batch);
+                if delay < current - Seconds::new(1e-9) {
+                    current = delay;
                     improved = true;
                 } else {
-                    // Restore the original order.
-                    for c in rebuilt.iter() {
-                        table.release(c.vehicle);
-                    }
-                    let original: Vec<VehicleId> = order.iter().map(|c| c.vehicle).collect();
-                    *order = self.rebuild(table, &original, batch);
+                    order.swap(i, j);
                 }
             }
         }
         improved
-    }
-
-    fn rebuild(
-        &self,
-        table: &mut ReservationTable,
-        ids: &[VehicleId],
-        batch: &[Arrival],
-    ) -> Vec<PlannedCrossing> {
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let a = batch
-                .iter()
-                .find(|a| a.vehicle == *id)
-                .expect("candidate ids come from this batch");
-            let (earliest, dur) = self.earliest_and_duration(a);
-            let entry = table.earliest_slot(a.movement, earliest, dur);
-            table
-                .insert(Reservation {
-                    vehicle: a.vehicle,
-                    movement: a.movement,
-                    enter: entry,
-                    exit: entry + dur,
-                })
-                .expect("earliest_slot result inserts cleanly");
-            out.push(PlannedCrossing {
-                vehicle: a.vehicle,
-                movement: a.movement,
-                entry,
-                earliest,
-            });
-        }
-        out
     }
 }
 
