@@ -58,7 +58,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> experiment outputs against expected/ (default, threads 1/4/7, shard workers 1/2/4/7)"
 # Every exp_* binary, on AIM's analytic kernel and on the stepped march,
 # and trace_digest must print exactly the committed files under
-# expected/ (scripts/expected.sh --bless rewrites them), and print them
+# expected/ (scripts/expected.sh --bless rewrites them; a file there that
+# no exp_* binary writes fails the check), and print them
 # at any sweep-pool width and on either corridor engine: the
 # windowed-parallel engine at 2, 4 or 7 shard workers, 1 = serial. The
 # full grid reaches K = 8, so 7 shard workers on the default pool

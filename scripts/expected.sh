@@ -13,9 +13,11 @@
 # script at several settings against the same files.
 #
 # Without --bless, a run that fails or prints anything else is reported
-# with the binary and the setting, and the script exits non-zero. With
-# --bless, it rewrites the files from this tree's binaries; commit the
-# change with the reason the outputs moved.
+# with the binary and the setting, and the script exits non-zero, as it
+# does, before building, when expected/default or expected/aim_marched
+# holds a file that no exp_* binary writes. With --bless, it rewrites the
+# files from this tree's binaries; commit the change with the reason the
+# outputs moved.
 set -eu
 
 bless=0
@@ -28,6 +30,21 @@ case "${1-}" in
     ;;
 esac
 cd "$(dirname "$0")/.."
+
+if [ "$bless" -eq 0 ]; then
+    stale=0
+    for file in expected/default/* expected/aim_marched/*; do
+        bin=$(basename "$file")
+        case $bin in
+        exp_*) [ -f "crates/bench/src/bin/$bin.rs" ] && continue ;;
+        esac
+        echo "FAIL: $file has no matching exp_* binary in crates/bench/src/bin" >&2
+        stale=$((stale + 1))
+    done
+    if [ "$stale" -ne 0 ]; then
+        exit 1
+    fi
+fi
 
 cargo build --release --offline -q -p crossroads-bench --bins
 setting=$(env | grep '^CROSSROADS_' | grep -v '^CROSSROADS_AIM_ANALYTIC=' |
