@@ -456,7 +456,7 @@ mod tests {
         // box (`toa == etoa`).
         let (v0, d) = (MetersPerSecond::new(0.05), Meters::new(0.01));
         assert!(reachable_speed(v0, &s, d) < s.v_max * 0.15);
-        let _ = cruise(&mut sched, 1, S, 0.0, 1.5).expect("a cruise fits");
+        cruise(&mut sched, 1, S, 0.0, 1.5).expect("a cruise fits");
         let refused = sched.schedule_moving(
             VehicleId(1),
             S,

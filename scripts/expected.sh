@@ -39,11 +39,9 @@ if [ "$bless" -eq 0 ]; then
         exp_*) [ -f "crates/bench/src/bin/$bin.rs" ] && continue ;;
         esac
         echo "FAIL: $file has no matching exp_* binary in crates/bench/src/bin" >&2
-        stale=$((stale + 1))
+        stale=1
     done
-    if [ "$stale" -ne 0 ]; then
-        exit 1
-    fi
+    [ "$stale" -eq 0 ] || exit 1
 fi
 
 cargo build --release --offline -q -p crossroads-bench --bins
